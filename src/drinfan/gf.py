@@ -4,7 +4,8 @@ Fields are constructed at runtime for any prime power q <= 16.  Elements are
 plain Python ints in ``range(q)``; for extension fields the int encodes the
 coefficient vector of the element over the prime field in base p.
 Multiplication and inversion go through discrete log/antilog tables built
-from a primitive element found by search.
+from a primitive element found by search; addition and negation go through
+q x q and q-entry tables built digit-wise.
 
 Polynomials are immutable coefficient tuples (lowest degree first) tagged
 with their field.  The absolute value used throughout the package is
@@ -13,6 +14,7 @@ with their field.  The absolute value used throughout the package is
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,7 +81,6 @@ class GF:
         p, e = self.p, self.e
         if e == 1:
             return (a * b) % p
-        mod = _MODULI[(p, e)]
         da = self._digits(a)
         db = self._digits(b)
         prod = [0] * (2 * e - 1)
@@ -87,6 +88,15 @@ class GF:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
+        return self._reduce(prod)
+
+    def _reduce(self, prod: list[int]) -> int:
+        """The element sum(prod[i] * x^i), reduced modulo the defining
+        polynomial; prod holds base-p digits and is overwritten."""
+        p, e = self.p, self.e
+        if e == 1:
+            return prod[0]
+        mod = _MODULI[(p, e)]
         # reduce modulo the defining polynomial (monic of degree e)
         for i in range(len(prod) - 1, e - 1, -1):
             c = prod[i]
@@ -132,22 +142,31 @@ class GF:
             self._exp[i + q - 1] = x
             self._log[x] = i
             x = self._mul_raw(x, self.generator)
+        p, e = self.p, self.e
+        digits = [self._digits(a) for a in range(q)]
+        self.add_table = tuple(
+            tuple(self._undigits([(x + y) % p for x, y in zip(da, db)])
+                  for db in digits)
+            for da in digits)
+        self.neg_table = tuple(self._undigits([(-x) % p for x in da])
+                               for da in digits)
+        # Per-digit Kronecker packing (LaurentSeries.__mul__): the e base-p
+        # digits of each element, and the element that 2e-1 digits of a
+        # product, as coefficients of x^0 .. x^(2e-2), reduce to.
+        self.digit_bytes = tuple(bytes(da) for da in digits)
+        self.fold = {bytes(ds): self._reduce(list(ds))
+                     for ds in itertools.product(range(p), repeat=2 * e - 1)}
 
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -10,11 +10,29 @@ coefficient or valuation is not determined.
 An AdditiveSeries is a twisted polynomial sum_i c_i * tau^i where tau is the
 q-power map z -> z^q; composition follows the skew rule
 (a * b)_k = sum_{i+j=k} a_i * b_j^{q^i}.
+
+The product of two Laurent series is exact for every field q <= 16 and uses
+Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 8).  Each exponent of a factor's span gets 2e-1 slots of ``width`` bytes
+in one little-endian integer, for q = p^e; the e base-p digits of its
+coefficient fill the first e slots.  One integer product then holds every
+coefficient of the product, as a polynomial of degree < 2e-1 in the
+generator x of F_q over F_p, without carries between slots: a slot of the
+product sums at most min(terms) * e products of two digits, each at most
+(p-1)^2, and ``width`` is the fewest whole bytes that hold that sum.  The
+product integer is serialised once with ``int.to_bytes``; byte-wise
+translation tables reduce every slot mod p, and for e > 1 a table lookup
+reduces each group of 2e-1 digits modulo the defining polynomial.  Apart
+from the integer multiplication itself, the cost is linear in the number of
+terms and in the byte size of the product, and only the slots below the
+product's precision are unpacked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .gf import GF, Poly
@@ -33,6 +51,28 @@ def _min_prec(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
+
+
+@lru_cache(maxsize=None)
+def _byte_residues(p: int, k: int) -> bytes:
+    """Translation table b -> (b * 256^k) mod p for byte k of a slot."""
+    return bytes((b << 8 * k) % p for b in range(256))
+
+
+def _slot_residues(data: bytes, width: int, p: int) -> bytes:
+    """Each little-endian ``width``-byte slot of data mod p, one byte each."""
+    if width == 1:
+        return data.translate(_byte_residues(p, 0))
+    # Reduce byte k of every slot to (b * 256^k) mod p and add the partial
+    # residues of all k as packed bytes of one integer: a slot's sum is at
+    # most width * (p-1) < 256 (slots never reach 21 bytes), so no carry
+    # crosses into the next slot.
+    total = 0
+    for k in range(width):
+        part = data[k::width].translate(_byte_residues(p, k))
+        total += int.from_bytes(part, "little")
+    return total.to_bytes(len(data) // width, "little").translate(
+        _byte_residues(p, 0))
 
 
 class LaurentSeries:
@@ -99,19 +139,14 @@ class LaurentSeries:
         new_prec = _min_prec(self.prec, prec)
         return LaurentSeries(self.field, self.coeffs, new_prec)
 
-    def require_precision(self, prec: int) -> "LaurentSeries":
-        if self.prec is not None and self.prec < prec:
-            raise PrecisionError(
-                f"series precision {self.prec} below required {prec}")
-        return self
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         F = self.field
+        add = F.add_table
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = F.add(out.get(e, 0), c)
+            s = add[out.get(e, 0)][c]
             if s:
                 out[e] = s
             else:
@@ -120,7 +155,8 @@ class LaurentSeries:
 
     def __neg__(self) -> "LaurentSeries":
         F = self.field
-        return LaurentSeries(F, {e: F.neg(c) for e, c in self.coeffs.items()},
+        neg = F.neg_table
+        return LaurentSeries(F, {e: neg[c] for e, c in self.coeffs.items()},
                              self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -142,9 +178,6 @@ class LaurentSeries:
         if pb is not None:
             cands.append(None if la is None else pb + la)
         cands = [c for c in cands if c is not None]
-        if (pa is not None and lb is None) or (pb is not None and la is None):
-            # an inexact factor times an exact zero is exactly zero
-            pass
         return min(cands) if cands else None
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -152,44 +185,53 @@ class LaurentSeries:
         prec = self._mul_prec(other)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.zero(F, prec)
-        if F.e != 1:
-            # the int encoding of extension-field elements does not convolve
-            return LaurentSeries(F, self._mul_naive(other), prec)
-        # Kronecker substitution: pack coefficients into one big integer.
-        ea = sorted(self.coeffs)
-        eb = sorted(other.coeffs)
-        base_a, base_b = ea[0], eb[0]
-        na = ea[-1] - base_a + 1
-        nb = eb[-1] - base_b + 1
-        K = 64  # bits per slot; coefficient sums stay far below 2^64
-        A = 0
-        for e, c in self.coeffs.items():
-            A |= c << ((e - base_a) * K)
-        B = 0
-        for e, c in other.coeffs.items():
-            B |= c << ((e - base_b) * K)
-        P = A * B
-        mask = (1 << K) - 1
-        out: dict[int, int] = {}
-        p = F.p
-        for i in range(na + nb - 1):
-            c = ((P >> (i * K)) & mask) % p
-            if c:
-                out[i + base_a + base_b] = c
-        return LaurentSeries(F, out, prec)
+        # Kronecker substitution; the module docstring explains the layout.
+        p, e = F.p, F.e
+        stride = 2 * e - 1
+        base_a, base_b = min(self.coeffs), min(other.coeffs)
+        na = max(self.coeffs) - base_a + 1
+        nb = max(other.coeffs) - base_b + 1
+        bound = min(len(self.coeffs), len(other.coeffs)) * e * (p - 1) ** 2
+        width = (bound.bit_length() + 7) // 8
+        P = self._pack(base_a, na, width) * other._pack(base_b, nb, width)
+        base = base_a + base_b
+        n = na + nb - 1
+        data = P.to_bytes(n * stride * width, "little")
+        if prec is not None and prec - base < n:
+            n = max(prec - base, 0)
+            data = data[:n * stride * width]
+        coeffs = _slot_residues(data, width, p)
+        if e > 1:
+            # the 2e-1 digits of each exponent -> its element of F_q
+            fold = F.fold
+            coeffs = bytes([fold[coeffs[i:i + stride]]
+                            for i in range(0, len(coeffs), stride)])
+        # exponents of the nonzero coefficients, paired with those coefficients
+        exps = compress(range(base, base + n), coeffs)
+        return LaurentSeries(F, dict(zip(exps, coeffs.replace(b"\0", b""))),
+                             prec)
 
-    def _mul_naive(self, other: "LaurentSeries") -> dict[int, int]:
+    def _pack(self, base: int, span: int, width: int) -> int:
+        """The Kronecker integer of this series: 2e-1 slots of ``width``
+        bytes per exponent from ``base`` over ``span`` exponents."""
         F = self.field
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = F.add(out.get(e, 0), F.mul(c1, c2))
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
+        e = F.e
+        stride = 2 * e - 1
+        slots = bytearray(span * stride)
+        if e == 1:
+            p = F.p
+            for x, c in self.coeffs.items():
+                slots[x - base] = c % p  # a digit, as the slot bound assumes
+        else:
+            digits = F.digit_bytes
+            for x, c in self.coeffs.items():
+                i = (x - base) * stride
+                slots[i:i + e] = digits[c]
+        if width > 1:
+            wide = bytearray(len(slots) * width)
+            wide[::width] = slots
+            slots = wide
+        return int.from_bytes(slots, "little")
 
     def frobenius_power(self, k: int) -> "LaurentSeries":
         """Raise to the q^k-th power (exact in characteristic p)."""

@@ -33,6 +33,26 @@ def test_field_axioms_exhaustive(q):
                         F.add(F.mul(a, b), F.mul(a, c))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_add_neg_sub_tables_match_digitwise(q):
+    F = gf(q)
+    p, e = F.p, F.e
+
+    def digits(n):
+        return [n // p ** i % p for i in range(e)]
+
+    def undigits(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    for a in range(q):
+        da = digits(a)
+        assert F.neg(a) == undigits([-x % p for x in da])
+        for b in range(q):
+            db = digits(b)
+            assert F.add(a, b) == undigits([(x + y) % p for x, y in zip(da, db)])
+            assert F.sub(a, b) == undigits([(x - y) % p for x, y in zip(da, db)])
+
+
 def test_not_prime_power():
     assert not is_prime_power(6)
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 """Truncated Laurent series and additive (twisted) polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.gf import gf
+from drinfan.gf import GF, gf
 from drinfan.series import (AdditiveSeries, LaurentSeries, PrecisionError,
                             lower_hull, root_valuations)
 
@@ -37,13 +38,115 @@ def test_ring_laws(data):
     assert z.is_zero_to_precision()
 
 
-@given(series_pair())
+def _mul_naive(a, b):
+    """Schoolbook product through GF.mul / GF.add: the oracle for __mul__."""
+    F = a.field
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            s = F.add(out.get(e, 0), F.mul(c1, c2))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _assert_mul_matches_naive(a, b):
+    prod = a * b
+    assert prod == LaurentSeries(a.field, _mul_naive(a, b), prod.prec)
+
+
+MUL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 13, 16]
+
+
+@st.composite
+def wide_series_pair(draw):
+    """Operands of up to 600 and 260 terms with negative exponents, sparse
+    or dense, exact or truncated inside their span, over prime and extension
+    fields; two operands of 260 terms need 2-byte slots for p = 2."""
+    q = draw(st.sampled_from(MUL_FIELDS))
+    F = gf(q)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def mk(sizes):
+        n = draw(st.sampled_from(sizes))
+        lo = draw(st.integers(-40, 40))
+        span = n * draw(st.sampled_from([1, 2, 5]))
+        coeffs = {lo + x: rng.randrange(1, q)
+                  for x in rng.sample(range(span), n)}
+        prec = draw(st.one_of(st.none(), st.integers(lo, lo + span + 2)))
+        return LaurentSeries(F, coeffs, prec)
+
+    sizes = [0, 1, 3, 12, 60, 260]
+    return F, mk(sizes + [600]), mk(sizes)
+
+
+@given(wide_series_pair())
 @settings(max_examples=100, deadline=None)
 def test_mul_matches_naive(data):
     F, a, b = data
-    prod = a * b
-    naive = LaurentSeries(F, a._mul_naive(b), prod.prec)
-    assert prod == naive
+    _assert_mul_matches_naive(a, b)
+
+
+def _dense(F, lo, n):
+    """n consecutive terms whose coefficient has every base-p digit p-1,
+    so every slot of a product reaches its bound."""
+    return LaurentSeries(F, {e: F.q - 1 for e in range(lo, lo + n)}, None)
+
+
+# (q, n) with min(terms) * e * (p-1)^2 just below and just above a whole
+# number of bytes: 1 -> 2 bytes for each field, 2 -> 3 bytes for q = 13.
+@pytest.mark.parametrize("q, n", [
+    (2, 255), (2, 256), (3, 63), (3, 64), (4, 127), (4, 128),
+    (5, 15), (5, 16), (7, 7), (7, 8), (8, 85), (8, 86), (9, 31), (9, 32),
+    (13, 1), (13, 2), (13, 455), (13, 456), (16, 63), (16, 64),
+])
+def test_mul_matches_naive_at_slot_boundaries(q, n):
+    F = gf(q)
+    a, b = _dense(F, -n // 2, n), _dense(F, 3, n + 7)
+    _assert_mul_matches_naive(a, b)
+    _assert_mul_matches_naive(a, a.truncate(n // 3))
+
+
+def test_extension_field_product_avoids_digit_lists(monkeypatch):
+    fields = [gf(q) for q in (4, 8, 9, 16)]  # tables are built here
+
+    def no_digits(self, n):
+        raise AssertionError("digit-list conversion on the hot path")
+
+    monkeypatch.setattr(GF, "_digits", no_digits)
+    for F in fields:
+        a = LaurentSeries(F, {-2: 1, 0: F.q - 1, 5: 2}, 9)
+        b = LaurentSeries(F, {1: 3, 2: F.q - 2}, None)
+        assert (a * b) - (b * a) == LaurentSeries.zero(F, (a * b).prec)
+        assert a + b - b == a
+
+
+@st.composite
+def unit_series(draw):
+    q = draw(st.sampled_from([2, 3, 4, 9]))
+    F = gf(q)
+    v = draw(st.integers(-5, 5))
+    coeffs = {v: draw(st.integers(1, q - 1))}
+    for _ in range(draw(st.integers(0, 12))):
+        coeffs[v + draw(st.integers(1, 40))] = draw(st.integers(1, q - 1))
+    prec = draw(st.one_of(st.none(), st.integers(v + 60, v + 120)))
+    a = LaurentSeries(F, coeffs, prec)
+    best = 60 if prec is None else prec - 2 * v
+    return F, a, draw(st.integers(-v + 1, min(best, 60)))
+
+
+@given(unit_series())
+@settings(max_examples=100, deadline=None)
+def test_inverse_times_series_is_one(data):
+    F, a, prec = data
+    inv = a.inverse(prec)
+    assert inv.prec == prec
+    prod = a * inv
+    assert prod.prec is not None
+    assert prod == LaurentSeries.one(F, prod.prec)
 
 
 def test_inverse_exact_and_truncated():
