@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .cones import Cone
 from .gf import GF, Poly, RatFunc, gf
+from .linalg import mat_inv, mat_mul
 
 __all__ = ["LatticeClass", "diagonal_class", "chain_test", "simplex_cone",
            "standard_simplex_cone", "canonical_exponents",
@@ -87,35 +88,13 @@ def canonical_exponents(exponents: Sequence[int]) -> tuple[int, ...]:
     return tuple(a - m for a in exponents)
 
 
-def _rat_matrix_solve(m: list[list[RatFunc]], rhs: list[list[RatFunc]],
-                      field: GF) -> list[list[RatFunc]] | None:
-    """Solve M X = RHS (matrix right-hand side) over F_q(T)."""
-    n = len(m)
-    w = len(rhs[0])
-    a = [list(m[i]) + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [[a[i][n + j] for j in range(w)] for i in range(n)]
-
-
 def _relative_matrix(inner: LatticeClass, outer: LatticeClass
                      ) -> list[list[RatFunc]]:
     """Coordinates of inner's basis in outer's basis (outer^-1 inner)."""
-    n = inner.n
-    sol = _rat_matrix_solve([list(r) for r in outer.matrix],
-                            [list(r) for r in inner.matrix], inner.field)
-    if sol is None:
-        raise ValueError("lattice basis matrix is singular")
-    return sol
+    try:
+        return mat_mul(mat_inv(outer.matrix), inner.matrix)
+    except ValueError:
+        raise ValueError("lattice basis matrix is singular") from None
 
 
 def _min_valuation(m: list[list[RatFunc]], pi: Poly) -> int:
@@ -193,7 +172,7 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
             h = max(e[i] - e[j] for e in sets)
             # q^{r h} s_j - s_i >= 0
             vec = [0] * n
-            vec[j] = q ** (r * h)
+            vec[j] = Fraction(q) ** (r * h)
             vec[i] -= 1
             ineqs.append(vec)
     by_ineqs = Cone.from_ineqs(ineqs, n=n).intersect(

@@ -30,8 +30,7 @@ from .cones import Cone, dual_monoid_hilbert_basis
 from .drinfeld import (class_point_of_steps, iterate_tate,
                        predicted_torsion_valuations, torsion_valuations)
 from .gf import Poly, gf
-from .xi import (sigma_k_fan, sigma_kk_map, sigma_upper_fan, xi_eval,
-                 xi_eval_coords)
+from .xi import sigma_k_fan, sigma_kk_map, sigma_upper_fan, xi_eval_coords
 
 USAGE_ERROR = 2
 
@@ -107,6 +106,17 @@ def cmd_eps(args) -> int:
     return 0
 
 
+def _sigma_kk(args) -> int:
+    """The transition map xi_{k,k'}: `xi linearize` and `fan sigma-kk`."""
+    m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
+    pieces = sorted(
+        ({"cone": _cone_json(c), "matrix": _matrix_json(mat)}
+         for c, mat in m.pieces),
+        key=lambda p: p["cone"]["rays"])
+    _emit({"pieces": pieces}, args.out)
+    return 0
+
+
 def cmd_xi(args) -> int:
     if args.action == "eval":
         coords = _parse_vec(args.coords)
@@ -114,13 +124,7 @@ def cmd_xi(args) -> int:
         _emit({"image": [_frac_str(x) for x in out]}, args.out)
         return 0
     if args.action == "linearize":
-        m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
-        pieces = sorted(
-            ({"cone": _cone_json(c), "matrix": _matrix_json(mat)}
-             for c, mat in m.pieces),
-            key=lambda p: p["cone"]["rays"])
-        _emit({"pieces": pieces}, args.out)
-        return 0
+        return _sigma_kk(args)
     return USAGE_ERROR
 
 
@@ -140,13 +144,7 @@ def cmd_fan(args) -> int:
         _emit(obj, args.out)
         return 0
     if args.action == "sigma-kk":
-        m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
-        pieces = sorted(
-            ({"cone": _cone_json(c), "matrix": _matrix_json(mat)}
-             for c, mat in m.pieces),
-            key=lambda p: p["cone"]["rays"])
-        _emit({"pieces": pieces}, args.out)
-        return 0
+        return _sigma_kk(args)
     if args.action == "join":
         left, _ = sigma_k_fan(args.q, args.d, args.k, seed=args.seed)
         right, _ = sigma_k_fan(args.q, args.d, args.kprime, seed=args.seed)

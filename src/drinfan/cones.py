@@ -18,8 +18,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import (dot, frac_vec, int_kernel_basis, mat_inv, nullspace,
-                     primitive, quotient_lattice_maps, rank, rref)
+from .linalg import (det, dot, frac_vec, int_kernel_basis, mat_inv,
+                     nullspace, primitive, quotient_lattice_maps, rank, rref)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -309,35 +309,12 @@ class Cone:
         g = 0
         for cols in itertools.combinations(range(self.n), m):
             sub = [[row[c] for c in cols] for row in rays]
-            g = gcd(g, abs(_int_det(sub)))
+            g = gcd(g, abs(det(sub)))
         return g
 
     def is_regular(self) -> bool:
         idx = self.smooth_index()
         return idx == 1
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Integer determinant by fraction-free elimination (Bareiss)."""
-    a = [row[:] for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class Fan:

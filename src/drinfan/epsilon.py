@@ -36,8 +36,6 @@ __all__ = [
     "delta_oracle", "epsilon_hat_oracle", "epsilon_hat1", "epsilon_hat1_inv",
 ]
 
-Frac = Fraction
-
 
 def _check_args(q: int, r: int, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if q < 2:

@@ -244,6 +244,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -384,6 +387,9 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.den + other.num * self.den,

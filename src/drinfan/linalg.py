@@ -1,8 +1,16 @@
-"""Exact linear algebra over the rationals and over the integers.
+"""Exact linear algebra over a field, over an integral domain, and over Z.
 
-Rational matrices are lists of lists of fractions.Fraction.  The integer
-part provides primitive vectors, Smith normal form with transformation
-matrices, and saturated-lattice coordinate changes used by the cone engine.
+This module is the only place in drinfan that eliminates.
+
+* Gauss-Jordan over an exact field: ``rref`` and the ``rank``,
+  ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
+  ``fractions.Fraction`` entries (ints are promoted) or on ``RatFunc``
+  entries of F_q(T).  The field is the one the entries live in.
+* ``det``: the fraction-free Bareiss determinant over any integral domain
+  with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
+* Over Z: primitive vectors, Smith normal form with transformation
+  matrices, and saturated-lattice coordinate changes used by the cone
+  engine.  ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
 """
 
 from __future__ import annotations
@@ -11,14 +19,28 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .gf import RatFunc
+
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 __all__ = [
     "frac_vec", "dot", "rref", "rank", "nullspace", "solve", "mat_inv",
-    "mat_mul", "mat_vec", "primitive", "smith_normal_form",
+    "mat_mul", "mat_vec", "det", "primitive", "smith_normal_form",
     "quotient_lattice_maps", "int_kernel_basis",
 ]
+
+
+def _entry(x):
+    """x as a field element: a RatFunc stays, anything else is a Fraction."""
+    return x if type(x) is RatFunc else Fraction(x)
+
+
+def _zero_one(x) -> tuple:
+    """The 0 and 1 of the field of the entry x."""
+    if type(x) is RatFunc:
+        return RatFunc.zero(x.field), RatFunc.one(x.field)
+    return Fraction(0), Fraction(1)
 
 
 def frac_vec(v: Sequence) -> Vec:
@@ -31,21 +53,21 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[_entry(x) for x in row] for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
@@ -74,11 +96,12 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
         return out
     n = len(rows[0])
     red, pivots = rref(rows)
+    zero, one = _zero_one(red[0][0])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [zero] * n
+        v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
@@ -86,7 +109,7 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent."""
+    """One solution of A x = b (free unknowns 0), or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     if not aug:
         return ()
@@ -94,16 +117,18 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     red, pivots = rref(aug)
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [_zero_one(red[0][0])[0]] * n
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
     return tuple(x)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
-    nb = len(b[0])
-    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))),
-                 Fraction(0)) for j in range(nb)] for i in range(len(a))]
+    a = [[_entry(x) for x in row] for row in a]
+    b = [[_entry(x) for x in row] for row in b]
+    zero = _zero_one(b[0][0])[0]
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vec:
@@ -112,12 +137,41 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vec:
 
 def mat_inv(a: Sequence[Sequence]) -> Mat:
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+    zero, one = _zero_one(a[0][0])
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
+
+
+def det(m: Sequence[Sequence]):
+    """Determinant by fraction-free elimination (Bareiss, 1968).
+
+    Works over any integral domain whose ``//`` is exact division, such as
+    int or Poly; every intermediate stays in the ring.  The empty matrix
+    has determinant 1.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    negate = False
+    prev = None
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return a[k][k]
+            a[k], a[piv] = a[piv], a[k]
+            negate = not negate
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = t if prev is None else t // prev
+        prev = a[k][k]
+    return -a[n - 1][n - 1] if negate else a[n - 1][n - 1]
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:

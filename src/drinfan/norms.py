@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .gf import GF, Poly, RatFunc, polys_of_degree_at_most
+from .linalg import det, solve
 
 __all__ = ["WeightedNorm", "successive_minima", "norm_profile",
            "is_norm_preserving_change", "apply_change", "normalized_profile"]
@@ -44,88 +45,14 @@ class WeightedNorm:
                    default=Fraction(0))
 
 
-def _poly_matrix_det(m: list[list[Poly]], field: GF) -> Poly:
-    n = len(m)
-    if n == 0:
-        return Poly.one(field)
-    total = Poly.zero(field)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # compute permutation sign
-        visited = [False] * n
-        for i in range(n):
-            if not visited[i]:
-                j = i
-                clen = 0
-                while not visited[j]:
-                    visited[j] = True
-                    j = seen[j]
-                    clen += 1
-                if clen % 2 == 0:
-                    sign = -sign
-        term = Poly.one(field)
-        for i in range(n):
-            term = term * m[i][perm[i]]
-        if sign < 0:
-            term = -term
-        total = total + term
-    return total
-
-
-def _ratfunc_solve(m: list[list[Poly]], rhs: list[Poly], field: GF
-                   ) -> list[RatFunc] | None:
-    """Solve M c = rhs over F_q(T); None if singular/inconsistent."""
-    n = len(m)
-    a = [[RatFunc.of(m[i][j]) for j in range(n)] + [RatFunc.of(rhs[i])]
-         for i in range(n)]
-    row = 0
-    piv_cols = []
-    for col in range(n):
-        piv = next((i for i in range(row, n) if not a[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for i in range(n):
-            if i != row and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        piv_cols.append(col)
-        row += 1
-    sol = [RatFunc.zero(field)] * n
-    for r, c in enumerate(piv_cols):
-        sol[c] = a[r][n]
-    # verify (handles singular / inconsistent systems)
-    for i in range(n):
-        acc = RatFunc.zero(field)
-        for j in range(n):
-            acc = acc + RatFunc.of(m[i][j]) * sol[j]
-        if not (acc - RatFunc.of(rhs[i])).is_zero():
-            return None
-    return sol
-
-
-def _in_A_span(vectors: list[Vector], x: Vector, field: GF) -> bool:
+def _in_A_span(vectors: list[Vector], x: Vector) -> bool:
     """Is x in the A-span of the given vectors?"""
     if not vectors:
         return all(p.is_zero() for p in x)
-    n = len(x)
-    k = len(vectors)
-    # solve sum_j c_j vectors[j] = x over F_q(T); pad to square with zeros
-    m = [[vectors[j][i] if j < k else Poly.zero(field) for j in range(n)]
-         for i in range(n)]
-    sol = _ratfunc_solve(m, list(x), field)
-    if sol is None:
-        return False
-    if any(not sol[j].is_zero() for j in range(k, n)):
-        return False
-    return all(sol[j].den.degree == 0 for j in range(k))
-
-
-def _tie_break_key(coeffs: tuple[int, ...]) -> tuple:
-    return coeffs
+    # solve sum_j c_j vectors[j] = x over F_q(T); need every c_j in A
+    sol = solve([[RatFunc.of(v[i]) for v in vectors] for i in range(len(x))],
+                [RatFunc.of(p) for p in x])
+    return sol is not None and all(c.den.degree == 0 for c in sol)
 
 
 def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
@@ -144,8 +71,7 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
     gens = [tuple(g) for g in generators]
     if len(gens) != n:
         raise ValueError("need n generators for a full lattice")
-    det = _poly_matrix_det([[g[i] for g in gens] for i in range(n)], field)
-    if det.is_zero():
+    if det([[g[i] for g in gens] for i in range(n)]).is_zero():
         raise ValueError("generators are not a lattice basis")
     # any successive-minima vector has norm <= max generator norm
     bound = max(norm.norm(g) for g in gens)
@@ -159,7 +85,7 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
         for j in range(n):
             minor = [[gens[jj][ii] for jj in range(n) if jj != j]
                      for ii in range(n) if ii != i]
-            md = _poly_matrix_det(minor, field) if minor else Poly.one(field)
+            md = det(minor) if minor else Poly.one(field)
             if not md.is_zero():
                 adj_deg = max(adj_deg, md.degree)
     deg_a = adj_deg + deg_x  # det has degree >= 0, dividing only lowers this
@@ -183,7 +109,7 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
     for value, _, v in candidates:
         if len(basis) == n:
             break
-        if _in_A_span(basis, v, field):
+        if _in_A_span(basis, v):
             continue
         basis.append(v)
         values.append(value)
@@ -244,25 +170,8 @@ def is_norm_preserving_change(values: Sequence[Fraction],
     for i, v in enumerate(vals):
         groups.setdefault(v, []).append(i)
     for idxs in groups.values():
-        block = [[matrix[i][j].coeff(0) for j in idxs] for i in idxs]
-        if _gf_matrix_singular(block, field):
+        block = [[Poly.constant(field, matrix[i][j].coeff(0)) for j in idxs]
+                 for i in idxs]
+        if not det(block):
             return False
     return True
-
-
-def _gf_matrix_singular(m: list[list[int]], field: GF) -> bool:
-    a = [row[:] for row in m]
-    n = len(a)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return True
-        a[col], a[piv] = a[piv], a[col]
-        inv = field.inv(a[col][col])
-        a[col] = [field.mul(inv, x) for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [field.sub(x, field.mul(f, y))
-                        for x, y in zip(a[i], a[col])]
-    return False

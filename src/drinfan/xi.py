@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .cones import Cone, Fan
 from .epsilon import delta, epsilon, epsilon_hat
-from .linalg import frac_vec, mat_inv, mat_vec, primitive, solve
+from .linalg import frac_vec, mat_inv, mat_mul, mat_vec, primitive, solve
 from .points import ClassPoint
 
 __all__ = [
@@ -310,14 +310,8 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     for sigma in upper.maximal_cones():
         Mk = linearize_xi(q, sigma, K, k, rng)
         Mkp = linearize_xi(q, sigma, K, kprime, rng)
-        trans = [[x for x in row] for row in
-                 _mat_mul_frac(Mkp, mat_inv([list(r) for r in Mk]))]
+        trans = mat_mul(Mkp, mat_inv(Mk))
         image = _image_cone(q, k, sigma)
         pieces.append((image, tuple(tuple(row) for row in trans)))
     return PiecewiseLinearMap(tuple(pieces))
 
-
-def _mat_mul_frac(a, b):
-    nb = len(b[0])
-    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))),
-                 Fraction(0)) for j in range(nb)] for i in range(len(a))]

@@ -1,5 +1,7 @@
 """Lattice classes, chains, and apartment cones."""
 
+import itertools
+
 from drinfan.bruhat_tits import (canonical_exponents, chain_test,
                                  diagonal_class, intersection_of_diagonal_sets,
                                  is_contained, lattice_norm_weights,
@@ -115,3 +117,17 @@ def test_apartment_edges_tile_weight_cone():
     fan = Fan(cones + [Cone.from_rays([(1, 1)]), Cone.from_rays([(0, 1)])])
     # valid fan; support check omitted because the tiling is infinite
     assert fan.validate() == []
+
+
+def test_simplex_cones_of_all_vertex_subsets_build():
+    # negative comparison exponents give fractional coefficients q^(r h);
+    # for odd q these used to be floats and broke the H-description
+    for n in (2, 3):
+        vertices = [[0] * (n - m) + [1] * m for m in range(n)]
+        for q in (2, 3, 4, 5):
+            for r in (1, 2):
+                for size in range(1, n + 1):
+                    for sets in itertools.combinations(vertices, size):
+                        c = simplex_cone(sets, q, r)
+                        assert set(c.rays()) == {
+                            tuple(q ** (r * a) for a in e) for e in sets}

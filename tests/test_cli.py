@@ -148,3 +148,18 @@ def test_out_file_matches_stdout(tmp_path):
             "--out", str(path))
     assert b.returncode == 0
     assert path.read_text() == a.stdout
+
+
+def test_bt_cone_odd_q():
+    out = run("bt", "cone", "--q", "3", "--sets", "0,1")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["rays"] == [[1, 3]]
+
+
+def test_xi_linearize_and_fan_sigma_kk_agree():
+    opts = ["--q", "2", "--d", "3", "--k", "2", "--kprime", "1",
+            "--seed", "5"]
+    a = run("xi", "linearize", *opts)
+    b = run("fan", "sigma-kk", *opts)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout and a.stdout == b.stdout

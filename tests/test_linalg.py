@@ -1,11 +1,15 @@
-"""Exact rational linear algebra and integer lattice maps."""
+"""Exact linear algebra over Q and F_q(T), determinants over Z and F_q[T],
+and integer lattice maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.linalg import (int_kernel_basis, mat_inv, mat_mul, mat_vec,
+from drinfan.gf import Poly, RatFunc, gf
+from drinfan.linalg import (det, int_kernel_basis, mat_inv, mat_mul, mat_vec,
                             nullspace, primitive, rank,
                             smith_normal_form, solve)
 
@@ -75,3 +79,117 @@ def test_mat_inv():
 def test_primitive():
     assert primitive((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
     assert primitive((Fraction(0), Fraction(-2))) == (0, -1)
+
+
+def _perm_det(m, zero, one):
+    """Reference determinant: the signed sum over all n! permutations."""
+    n = len(m)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = one
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _random_poly(rng, field, max_deg=2):
+    return Poly.make(field, [rng.randrange(field.q)
+                             for _ in range(rng.randint(0, max_deg + 1))])
+
+
+def _make_singular(rng, m, scale):
+    """Overwrite one row by a multiple of another (n >= 2)."""
+    i, j = rng.sample(range(len(m)), 2)
+    m[i] = [scale(x) for x in m[j]]
+
+
+def test_det_matches_permutation_sum_over_integers():
+    rng = random.Random(11)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(0, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 4 == 0:
+            _make_singular(rng, m, lambda x: -3 * x)
+        expected = _perm_det(m, 0, 1)
+        singular += expected == 0
+        assert det(m) == expected
+    assert singular >= 80
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_det_matches_permutation_sum_over_polynomials(q):
+    field = gf(q)
+    zero, one = Poly.zero(field), Poly.one(field)
+    T = Poly.T(field)
+    rng = random.Random(q)
+    singular = 0
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        m = [[_random_poly(rng, field) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            _make_singular(rng, m, lambda x: x * (T + one))
+        expected = _perm_det(m, zero, one)
+        singular += expected.is_zero()
+        assert det(m) == expected
+    assert singular >= 40
+
+
+def _random_ratfunc(rng, field):
+    den = _random_poly(rng, field, 1)
+    while den.is_zero():
+        den = _random_poly(rng, field, 1)
+    return RatFunc.make(_random_poly(rng, field), den)
+
+
+def _invertible_ratfunc_matrix(rng, field, n):
+    while True:
+        a = [[_random_ratfunc(rng, field) for _ in range(n)] for _ in range(n)]
+        if rank(a) == n:
+            return a
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_solve_and_inverse_over_rational_functions(q):
+    field = gf(q)
+    zero, one = RatFunc.zero(field), RatFunc.one(field)
+    rng = random.Random(100 + q)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        a = _invertible_ratfunc_matrix(rng, field, n)
+        b = [_random_ratfunc(rng, field) for _ in range(n)]
+        x = solve(a, b)
+        assert [row[0] for row in mat_mul(a, [[v] for v in x])] == b
+        identity = [[one if i == j else zero for j in range(n)]
+                    for i in range(n)]
+        assert mat_mul(mat_inv(a), a) == identity
+        assert mat_mul(a, mat_inv(a)) == identity
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_solve_over_rational_functions_detects_inconsistency(q):
+    field = gf(q)
+    zero = RatFunc.zero(field)
+    T = RatFunc.of(Poly.T(field))
+    rng = random.Random(200 + q)
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        a = _invertible_ratfunc_matrix(rng, field, n)
+        # the last row becomes T * (first row): rank n - 1
+        a[-1] = [T * x for x in a[0]]
+        b = [_random_ratfunc(rng, field) for _ in range(n)]
+        b[-1] = T * b[0]
+        x = solve(a, b)  # consistent: one solution, free unknowns zero
+        assert x is not None
+        assert [row[0] for row in mat_mul(a, [[v] for v in x])] == b
+        assert x.count(zero) >= 1
+        b[-1] = b[-1] + RatFunc.one(field)
+        assert solve(a, b) is None
+        kernel = nullspace(a)
+        assert len(kernel) == 1
+        assert all(not row[0] for row in mat_mul(a, [[c] for c in kernel[0]]))
+        with pytest.raises(ValueError):
+            mat_inv(a)
