@@ -149,6 +149,18 @@ def chain_test(classes: Sequence[LatticeClass]
     return True, order
 
 
+def _check_q(q: int) -> None:
+    """q must be a prime power >= 2, the size of the residue field."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    m = q
+    while m % p == 0:
+        m //= p
+    if m != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+
+
 def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
                  r: int = 1) -> Cone:
     """Weight cone sigma(S) of a set S of diagonal lattice classes.
@@ -158,10 +170,13 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
     s_i <= q^{r h(i,j)} s_j with h(i,j) = max over representatives of
     (a_i - a_j); the two descriptions are asserted to agree.
     """
+    _check_q(q)
     sets = [canonical_exponents(e) for e in exponent_sets]
     if not sets:
         raise ValueError("need at least one lattice class")
     n = len(sets[0])
+    if any(len(e) != n for e in sets):
+        raise ValueError("exponent vectors must all have the same length")
     gens = [tuple(q ** (r * a) for a in e) for e in sets]
     by_rays = Cone.from_rays(gens, n=n)
     ineqs = [[1 if j == 0 else 0 for j in range(n)]]

@@ -1,25 +1,34 @@
 """Exact rational polyhedral cones and fans.
 
 Cones are represented both by generators (extreme rays plus a lineality
-basis) and by a halfspace description (inequalities plus equations); the
-two are converted with an incremental double description method over exact
-rationals.  Canonical forms use primitive integer vectors, so cone equality
-and hashing are exact.
+basis) and by a halfspace description (inequalities plus equations).  The
+two are converted by the incremental double description method of Motzkin
+et al. (see Fukuda & Prodon, "Double description method revisited", 1996),
+run fraction-free: every input vector is first scaled to a primitive
+integer vector, every new line or ray is an integer combination of two
+old ones divided by the gcd of its entries, and all arithmetic is on plain
+ints.  Adjacency of rays is decided combinatorially from their tight sets.
+Canonical forms use primitive integer vectors, so cone equality and
+hashing are exact; rational input is accepted and scaled on entry.
 
-Also provided: face lattices, fans with validation (face closure, pairwise
-intersection condition, support coverage by the wall condition), common
-refinements, Hilbert bases of dual monoids, and regularity testing with
-refinement by determinant-descent stellar subdivisions.
+Fans are validated over their maximal cones: face closure, every cone a
+face of a maximal cone, the pairwise intersection condition on maximal
+cones, and support coverage by the wall condition (see ``Fan.validate``).
+Also provided: face lattices, common refinements, Hilbert bases of dual
+monoids, and regularity testing with refinement by determinant-descent
+stellar subdivisions.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import (det, dot, frac_vec, int_kernel_basis, mat_inv,
-                     nullspace, primitive, quotient_lattice_maps, rank, rref)
+from .linalg import (det, dot, int_kernel_basis, mat_inv, nullspace,
+                     primitive, quotient_lattice_maps, rank, rref)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -32,89 +41,123 @@ def _neg(v):
     return tuple(-x for x in v)
 
 
-def _dd_convert(ineqs: Sequence[Sequence[Fraction]],
-                eqs: Sequence[Sequence[Fraction]],
-                n: int) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]]]:
-    """Double description: halfspace description -> (rays, lineality basis)."""
-    lines: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-    rays: list[tuple[Fraction, ...]] = []
-    constraints: list[tuple[Fraction, ...]] = []
-    for e in eqs:
-        constraints.append(frac_vec(e))
-        constraints.append(_neg(frac_vec(e)))
-    for a in ineqs:
-        constraints.append(frac_vec(a))
+def _idot(a, b):
+    """Dot product without conversions (ints, or ints and Fractions)."""
+    return sum(map(mul, a, b))
 
-    processed: list[tuple[Fraction, ...]] = []
+
+def _exact(v) -> tuple:
+    """v with every entry an int or a Fraction."""
+    return tuple(x if type(x) is int else Fraction(x) for x in v)
+
+
+def _int_primitive(v) -> tuple[int, ...] | None:
+    """v scaled to a primitive integer vector; None for the zero vector."""
+    if all(type(x) is int for x in v):
+        g = gcd(*v)
+        if g == 0:
+            return None
+        return tuple(v) if g == 1 else tuple(x // g for x in v)
+    return primitive(v) if any(v) else None
+
+
+def _combine(c1: int, v1, c2: int, v2) -> tuple[int, ...]:
+    """c1 v1 + c2 v2 divided by the gcd of its entries (zero stays zero)."""
+    w = [c1 * x + c2 * y for x, y in zip(v1, v2)]
+    g = gcd(*w)
+    return tuple(w) if g <= 1 else tuple(x // g for x in w)
+
+
+def _dd_convert(ineqs: Sequence[Sequence], eqs: Sequence[Sequence], n: int
+                ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Double description: halfspace description -> (rays, lineality basis).
+
+    Fraction-free: constraints are scaled to primitive integer vectors, a
+    line is eliminated as ``v0*l - (a.l)*l0`` and a ray pair is combined as
+    ``vp*m - vm*p``, each result divided by its gcd.  Every vector stays a
+    positive multiple of the one exact rational elimination would give, so
+    the cone described is the same.  The output rays and lines are
+    primitive integer vectors (rays not yet reduced modulo the lines).
+    """
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[tuple[int, ...]] = []
+    constraints: list[tuple[int, ...]] = []
+    for e in eqs:
+        e = _int_primitive(e)
+        if e is not None:
+            constraints += (e, _neg(e))
+    for a in ineqs:
+        a = _int_primitive(a)
+        if a is not None:  # 0 >= 0 holds everywhere
+            constraints.append(a)
+
+    processed: list[tuple[int, ...]] = []
     for a in constraints:
-        hit = [l for l in lines if dot(a, l) != 0]
-        if hit:
-            l0 = hit[0]
-            if dot(a, l0) < 0:
-                l0 = _neg(l0)
-            v0 = dot(a, l0)
-            lines = [tuple(x - dot(a, l) / v0 * y for x, y in zip(l, l0))
-                     for l in lines if l is not hit[0]]
-            lines = [l for l in lines if any(x != 0 for x in l)]
-            rays = [tuple(x - dot(a, r) / v0 * y for x, y in zip(r, l0))
-                    for r in rays]
+        hit = next((l for l in lines if _idot(a, l)), None)
+        if hit is not None:
+            v0 = _idot(a, hit)
+            l0 = hit if v0 > 0 else _neg(hit)
+            v0 = abs(v0)
+            lines = [_combine(v0, l, -_idot(a, l), l0)
+                     for l in lines if l is not hit]
+            lines = [l for l in lines if any(l)]
+            rays = [_combine(v0, r, -_idot(a, r), l0) for r in rays]
             rays.append(l0)
             processed.append(a)
             continue
-        vals = [dot(a, r) for r in rays]
+        vals = [_idot(a, r) for r in rays]
         if all(v >= 0 for v in vals):
             processed.append(a)
             continue
-        # tight sets w.r.t. already processed constraints
-        tight = [frozenset(i for i, c in enumerate(processed) if dot(c, r) == 0)
+        # tight sets w.r.t. already processed constraints, as bitmasks
+        tight = [sum(1 << i for i, c in enumerate(processed) if not _idot(c, r))
                  for r in rays]
         keep = [r for r, v in zip(rays, vals) if v >= 0]
-        new_rays: list[tuple[Fraction, ...]] = []
-        for (ip, p) in [(i, r) for i, (r, v) in enumerate(zip(rays, vals)) if v > 0]:
-            for (im, m) in [(i, r) for i, (r, v) in enumerate(zip(rays, vals)) if v < 0]:
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        new_rays: list[tuple[int, ...]] = []
+        for ip in plus:
+            for im in minus:
                 T = tight[ip] & tight[im]
-                adjacent = True
-                for io, o in enumerate(rays):
-                    if io != ip and io != im and tight[io] >= T:
-                        adjacent = False
-                        break
-                if adjacent:
-                    vp, vm = vals[ip], vals[im]
-                    comb = tuple(vp * x - vm * y for x, y in zip(m, p))
-                    if any(x != 0 for x in comb):
-                        new_rays.append(comb)
-            # note: when there are no rays with v < 0 this loop body is skipped
-        rays = keep + new_rays
+                if any(tight[io] & T == T for io in range(len(rays))
+                       if io != ip and io != im):
+                    continue  # not adjacent
+                comb = _combine(vals[ip], rays[im], -vals[im], rays[ip])
+                if any(comb):
+                    new_rays.append(comb)
         processed.append(a)
-        # deduplicate collinear rays
-        seen = {}
-        for r in rays:
-            seen[primitive(r)] = r
-        rays = [frac_vec(k) for k in seen]
+        # all rays are primitive, so collinear rays are equal tuples
+        rays = list(dict.fromkeys(keep + new_rays))
     return rays, lines
 
 
-def _canonical_lines(lines: Sequence[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+def _canonical(rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]]
+               ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Canonical (rays, lines) of the cone generated by rays and lines.
+
+    Lines become the primitive rows of the reduced row echelon form of
+    their span, sorted; each ray is reduced modulo that span (its pivot
+    coordinates zeroed) and made primitive.  Rays are sorted and distinct.
+    """
     if not lines:
-        return ()
+        crays = {_int_primitive(r) for r in rays}
+        crays.discard(None)
+        return tuple(sorted(crays)), ()
     red, pivots = rref(lines)
-    rows = [primitive(row) for row in red[:len(pivots)]]
-    return tuple(sorted(rows))
-
-
-def _reduce_mod_lines(ray: Sequence[Fraction],
-                      lines: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    v = list(frac_vec(ray))
-    if lines:
-        red, pivots = rref(lines)
+    red = red[:len(pivots)]
+    clines = tuple(sorted(primitive(row) for row in red))
+    crays = set()
+    for r in rays:
+        v = list(r)
         for row, pc in zip(red, pivots):
-            if v[pc] != 0:
-                f = v[pc] / row[pc]
+            if v[pc]:
+                f = v[pc]
                 v = [x - f * y for x, y in zip(v, row)]
-    if all(x == 0 for x in v):
-        raise ValueError("ray lies in the lineality space")
-    return primitive(v)
+        if any(v):
+            crays.add(primitive(v))
+        elif any(r):
+            raise ValueError("ray lies in the lineality space")
+    return tuple(sorted(crays)), clines
 
 
 class Cone:
@@ -124,13 +167,26 @@ class Cone:
         if (rays is None) == (ineqs is None):
             raise ValueError("construct from exactly one of rays / ineqs")
         self.n = n
-        self._gen_rays = [frac_vec(r) for r in rays] if rays is not None else None
-        self._gen_lines = [frac_vec(l) for l in (lines or [])] if rays is not None else None
-        self._in_ineqs = [frac_vec(a) for a in ineqs] if ineqs is not None else None
-        self._in_eqs = [frac_vec(e) for e in (eqs or [])] if ineqs is not None else None
+        if rays is not None:
+            self._gen_rays = self._vectors(rays, "ray")
+            self._gen_lines = self._vectors(lines, "line")
+            self._in_ineqs = self._in_eqs = None
+        else:
+            self._gen_rays = self._gen_lines = None
+            self._in_ineqs = self._vectors(ineqs, "inequality")
+            self._in_eqs = self._vectors(eqs, "equation")
         self._V: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
         self._H: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
-        self._faces_cache: list["Cone"] | None = None
+        self._facets_cache: list["Cone"] | None = None
+        self._faces_cache: list["Cone"] | None = None  # proper faces only
+
+    def _vectors(self, vs, what: str) -> list[tuple]:
+        out = [tuple(v) for v in (vs or ())]
+        for v in out:
+            if len(v) != self.n:
+                raise ValueError(f"{what} {list(v)} has length {len(v)}, "
+                                 f"expected {self.n}")
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -162,28 +218,16 @@ class Cone:
 
     # -- representation -----------------------------------------------------
 
-    def _canonicalize_v(self, raw_rays, raw_lines):
-        clines = _canonical_lines(raw_lines)
-        crays = sorted({_reduce_mod_lines(r, clines) for r in raw_rays
-                        if any(x != 0 for x in r)})
-        return tuple(crays), clines
-
     def _compute(self) -> None:
         if self._V is not None and self._H is not None:
             return
         if self._in_ineqs is not None:
-            rays, lines = _dd_convert(self._in_ineqs, self._in_eqs, self.n)
-            self._V = self._canonicalize_v(rays, lines)
-            drays, dlines = _dd_convert([frac_vec(r) for r in self._V[0]],
-                                        [frac_vec(l) for l in self._V[1]], self.n)
-            self._H = self._canonicalize_v(drays, dlines)
+            self._V = _canonical(*_dd_convert(self._in_ineqs, self._in_eqs, self.n))
+            self._H = _canonical(*_dd_convert(*self._V, self.n))
         else:
             # generators given: H-rep = V-rep of the dual cone
-            drays, dlines = _dd_convert(self._gen_rays, self._gen_lines, self.n)
-            self._H = self._canonicalize_v(drays, dlines)
-            rays, lines = _dd_convert([frac_vec(a) for a in self._H[0]],
-                                      [frac_vec(e) for e in self._H[1]], self.n)
-            self._V = self._canonicalize_v(rays, lines)
+            self._H = _canonical(*_dd_convert(self._gen_rays, self._gen_lines, self.n))
+            self._V = _canonical(*_dd_convert(*self._H, self.n))
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
         self._compute()
@@ -227,9 +271,9 @@ class Cone:
         return not self.rays() and not self.lines()
 
     def contains(self, x: Sequence) -> bool:
-        x = frac_vec(x)
-        return (all(dot(e, x) == 0 for e in self.eqs())
-                and all(dot(a, x) >= 0 for a in self.ineqs()))
+        x = _exact(x)
+        return (all(_idot(e, x) == 0 for e in self.eqs())
+                and all(_idot(a, x) >= 0 for a in self.ineqs()))
 
     def contains_cone(self, other: "Cone") -> bool:
         return (all(self.contains(r) for r in other.rays())
@@ -243,8 +287,7 @@ class Cone:
         return tuple(sum(Fraction(r[i]) for r in rays) for i in range(self.n))
 
     def dual(self) -> "Cone":
-        return Cone.from_ineqs([frac_vec(r) for r in self.rays()], n=self.n,
-                               eqs=[frac_vec(l) for l in self.lines()])
+        return Cone.from_ineqs(self.rays(), n=self.n, eqs=self.lines())
 
     def intersect(self, other: "Cone") -> "Cone":
         return Cone.from_ineqs(list(self.ineqs()) + list(other.ineqs()), n=self.n,
@@ -253,17 +296,25 @@ class Cone:
     # -- faces ------------------------------------------------------------------
 
     def facets(self) -> list["Cone"]:
-        out = {}
-        for a in self.ineqs():
-            f = Cone.from_ineqs(self.ineqs(), n=self.n,
-                                eqs=list(self.eqs()) + [a])
-            out[f.key()] = f
-        return list(out.values())
+        if self._facets_cache is None:
+            out = {}
+            for a in self.ineqs():
+                f = Cone.from_ineqs(self.ineqs(), n=self.n,
+                                    eqs=list(self.eqs()) + [a])
+                out[f.key()] = f
+            self._facets_cache = list(out.values())
+        return list(self._facets_cache)
 
     def faces(self) -> list["Cone"]:
-        """All faces including self and the minimal face."""
+        """All faces including self and the minimal face.
+
+        Only the proper faces are cached, so a cone holds no reference to
+        itself and is freed without the cyclic garbage collector.  Each
+        face is one object: the cached facets of every face are repointed
+        at the first object found for that face.
+        """
         if self._faces_cache is not None:
-            return self._faces_cache
+            return [self] + self._faces_cache
         seen: dict = {self.key(): self}
         frontier = [self]
         while frontier:
@@ -271,20 +322,23 @@ class Cone:
             for c in frontier:
                 if c.dim() == len(c.lines()):  # minimal face reached
                     continue
+                shared = []
                 for f in c.facets():
-                    if f.key() not in seen:
-                        seen[f.key()] = f
+                    g = seen.setdefault(f.key(), f)
+                    if g is f:
                         nxt.append(f)
+                    shared.append(g)
+                c._facets_cache = shared
             frontier = nxt
-        self._faces_cache = list(seen.values())
-        return self._faces_cache
+        self._faces_cache = list(seen.values())[1:]
+        return [self] + self._faces_cache
 
     def is_face_of(self, other: "Cone") -> bool:
         if not other.contains_cone(self):
             return False
         tight = [a for a in other.ineqs()
-                 if all(dot(a, r) == 0 for r in self.rays())
-                 and all(dot(a, l) == 0 for l in self.lines())]
+                 if all(_idot(a, r) == 0 for r in self.rays())
+                 and all(_idot(a, l) == 0 for l in self.lines())]
         face = Cone.from_ineqs(other.ineqs(), n=other.n,
                                eqs=list(other.eqs()) + tight)
         return face == self
@@ -352,25 +406,44 @@ class Fan:
         return [c for c in self.cones.values() if c.dim() == d]
 
     def validate(self, support: Cone | None = None) -> list[str]:
-        """Return a list of violations (empty means the fan is valid)."""
+        """Return a list of violations (empty means the fan is valid).
+
+        Checks, in order: every facet of every cone is in the fan; every
+        cone is a face of some maximal cone; any two maximal cones meet in
+        a common face; and, if a support is given, the wall condition.
+
+        Testing the intersection condition on maximal cones only is sound
+        once the second check passes.  Let f1, f2 be faces of maximal
+        cones c1, c2 and suppose g = c1 & c2 is a face of both.  Then
+        f1 & g is a face of c1 contained in g, hence a face of g, and
+        likewise f2 & g; so f1 & f2 = (f1 & g) & (f2 & g) is a face of g,
+        hence of c1 and of c2, and being contained in f1 and f2 it is a
+        face of each.  Without the second check a cone lying inside a
+        maximal cone without being its face (a quadrant plus its diagonal
+        ray) would go unreported.
+        """
         problems: list[str] = []
         cones = list(self.cones.values())
         for c in cones:
             for f in c.facets():
                 if f.key() not in self.cones:
                     problems.append(f"missing face of {c!r}")
-        for c1, c2 in itertools.combinations(cones, 2):
+        maximal = self.maximal_cones()
+        faces_of_maximal = {f.key() for m in maximal for f in m.faces()}
+        for c in cones:
+            if c.key() not in faces_of_maximal:
+                problems.append(f"{c!r} is not a face of a maximal cone")
+        for c1, c2 in itertools.combinations(maximal, 2):
             i = c1.intersect(c2)
             if not (i.is_face_of(c1) and i.is_face_of(c2)):
                 problems.append(f"intersection of {c1!r} and {c2!r} is not a common face")
         if support is not None:
-            problems.extend(self._check_support(support))
+            problems.extend(self._check_support(support, maximal))
         return problems
 
-    def _check_support(self, support: Cone) -> list[str]:
+    def _check_support(self, support: Cone, maximal: list[Cone]) -> list[str]:
         problems: list[str] = []
         sdim = support.dim()
-        maximal = self.maximal_cones()
         for c in maximal:
             if not support.contains_cone(c):
                 problems.append(f"cone {c!r} not contained in the support")
@@ -380,23 +453,27 @@ class Fan:
             return problems
         # wall condition: each facet of a maximal cone is either on the
         # boundary of the support or shared with exactly one other maximal cone
+        owners: dict = {}
+        for i, c in enumerate(maximal):
+            for f in c.facets():
+                owners.setdefault(f.key(), set()).add(i)
         adjacency = {i: set() for i in range(len(maximal))}
         for i, c in enumerate(maximal):
             for f in c.facets():
                 on_boundary = any(
-                    all(dot(a, r) == 0 for r in f.rays())
-                    and all(dot(a, l) == 0 for l in f.lines())
+                    all(_idot(a, r) == 0 for r in f.rays())
+                    and all(_idot(a, l) == 0 for l in f.lines())
                     for a in support.ineqs())
-                sharers = [j for j, o in enumerate(maximal) if j != i
-                           and any(f == g for g in o.facets())]
                 if on_boundary:
                     continue
+                sharers = owners[f.key()] - {i}
                 if len(sharers) != 1:
                     problems.append(
                         f"interior wall {f!r} shared by {len(sharers)} other cones")
                 else:
-                    adjacency[i].add(sharers[0])
-                    adjacency[sharers[0]].add(i)
+                    j, = sharers
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
         if maximal and not problems:
             seen = {0}
             stack = [0]

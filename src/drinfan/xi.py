@@ -2,8 +2,8 @@
 
 Contents:
 
-* the comparison fans Sigma^(k): cones cut out of C_d by sign assignments
-  on the finitely many two-term comparisons q^h s_j <=> s_i (0 <= h < k),
+* the comparison fans Sigma^(k): C_d refined by the finitely many
+  hyperplanes of two-term comparisons q^h s_j = s_i (0 <= h < k),
 * the index map theta and the flattening map pi attached to a cone of
   Sigma^(k),
 * the rescaling maps xi_k (evaluated stratum by stratum on power
@@ -17,7 +17,6 @@ Contents:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,49 +52,42 @@ def cone_Cd(d: int) -> Cone:
     return Cone.from_ineqs(ineqs, n=n)
 
 
-def _sign_sequences(k: int) -> list[tuple[int, ...]]:
-    """Possible sign vectors of h -> sign(q^h s_j - s_i) for h = 0..k-1.
-
-    The quantity is increasing in h, so the sequence is nondecreasing in
-    {-1, 0, +1} with at most one zero; there are 2k+1 such sequences.
-    """
-    seqs = []
-    for minus in range(k + 1):
-        seqs.append(tuple([-1] * minus + [1] * (k - minus)))
-    for minus in range(k):
-        seqs.append(tuple([-1] * minus + [0] + [1] * (k - 1 - minus)))
-    return seqs
+def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
+    """The full-dimensional pieces of a full-dimensional pointed cone cut
+    by the hyperplane form = 0: the cone itself if the form has one sign on
+    its rays, otherwise its intersections with the two closed halfspaces."""
+    values = [sum(a * x for a, x in zip(form, g)) for g in cone.rays()]
+    if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+        return [cone]
+    halves = [Cone.from_ineqs(list(cone.ineqs()) + [side], n=cone.n,
+                              eqs=cone.eqs())
+              for side in (form, [-x for x in form])]
+    return [c for c in halves if c.dim() == cone.n]
 
 
 def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
-    """The fan of C_d cut out by all sign assignments on
-    q^h s_j - s_i for 1 <= j < i <= d-1 and 0 <= h <= k-1."""
+    """The comparison fan Sigma^(k): C_d subdivided by the hyperplanes
+    q^h s_j = s_i for 1 <= j < i <= d-1 and 0 <= h <= k-1.
+
+    Built by refinement: starting from C_d, every current maximal cone is
+    cut by one hyperplane at a time, keeping a cone the hyperplane does not
+    cross and the two full-dimensional halves of one it does.  The fan is
+    generated by the resulting chambers; every cell of a sign assignment on
+    the comparisons (weak signs included) is a face of a chamber, so this
+    is the fan those cells form, and the cost grows with the output.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = d - 1
-    base = cone_Cd(d)
-    pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
-    fan = Fan()
-    if not pairs:
-        fan.add(base)
-        return fan
-    seqs = _sign_sequences(k)
-    for assignment in itertools.product(seqs, repeat=len(pairs)):
-        ineqs = [list(a) for a in base.ineqs()]
-        eqs = []
-        for (i, j), seq in zip(pairs, assignment):
-            for h, sign in enumerate(seq):
-                vec = [0] * n
-                vec[j - 1] = q ** h
-                vec[i - 1] = -1
-                if sign > 0:
-                    ineqs.append(vec)
-                elif sign < 0:
-                    ineqs.append([-x for x in vec])
-                else:
-                    eqs.append(vec)
-        fan.add(Cone.from_ineqs(ineqs, n=n, eqs=eqs))
-    return fan
+    maximal = [cone_Cd(d)]
+    for i in range(2, n + 1):
+        for j in range(1, i):
+            for h in range(k):
+                form = [0] * n
+                form[j - 1] = q ** h
+                form[i - 1] = -1
+                maximal = [piece for c in maximal for piece in _cut(c, form)]
+    return Fan(maximal)
 
 
 def theta_vector(q: int, k: int, sigma: Cone) -> tuple[int, ...]:

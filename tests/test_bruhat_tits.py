@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from drinfan.bruhat_tits import (canonical_exponents, chain_test,
                                  diagonal_class, intersection_of_diagonal_sets,
                                  is_contained, lattice_norm_weights,
@@ -131,3 +133,15 @@ def test_simplex_cones_of_all_vertex_subsets_build():
                         c = simplex_cone(sets, q, r)
                         assert set(c.rays()) == {
                             tuple(q ** (r * a) for a in e) for e in sets}
+
+
+def test_simplex_cone_input_checks():
+    with pytest.raises(ValueError):
+        simplex_cone([(0, 1), (0,)], 2)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError):
+            simplex_cone([(0, 1)], q)
+        with pytest.raises(ValueError):
+            standard_simplex_cone(q, 2)
+    for q in (2, 3, 4, 5, 8, 9, 17):
+        assert standard_simplex_cone(q, 2).dim() == 2

@@ -163,3 +163,13 @@ def test_xi_linearize_and_fan_sigma_kk_agree():
     b = run("fan", "sigma-kk", *opts)
     assert a.returncode == b.returncode == 0
     assert a.stdout and a.stdout == b.stdout
+
+
+def test_bad_vectors_exit_2():
+    for args in (("hilbert", "--cone", "1,0;0"),
+                 ("bt", "cone", "--q", "2", "--sets", "0,1;0"),
+                 ("bt", "simplex", "--q", "1", "--n", "2"),
+                 ("bt", "simplex", "--q", "6", "--n", "2")):
+        out = run(*args)
+        assert out.returncode == 2, args
+        assert out.stderr.strip() and "Traceback" not in out.stderr, args

@@ -1,10 +1,18 @@
 """Rational polyhedral cones, fans, Hilbert bases, refinement."""
 
 
+import gc
+import itertools
+import random
+import weakref
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfan.cones import Cone, Fan, dual_monoid_hilbert_basis
+from drinfan.linalg import rank
+from drinfan.xi import cone_Cd, sigma_upper_fan
 
 
 def test_vh_roundtrip_simple():
@@ -131,3 +139,128 @@ def test_stellar_subdivision():
     fan = Fan([c]).stellar_subdivide((1, 1))
     assert len(fan.maximal_cones()) == 2
     assert fan.is_subdivision_of(Fan([c]), c)
+
+
+def test_cone_rejects_vectors_of_wrong_length():
+    with pytest.raises(ValueError):
+        Cone.from_rays([[1, 0], [0]], n=2)
+    with pytest.raises(ValueError):
+        Cone.from_rays([[1, 0]], n=2, lines=[[0, 1, 0]])
+    with pytest.raises(ValueError):
+        Cone.from_ineqs([[1, 0], [1]], n=2)
+    with pytest.raises(ValueError):
+        Cone.from_ineqs([[1, 0]], n=2, eqs=[[0]])
+
+
+# -- the integer double description ------------------------------------------
+
+def _random_vectors(rng, n, count, lo=-3, hi=3):
+    out = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(count)]
+    return [v for v in out if any(v)]
+
+
+def _scaled(rng, v, positive=True):
+    c = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+    if not positive and rng.random() < 0.5:
+        c = -c
+    return tuple(c * x for x in v)
+
+
+def _check_rays_against_facets(c):
+    def dot(a, r):
+        return sum(x * y for x, y in zip(a, r))
+    for r in c.rays():
+        assert all(dot(e, r) == 0 for e in c.eqs())
+        assert all(dot(a, r) >= 0 for a in c.ineqs())
+        tight = list(c.eqs()) + [a for a in c.ineqs() if dot(a, r) == 0]
+        assert (rank(tight) if tight else 0) == c.n - 1 - len(c.lines())
+
+
+def test_dd_convert_random_integer_cones():
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        rays = _random_vectors(rng, n, rng.randint(1, 6))
+        lines = _random_vectors(rng, n, rng.choice((0, 0, 0, 1)))
+        if not rays and not lines:
+            continue
+        c = Cone.from_rays(rays, n=n, lines=lines)
+        # V -> H -> V gives the same key
+        back = Cone.from_ineqs(c.ineqs(), n=n, eqs=c.eqs())
+        assert back.key() == c.key(), seed
+        assert (back.ineqs(), back.eqs()) == (c.ineqs(), c.eqs())
+        # rational rescaling of the input changes nothing
+        scaled = Cone.from_rays([_scaled(rng, r) for r in rays], n=n,
+                                lines=[_scaled(rng, l, False) for l in lines])
+        assert scaled.key() == c.key(), seed
+        _check_rays_against_facets(c)
+        # and from the halfspace side
+        ineqs = _random_vectors(rng, n, rng.randint(1, 6))
+        eqs = _random_vectors(rng, n, rng.choice((0, 0, 0, 1)))
+        h = Cone.from_ineqs(ineqs, n=n, eqs=eqs)
+        assert Cone.from_rays(h.rays(), n=n, lines=h.lines()).key() == h.key()
+        hs = Cone.from_ineqs([_scaled(rng, a) for a in ineqs], n=n,
+                             eqs=[_scaled(rng, e, False) for e in eqs])
+        assert hs.key() == h.key(), seed
+        _check_rays_against_facets(h)
+
+
+def test_faces_cache_holds_no_reference_cycle():
+    gc.disable()
+    try:
+        c = Cone.from_ineqs([[1, 0, 0], [0, 1, 0], [0, 0, 1]], n=3)
+        assert len(c.faces()) == 8
+        assert c.faces()[0] is c
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- fan validation over maximal cones against all pairs ---------------------
+
+def _validate_all_pairs(fan):
+    """Oracle: face closure plus the intersection test on every pair."""
+    problems = []
+    for c in fan:
+        for f in c.facets():
+            if f not in fan:
+                problems.append(("missing face", c))
+    for c1, c2 in itertools.combinations(list(fan), 2):
+        i = c1.intersect(c2)
+        if not (i.is_face_of(c1) and i.is_face_of(c2)):
+            problems.append(("intersection", c1, c2))
+    return problems
+
+
+def _validation_cases():
+    """(fan, support) pairs; the support is given for the valid fans."""
+    quadrant = Cone.from_rays([(1, 0), (0, 1)])
+    cases = [(sigma_upper_fan(q, d, k), cone_Cd(d))
+             for q, d, k in [(2, 3, 2), (3, 3, 3), (2, 4, 2), (3, 4, 2),
+                             (2, 4, 3)]]
+    a = Fan([Cone.from_rays([(1, 0), (1, 1)]), Cone.from_rays([(1, 1), (0, 1)])])
+    b = Fan([Cone.from_rays([(1, 0), (1, 2)]), Cone.from_rays([(1, 2), (0, 1)])])
+    cases.append((a.join(b), quadrant))
+    cases.append((sigma_upper_fan(2, 4, 2).join(sigma_upper_fan(3, 4, 2)),
+                  cone_Cd(4)))
+    for rays in ([(1, 0), (1, 4)], [(1, 0), (2, 5)],
+                 [(1, 0, 0), (0, 1, 0), (1, 2, 7)]):
+        c = Cone.from_rays(rays)
+        cases.append((Fan([c]).regular_refinement(), c))
+    cases.append((Fan([Cone.from_rays([(1, 0), (1, 2)]),
+                       Cone.from_rays([(1, 1), (0, 1)])]), None))
+    cases.append((Fan([quadrant, Cone.from_rays([(1, 1)])]), None))
+    return cases
+
+
+def test_validate_matches_all_pairs_oracle():
+    rejected = 0
+    for fan, support in _validation_cases():
+        got = fan.validate()
+        assert (got == []) == (_validate_all_pairs(fan) == [])
+        if support is not None:
+            assert fan.validate(support) == []
+        rejected += got != []
+    assert rejected == 2  # the overlapping cones, the ray inside a quadrant

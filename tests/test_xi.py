@@ -1,5 +1,6 @@
 """Comparison fans, the flattening and rescaling maps, linearization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,3 +137,61 @@ def test_irrational_point_membership():
     assert contains_class_point(2, 1, boundary, p)
     inner = Cone.from_rays([(1, 1), (1, 2)])
     assert not contains_class_point(2, 2, inner, p)
+
+
+# -- Sigma^(k) by refinement against the sign-assignment enumeration ---------
+
+def _sign_sequences(k):
+    """Sign vectors of h -> sign(q^h s_j - s_i), h = 0..k-1: nondecreasing
+    in {-1, 0, +1} with at most one zero (2k+1 of them)."""
+    seqs = [tuple([-1] * minus + [1] * (k - minus)) for minus in range(k + 1)]
+    seqs += [tuple([-1] * minus + [0] + [1] * (k - 1 - minus))
+             for minus in range(k)]
+    return seqs
+
+
+def _enumerated_upper_fan(q, d, k):
+    """Oracle: one cone of C_d per sign assignment on the comparisons."""
+    n = d - 1
+    base = cone_Cd(d)
+    pairs = [(i, j) for i in range(2, n + 1) for j in range(1, i)]
+    if not pairs:
+        return Fan([base])
+    fan = Fan()
+    for assignment in itertools.product(_sign_sequences(k), repeat=len(pairs)):
+        ineqs = [list(a) for a in base.ineqs()]
+        eqs = []
+        for (i, j), seq in zip(pairs, assignment):
+            for h, sign in enumerate(seq):
+                vec = [0] * n
+                vec[j - 1] = q ** h
+                vec[i - 1] = -1
+                if sign > 0:
+                    ineqs.append(vec)
+                elif sign < 0:
+                    ineqs.append([-x for x in vec])
+                else:
+                    eqs.append(vec)
+        fan.add(Cone.from_ineqs(ineqs, n=n, eqs=eqs))
+    return fan
+
+
+def test_sigma_upper_matches_enumeration():
+    cases = [(q, d, k) for q in (2, 3) for d in (3, 4) for k in (1, 2, 3)]
+    for q, d, k in cases + [(2, 5, 1)]:
+        built = sigma_upper_fan(q, d, k)
+        oracle = _enumerated_upper_fan(q, d, k)
+        assert set(built.cones) == set(oracle.cones), (q, d, k)
+
+
+def test_sigma_upper_d5_k2_size():
+    fan = sigma_upper_fan(2, 5, 2)
+    assert len(fan) == 112
+    assert fan.validate(cone_Cd(5)) == []
+
+
+def test_sigma_upper_d6_k1_builds_and_validates():
+    fan = sigma_upper_fan(2, 6, 1)
+    assert len(fan) == 2 ** 5  # the faces of the simplicial cone C_6
+    assert [c.key() for c in fan.maximal_cones()] == [cone_Cd(6).key()]
+    assert fan.validate(cone_Cd(6)) == []
