@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cones import Cone
-from .gf import GF, Poly, RatFunc, gf
+from .gf import GF, Poly, RatFunc, check_q, gf
 from .linalg import mat_inv, mat_mul
 
 __all__ = ["LatticeClass", "diagonal_class", "chain_test", "simplex_cone",
@@ -149,18 +149,6 @@ def chain_test(classes: Sequence[LatticeClass]
     return True, order
 
 
-def _check_q(q: int) -> None:
-    """q must be a prime power >= 2, the size of the residue field."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    p = next(p for p in range(2, q + 1) if q % p == 0)
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-
-
 def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
                  r: int = 1) -> Cone:
     """Weight cone sigma(S) of a set S of diagonal lattice classes.
@@ -170,7 +158,7 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
     s_i <= q^{r h(i,j)} s_j with h(i,j) = max over representatives of
     (a_i - a_j); the two descriptions are asserted to agree.
     """
-    _check_q(q)
+    check_q(q)
     sets = [canonical_exponents(e) for e in exponent_sets]
     if not sets:
         raise ValueError("need at least one lattice class")

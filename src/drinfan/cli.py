@@ -10,7 +10,8 @@ cones in canonical sorted order, and rationals as "a/b" strings.  Random
 sampling is driven by a seed that is split per suite via
 random.Random(f"{seed}:{suite}").
 
-Exit codes: 0 success, 1 a verification failed, 2 usage error.
+Exit codes: 0 success, 1 a verification or certificate failed, 2 bad
+input, 3 the working precision was too low (retry at another --precision).
 """
 
 from __future__ import annotations
@@ -30,9 +31,13 @@ from .cones import Cone, dual_monoid_hilbert_basis
 from .drinfeld import (class_point_of_steps, iterate_tate,
                        predicted_torsion_valuations, torsion_valuations)
 from .gf import Poly, gf
-from .xi import sigma_k_fan, sigma_kk_map, sigma_upper_fan, xi_eval_coords
+from .series import PrecisionError
+from .xi import (LinearizationError, sigma_k_fan, sigma_kk_map,
+                 sigma_upper_fan, xi_eval_coords)
 
+CHECK_FAILED = 1
 USAGE_ERROR = 2
+PRECISION_TOO_LOW = 3
 
 
 def _frac(s: str) -> Fraction:
@@ -203,7 +208,7 @@ def cmd_tate(args) -> int:
         obj["torsion_predicted"] = [[_frac_str(v), m] for v, m in predicted]
         obj["match"] = actual == predicted
         _emit(obj, args.out)
-        return 0 if actual == predicted else 1
+        return 0 if actual == predicted else CHECK_FAILED
     _emit(obj, args.out)
     return 0
 
@@ -271,7 +276,7 @@ def cmd_satake_check(args) -> int:
     rows.append(("satake", "gl3-invariance", "True", str(ok3),
                  "pass" if ok3 else "FAIL"))
     _print_tsv(rows)
-    return 0 if ok1 and ok2 and ok3 else 1
+    return 0 if ok1 and ok2 and ok3 else CHECK_FAILED
 
 
 def _print_tsv(rows) -> None:
@@ -353,7 +358,7 @@ def _verify_identities(args) -> int:
                              _frac_str(lhs), "pass" if ok else "FAIL"))
     _print_tsv(rows)
     print(f"# failures: {failures}")
-    return 0 if failures == 0 else 1
+    return 0 if failures == 0 else CHECK_FAILED
 
 
 def _verify_tate(args) -> int:
@@ -370,7 +375,7 @@ def _verify_tate(args) -> int:
         rows.append((f"tate-q{q}-r{r}", ",".join(map(str, ms)),
                      str(predicted), str(actual), "pass" if ok else "FAIL"))
     _print_tsv(rows)
-    return 0 if failures == 0 else 1
+    return 0 if failures == 0 else CHECK_FAILED
 
 
 def _verify_sigk3(args) -> int:
@@ -384,7 +389,7 @@ def _verify_sigk3(args) -> int:
         rows.append((f"sigk3-q{args.q}", f"k={k}", k, got,
                      "pass" if ok else "FAIL"))
     _print_tsv(rows)
-    return 0 if failures == 0 else 1
+    return 0 if failures == 0 else CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +486,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
+    except PrecisionError as exc:
+        print(f"error: {exc}; retry at another --precision", file=sys.stderr)
+        return PRECISION_TOO_LOW
+    except (LinearizationError, AssertionError) as exc:
+        print(f"error: certificate failed: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -23,12 +23,33 @@ Two independent evaluators are provided:
 delta(r, s) satisfies epsilon = epsilon_hat + delta and the recursion
 delta^{r,n} = delta^{r,n-1} + (q-1)/(q^{r+n}-1) * epsilon_hat^{r,n-1}(s_n).
 Exact inverses of epsilon_hat and epsilon are included.
+
+Evaluation core.  The one-weight map and its inverse (_hat1, _hat1_inv)
+work on the numerators and denominators as ints: with s = u/v and x = a/b
+the band h is found by comparing a v with q^{hr} u b, and the value is
+built over one common denominator and normalized once, as a single
+Fraction.  The public epsilon_hat1 and epsilon_hat1_inv check their
+arguments and call this kernel; the chains call it directly, since stage
+weights are positive by construction.
+
+The stage chain of a weight vector (its stage weights and delta) is built
+once, by _stages, and kept in a small least-recently-used cache (64
+entries) keyed on (q, r, checked weight tuple).  Stage i depends only on
+s_1..s_{i+1}, so the chain of a vector extends the cached chain of its
+prefix by one stage.  epsilon_closed, epsilon_inv, delta, epsilon_hat and
+epsilon_hat_inv take their stages and delta from it, so the d-r coordinate
+calls that xi_eval and pi_eval make on one point share a single chain.
+Only results are cached: an invalid weight vector raises on every call.
+The cache holds immutable tuples; hat_stage_weights returns a fresh list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
+
+from .gf import check_q
 
 __all__ = [
     "epsilon_oracle", "epsilon_closed", "epsilon", "epsilon_hat", "delta",
@@ -38,11 +59,10 @@ __all__ = [
 
 
 def _check_args(q: int, r: int, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_q(q)
     if r < 1:
         raise ValueError("rank parameter r must be >= 1")
-    w = tuple(Fraction(x) for x in weights)
+    w = tuple(x if type(x) is Fraction else Fraction(x) for x in weights)
     if any(x <= 0 for x in w):
         raise ValueError("weights must be positive")
     return w
@@ -91,84 +111,115 @@ def epsilon_oracle(q: int, r: int, weights: Sequence[Fraction],
     return total
 
 
-def _hat1_band(q: int, r: int, s: Fraction, x: Fraction) -> int:
-    """Smallest h >= 0 with x <= q^{hr} s."""
-    h = 0
-    bound = s
-    step = Fraction(q) ** r
-    while x > bound:
-        bound *= step
-        h += 1
-    return h
+def _hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
+    """epsilon_hat1 on checked arguments, in integer arithmetic.
+
+    With s = u/v, x = a/b and Q = q^r, the band h is the least h >= 0 with
+    a v <= Q^h u b, and the value q^h x - q^h Q^h c s, c = (q-1)/D,
+    D = q^{r+1} - 1, is put over the one denominator b D v."""
+    a, b = x.numerator, x.denominator
+    u, v = s.numerator, s.denominator
+    Q = q ** r
+    av, ub = a * v, u * b
+    qh = Qh = 1
+    while av > Qh * ub:
+        Qh *= Q
+        qh *= q
+    D = q * Q - 1
+    return Fraction(qh * (av * D - Qh * (q - 1) * ub), b * D * v)
+
+
+def _hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
+    """epsilon_hat1_inv on checked arguments, in integer arithmetic.
+
+    The value at the right end of band h is P^h s (1 - c), P = q^{r+1},
+    increasing in h; with y = a/b the band is the least h with
+    a v D <= P^h u (P - q) b, and the preimage is
+    (a D v + P^h (q-1) u b) / (b D v q^h)."""
+    a, b = y.numerator, y.denominator
+    u, v = s.numerator, s.denominator
+    P = q ** (r + 1)
+    D = P - 1
+    avD, edge = a * v * D, u * (P - q) * b
+    qh = Ph = 1
+    while avD > Ph * edge:
+        Ph *= P
+        qh *= q
+    return Fraction(avD + Ph * (q - 1) * u * b, b * D * v * qh)
 
 
 def epsilon_hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
-    """One-weight reduced map; linear with slope q^h on each band."""
+    """One-weight reduced map; linear with slope q^h on the band
+    q^{(h-1)r} s <= x <= q^{hr} s."""
     s, = _check_args(q, r, (s,))
-    x = Fraction(x)
-    h = _hat1_band(q, r, s, x)
-    c = Fraction(q - 1, q ** (r + 1) - 1)
-    return q ** h * x - q ** (h * (r + 1)) * c * s
+    return _hat1(q, r, s, Fraction(x))
 
 
 def epsilon_hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
     s, = _check_args(q, r, (s,))
-    y = Fraction(y)
-    c = Fraction(q - 1, q ** (r + 1) - 1)
-    # value at the right end of band h is q^{h(r+1)} s (1 - c), increasing in h
-    h = 0
-    edge = s * (1 - c)
-    step = Fraction(q) ** (r + 1)
-    while y > edge:
-        edge *= step
-        h += 1
-    return (y + q ** (h * (r + 1)) * c * s) / q ** h
+    return _hat1_inv(q, r, s, Fraction(y))
+
+
+@lru_cache(maxsize=64)
+def _stages(q: int, r: int, w: tuple[Fraction, ...]
+            ) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(stage weights, delta) of a checked weight tuple.
+
+    Stage i depends on w[:i+1] only, so the chain of w extends the cached
+    chain of w[:-1] by one stage, and delta by one term.  Every adjacent
+    pair is compared before any stage is built."""
+    if not w:
+        return (), Fraction(0)
+    if len(w) > 1 and w[-2] > w[-1]:
+        raise ValueError("closed evaluation requires weakly increasing weights")
+    head, d = _stages(q, r, w[:-1])
+    v = _chain(q, r, head, w[-1])
+    if v <= 0:
+        raise ArithmeticError("stage weight collapsed to <= 0")
+    n = len(head)
+    return head + (v,), d + Fraction(q - 1, q ** (r + n + 1) - 1) * v
+
+
+def _chain(q: int, r: int, stages: Sequence[Fraction], x: Fraction
+           ) -> Fraction:
+    """epsilon_hat: stage j is the one-weight map of rank r+j."""
+    for j, t in enumerate(stages):
+        x = _hat1(q, r + j, t, x)
+    return x
+
+
+def _chain_inv(q: int, r: int, stages: Sequence[Fraction], y: Fraction
+               ) -> Fraction:
+    for j in range(len(stages) - 1, -1, -1):
+        y = _hat1_inv(q, r + j, stages[j], y)
+    return y
 
 
 def hat_stage_weights(q: int, r: int, weights: Sequence[Fraction]
                       ) -> list[Fraction]:
     """Chained one-weight parameters: stage i has rank r+i and weight
     epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})."""
-    w = _check_args(q, r, weights)
-    if not is_monotone(w):
-        raise ValueError("closed evaluation requires weakly increasing weights")
-    stages: list[Fraction] = []
-    for i, s in enumerate(w):
-        v = Fraction(s)
-        for j, t in enumerate(stages):
-            v = epsilon_hat1(q, r + j, t, v)
-        if v <= 0:
-            raise ArithmeticError("stage weight collapsed to <= 0")
-        stages.append(v)
-    return stages
+    return list(_stages(q, r, _check_args(q, r, weights))[0])
 
 
 def epsilon_hat(q: int, r: int, weights: Sequence[Fraction],
                 x: Fraction) -> Fraction:
     """Reduced map epsilon - delta, via the one-weight chain."""
-    stages = hat_stage_weights(q, r, weights)
-    y = Fraction(x)
-    for j, t in enumerate(stages):
-        y = epsilon_hat1(q, r + j, t, y)
-    return y
+    stages, _ = _stages(q, r, _check_args(q, r, weights))
+    return _chain(q, r, stages, Fraction(x))
 
 
 def epsilon_hat_inv(q: int, r: int, weights: Sequence[Fraction],
                     y: Fraction) -> Fraction:
-    stages = hat_stage_weights(q, r, weights)
-    x = Fraction(y)
-    for j in range(len(stages) - 1, -1, -1):
-        x = epsilon_hat1_inv(q, r + j, stages[j], x)
-    return x
+    stages, _ = _stages(q, r, _check_args(q, r, weights))
+    return _chain_inv(q, r, stages, Fraction(y))
 
 
 def delta(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:
     """Normalization constant; 0 for no weights."""
     if not weights:
         return Fraction(0)
-    stages = hat_stage_weights(q, r, weights)
-    return sum((Fraction(q - 1, q ** (r + i + 1) - 1) * t
-                for i, t in enumerate(stages)), Fraction(0))
+    return _stages(q, r, _check_args(q, r, weights))[1]
 
 
 def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
@@ -176,7 +227,8 @@ def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
     """Closed-form epsilon (requires weakly increasing weights)."""
     if not weights:
         return Fraction(x)
-    return epsilon_hat(q, r, weights, x) + delta(q, r, weights)
+    stages, d = _stages(q, r, _check_args(q, r, weights))
+    return _chain(q, r, stages, Fraction(x)) + d
 
 
 def epsilon(q: int, r: int, weights: Sequence[Fraction],
@@ -194,7 +246,8 @@ def epsilon_inv(q: int, r: int, weights: Sequence[Fraction],
     """Inverse of the (strictly increasing) closed-form epsilon."""
     if not weights:
         return Fraction(y)
-    return epsilon_hat_inv(q, r, weights, Fraction(y) - delta(q, r, weights))
+    stages, d = _stages(q, r, _check_args(q, r, weights))
+    return _chain_inv(q, r, stages, Fraction(y) - d)
 
 
 def delta_oracle(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:

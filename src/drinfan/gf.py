@@ -18,9 +18,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Sequence
 
-__all__ = ["GF", "Poly", "RatFunc", "is_prime_power"]
+__all__ = ["GF", "Poly", "RatFunc", "check_q", "is_prime_power"]
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -38,6 +39,20 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
                 raise ValueError(f"q = {q} is not a prime power")
             return p, e
     raise ValueError(f"q = {q} is not a supported prime power (need q <= 16)")
+
+
+def check_q(q: int) -> None:
+    """Raise ValueError unless q is a prime power >= 2, the size of a finite
+    field.  Any prime power passes (17, 25, ...), not only the q <= 16 that
+    GF builds and is_prime_power accepts."""
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)
+    m = q
+    while m % p == 0:
+        m //= p
+    if m != 1:
+        raise ValueError(f"q = {q} is not a prime power")
 
 
 def is_prime_power(q: int) -> bool:

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .cones import Cone, Fan
 from .epsilon import delta, epsilon, epsilon_hat
+from .gf import check_q
 from .linalg import frac_vec, mat_inv, mat_mul, mat_vec, primitive, solve
 from .points import ClassPoint
 
@@ -76,6 +77,7 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
     the comparisons (weak signs included) is a face of a chamber, so this
     is the fan those cells form, and the cost grows with the output.
     """
+    check_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
     n = d - 1

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from drinfan import cli
+
 CLI = [sys.executable, "-m", "drinfan.cli"]
 
 
@@ -169,7 +171,39 @@ def test_bad_vectors_exit_2():
     for args in (("hilbert", "--cone", "1,0;0"),
                  ("bt", "cone", "--q", "2", "--sets", "0,1;0"),
                  ("bt", "simplex", "--q", "1", "--n", "2"),
-                 ("bt", "simplex", "--q", "6", "--n", "2")):
+                 ("bt", "simplex", "--q", "6", "--n", "2"),
+                 ("eps", "eval", "--q", "6", "--weights", "2", "--x", "3"),
+                 ("xi", "eval", "--q", "6", "--coords", "1,2"),
+                 ("fan", "sigma-upper", "--q", "6")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args
+
+
+def test_precision_error_exits_3():
+    out = run("tate", "quotient", "--q", "2", "--ms", "1,3",
+              "--precision", "32")
+    assert out.returncode == 3
+    assert "--precision" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # one parser serves every call: options of one call must not leak
+    # into the defaults of the next
+    sequences = [
+        [("eps", "eval", "--q", "2", "--weights", "1,3", "--x", "7/2",
+          "--method", "oracle", "--r", "3"),
+         ("eps", "eval", "--q", "2", "--weights", "1,3", "--x", "7/2")],
+        [("xi", "eval", "--q", "2", "--k", "3", "--coords", "1,2,4"),
+         ("xi", "eval", "--q", "2", "--coords", "1,2,4")],
+    ]
+    for seq in sequences:
+        outs = []
+        for argv in seq:
+            capsys.readouterr()
+            assert cli.main(list(argv)) == 0
+            fresh = run(*argv)
+            assert fresh.returncode == 0
+            assert capsys.readouterr().out == fresh.stdout, argv
+            outs.append(fresh.stdout)
+        assert outs[0] != outs[1], seq

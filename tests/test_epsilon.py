@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drinfan.epsilon as eps_mod
 from drinfan.epsilon import (delta, delta_oracle, epsilon, epsilon_closed,
                              epsilon_hat, epsilon_hat1, epsilon_hat1_inv,
                              epsilon_hat_inv, epsilon_hat_oracle,
-                             epsilon_inv, epsilon_oracle)
+                             epsilon_inv, epsilon_oracle, hat_stage_weights)
+from drinfan.points import ClassPoint
+from drinfan.xi import xi_eval
 
 fracs = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(32),
                      max_denominator=8)
@@ -109,3 +112,127 @@ def test_rejects_bad_args():
         epsilon_oracle(2, 0, (Fraction(1),), Fraction(1))
     with pytest.raises(ValueError):
         epsilon_oracle(2, 1, (Fraction(-1),), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction formulas it replaced
+
+
+def _ref_hat1(q, r, s, x):
+    """epsilon_hat1 as a Fraction formula (test-only reference)."""
+    s, x = Fraction(s), Fraction(x)
+    h = 0
+    bound = s
+    step = Fraction(q) ** r
+    while x > bound:
+        bound *= step
+        h += 1
+    c = Fraction(q - 1, q ** (r + 1) - 1)
+    return q ** h * x - q ** (h * (r + 1)) * c * s
+
+
+def _ref_hat1_inv(q, r, s, y):
+    """epsilon_hat1_inv as a Fraction formula (test-only reference)."""
+    s, y = Fraction(s), Fraction(y)
+    c = Fraction(q - 1, q ** (r + 1) - 1)
+    h = 0
+    edge = s * (1 - c)
+    step = Fraction(q) ** (r + 1)
+    while y > edge:
+        edge *= step
+        h += 1
+    return (y + q ** (h * (r + 1)) * c * s) / q ** h
+
+
+def _kernel_points(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice([2, 3, 4, 5])
+        r = rng.randint(1, 3)
+        s = Fraction(rng.randint(1, 10 ** rng.randint(1, 6)),
+                     rng.randint(1, 10 ** rng.randint(0, 4)))
+        x = Fraction(rng.randint(-10 ** 4, 10 ** 7), rng.randint(1, 997))
+        yield q, r, s, x
+
+
+def test_hat1_kernel_matches_fraction_formula_random():
+    for q, r, s, x in _kernel_points(20240501, 3000):
+        assert epsilon_hat1(q, r, s, x) == _ref_hat1(q, r, s, x)
+        assert epsilon_hat1_inv(q, r, s, x) == _ref_hat1_inv(q, r, s, x)
+
+
+def test_hat1_kernel_matches_fraction_formula_at_band_edges():
+    tiny = Fraction(1, 10 ** 9)
+    for q in (2, 3, 4, 5):
+        for r in (1, 2, 3):
+            c = Fraction(q - 1, q ** (r + 1) - 1)
+            for s in (Fraction(1), Fraction(7, 3), Fraction(5, 64),
+                      Fraction(1000, 999)):
+                xs = [Fraction(0), Fraction(-1), -s, Fraction(-7, 2) * s]
+                ys = list(xs)
+                for h in range(5):
+                    edge = Fraction(q) ** (h * r) * s
+                    xs += [edge, edge - tiny, edge + tiny]
+                    yedge = Fraction(q) ** (h * (r + 1)) * s * (1 - c)
+                    ys += [yedge, yedge - tiny, yedge + tiny]
+                for x in xs:
+                    assert epsilon_hat1(q, r, s, x) == _ref_hat1(q, r, s, x)
+                for y in ys:
+                    assert (epsilon_hat1_inv(q, r, s, y)
+                            == _ref_hat1_inv(q, r, s, y))
+                    assert epsilon_hat1(
+                        q, r, s, epsilon_hat1_inv(q, r, s, y)) == y
+
+
+def test_hat_stage_weights_returns_a_fresh_list():
+    w = (Fraction(1), Fraction(5, 2), Fraction(9))
+    stages = hat_stage_weights(2, 1, w)
+    want = list(stages)
+    x = Fraction(40)
+    before = (epsilon_closed(2, 1, w, x), delta(2, 1, w),
+              epsilon_hat(2, 1, w, x))
+    stages[0] = Fraction(10 ** 6)
+    stages.append(Fraction(1))
+    del stages[1]
+    assert hat_stage_weights(2, 1, w) == want
+    assert (epsilon_closed(2, 1, w, x), delta(2, 1, w),
+            epsilon_hat(2, 1, w, x)) == before
+
+
+def test_invalid_weights_raise_on_every_call(monkeypatch):
+    bad = (Fraction(3), Fraction(1), Fraction(4))
+    for _ in range(3):
+        for f in (hat_stage_weights, delta):
+            with pytest.raises(ValueError):
+                f(2, 1, bad)
+        for f in (epsilon_closed, epsilon_hat, epsilon_hat_inv, epsilon_inv):
+            with pytest.raises(ValueError):
+                f(2, 1, bad, Fraction(5))
+    # monotone positive weights never collapse, so force a stage to 0
+    monkeypatch.setattr(eps_mod, "_hat1", lambda q, r, s, x: Fraction(0))
+    collapse = (Fraction(11, 7), Fraction(13, 7))
+    for _ in range(3):
+        with pytest.raises(ArithmeticError):
+            hat_stage_weights(3, 2, collapse)
+        with pytest.raises(ArithmeticError):
+            epsilon_closed(3, 2, collapse, Fraction(1))
+    monkeypatch.undo()
+    assert hat_stage_weights(3, 2, collapse)[1] > 0
+
+
+def test_xi_eval_equals_defining_sum():
+    rng = random.Random(77)
+    for _ in range(60):
+        q = rng.choice([2, 3])
+        k = rng.randint(1, 3)
+        d = rng.randint(2, 5)
+        r = rng.randint(1, d - 1)
+        tail = sorted(Fraction(rng.randint(1, 60), rng.randint(1, 6))
+                      for _ in range(d - r))
+        coords = [Fraction(0)] * (r - 1) + tail
+        point = ClassPoint.from_coords(coords)
+        p = point.power_values(r)
+        want = [Fraction(0)] * (r - 1) + [
+            epsilon_oracle(q, r, p[r - 1:], Fraction(q) ** (-k * r) * v)
+            for v in p[r - 1:]]
+        assert list(xi_eval(q, k, point).values) == want

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.gf import Poly, RatFunc, gf, is_prime_power, \
+from drinfan.gf import Poly, RatFunc, check_q, gf, is_prime_power, \
     polys_of_degree_at_most
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
@@ -121,3 +121,18 @@ def test_ratfunc_valuation():
     f = RatFunc.make(T * T, T * T * T + Poly.one(F))
     assert f.valuation_at_poly(T) == 2
     assert f.absolute_value() == Fraction(1, 2)
+
+
+def test_check_q_accepts_exactly_the_prime_powers():
+    def brute(q):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        return any(p ** e == q for e in range(1, q.bit_length() + 1))
+    for q in range(-2, 300):
+        if q >= 2 and brute(q):
+            check_q(q)
+        else:
+            with pytest.raises(ValueError):
+                check_q(q)
+    for q in (17, 25, 27, 32, 49, 121, 10007, 3 ** 40):
+        check_q(q)
+    assert not is_prime_power(17)
