@@ -40,10 +40,6 @@ USAGE_ERROR = 2
 PRECISION_TOO_LOW = 3
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _frac_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 \
@@ -103,8 +99,7 @@ def cmd_eps(args) -> int:
             v = eps_mod.epsilon(args.q, args.r, w, x)
         print(_frac_str(v))
     elif args.action == "delta":
-        v = eps_mod.delta(args.q, args.r, w) if w else Fraction(0)
-        print(_frac_str(v))
+        print(_frac_str(eps_mod.delta(args.q, args.r, w)))
     elif args.action == "inv":
         print(_frac_str(eps_mod.epsilon_inv(args.q, args.r, w,
                                             Fraction(args.x))))

@@ -16,19 +16,26 @@ face of a maximal cone, the pairwise intersection condition on maximal
 cones, and support coverage by the wall condition (see ``Fan.validate``).
 Also provided: face lattices, common refinements, Hilbert bases of dual
 monoids, and regularity testing with refinement by determinant-descent
-stellar subdivisions.
+stellar subdivisions.  The last two rest on one lattice routine: the
+integer points of the half-open fundamental parallelepiped of independent
+rays, enumerated exactly from the Smith normal form of the ray matrix
+(``_parallelepiped_points``; Cohen, "A Course in Computational Algebraic
+Number Theory", 2.4).  A dual-monoid Hilbert basis is taken from the rays
+and those points over a triangulation of the dual cone, projected modulo
+its lineality space (Bruns & Gubeladze, "Polytopes, Rings, and K-Theory",
+ch. 2); a descent point is one of those points of a non-regular cone.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import (det, dot, int_kernel_basis, mat_inv, nullspace,
-                     primitive, quotient_lattice_maps, rank, rref)
+from .linalg import (det, primitive, quotient_lattice_maps, rank, rref,
+                     smith_normal_form)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -211,10 +218,6 @@ class Cone:
                 raise ValueError("ambient dimension required for full space")
             n = len((ineqs + eqs)[0])
         return Cone(n, ineqs=ineqs, eqs=eqs)
-
-    @staticmethod
-    def full_space(n: int) -> "Cone":
-        return Cone(n, ineqs=[])
 
     # -- representation -----------------------------------------------------
 
@@ -402,9 +405,6 @@ class Fan:
                 out.append(c)
         return out
 
-    def cones_of_dim(self, d: int) -> list[Cone]:
-        return [c for c in self.cones.values() if c.dim() == d]
-
     def validate(self, support: Cone | None = None) -> list[str]:
         """Return a list of violations (empty means the fan is valid).
 
@@ -548,10 +548,7 @@ class Fan:
 def _descent_point(cone: Cone) -> tuple[int, ...]:
     """A nonzero lattice point in the half-open parallelepiped of a
     non-regular simplicial cone (guarantees determinant descent)."""
-    rays = [list(r) for r in cone.rays()]
-    m = len(rays)
-    pts = _parallelepiped_points(rays, cone.n, half_open=True)
-    candidates = [p for p in pts if any(x != 0 for x in p)]
+    candidates = [p for p in _parallelepiped_points(cone.rays()) if any(p)]
     if not candidates:
         raise AssertionError("non-regular cone without interior lattice point")
     # prefer points with small coefficient sum for fast descent
@@ -560,80 +557,36 @@ def _descent_point(cone: Cone) -> tuple[int, ...]:
     return primitive(min(candidates, key=keyf))
 
 
-def _parallelepiped_points(rays: list[list[int]], n: int,
-                           half_open: bool = False) -> list[tuple[int, ...]]:
-    """Integer points x = sum t_i r_i with t_i in [0,1] (or [0,1))."""
-    m = len(rays)
-    # coordinates within the span of the rays
-    if rank(rays) != m:
+def _parallelepiped_points(rays: Sequence[Sequence[int]]
+                           ) -> list[tuple[int, ...]]:
+    """Integer points sum t_i r_i, 0 <= t_i < 1, of independent rays r_i.
+
+    There is one point per class of (span(R) & Z^n) / Z^m R, where R is
+    the m x n ray matrix.  With U R V = S its Smith form and d the
+    diagonal of S, the first m rows of V^-1 are a basis of span(R) & Z^n,
+    and the point c of that basis has ray coordinates t = c D^-1 U.  So c
+    runs over prod [0, d_i) and the point is (t - floor(t)) R, computed
+    over ints with t scaled by l = lcm(d).  The count prod d_i is checked
+    against the cap before anything is enumerated.
+    """
+    m, n = len(rays), len(rays[0])
+    U, S, _ = smith_normal_form(rays)
+    d = [S[i][i] for i in range(min(m, n))]
+    if m > n or 0 in d:
         raise ValueError("rays must be linearly independent")
-    verts = []
-    for mask in range(1 << m):
-        verts.append([sum(rays[i][j] for i in range(m) if mask >> i & 1)
-                      for j in range(n)])
-    lo = [min(v[j] for v in verts) for j in range(n)]
-    hi = [max(v[j] for v in verts) for j in range(n)]
-    total = 1
-    for a, b in zip(lo, hi):
-        total *= (b - a + 1)
-        if total > _BOX_CAP:
-            raise ValueError("parallelepiped bounding box too large")
-    # solve t from x by least squares on the exact span: use pseudo-solve via
-    # picking m independent coordinates of the ray matrix
-    rows = [[Fraction(rays[i][j]) for i in range(m)] for j in range(n)]
-    # choose m independent rows of the n x m matrix
-    red, pivots = rref([list(col) for col in zip(*rows)])  # rref of m x n
-    idx = pivots  # independent coordinate positions
-    sub = [[rows[j][i] for i in range(m)] for j in idx]
-    sub_inv = mat_inv(sub)
+    count = prod(d)
+    if count > _BOX_CAP:
+        raise ValueError(f"parallelepiped has {count} lattice points, "
+                         f"more than {_BOX_CAP}")
+    l = lcm(*d)
+    steps = [[l // di * u for u in row] for di, row in zip(d, U)]
     out = []
-    upper = Fraction(1)
-    for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        t = [sum(sub_inv[i][j] * x[idx[j]] for j in range(m)) for i in range(m)]
-        if any(ti < 0 or ti > upper for ti in t):
-            continue
-        if half_open and any(ti == upper for ti in t):
-            continue
-        # verify x really lies in the span
-        if all(sum(Fraction(rays[i][j]) * t[i] for i in range(m)) == x[j]
-               for j in range(n)):
-            out.append(tuple(x))
+    for c in itertools.product(*map(range, d)):
+        t = [sum(ci * row[j] for ci, row in zip(c, steps)) % l
+             for j in range(m)]
+        out.append(tuple(sum(tj * r[k] for tj, r in zip(t, rays)) // l
+                         for k in range(n)))
     return out
-
-
-def _span_coordinate_maps(rays: list[tuple[int, ...]], n: int):
-    """Coordinates on span(rays) cap Z^n.  Returns (m, to_span, from_span)."""
-    if not rays:
-        return 0, (lambda x: ()), (lambda c: tuple(0 for _ in range(n)))
-    perp = nullspace([list(r) for r in rays], ncols=n)
-    if not perp:
-        ident = lambda x: tuple(int(v) for v in x)
-        return n, ident, ident
-    a_rows = [primitive(p) for p in perp]
-    basis = int_kernel_basis(a_rows, n)  # saturated basis of the span lattice
-    m = len(basis)
-    bmat = [[Fraction(basis[i][j]) for i in range(m)] for j in range(n)]
-    red, pivots = rref([list(col) for col in zip(*bmat)])
-    idx = pivots
-    sub = [[bmat[j][i] for i in range(m)] for j in idx]
-    sub_inv = mat_inv(sub)
-
-    def to_span(x):
-        c = [sum(sub_inv[i][j] * Fraction(x[idx[j]]) for j in range(m))
-             for i in range(m)]
-        if any(ci.denominator != 1 for ci in c):
-            raise ValueError("point not in the span lattice")
-        # verify
-        if any(sum(Fraction(basis[i][j]) * c[i] for i in range(m)) != x[j]
-               for j in range(n)):
-            raise ValueError("point not in the span")
-        return tuple(int(ci) for ci in c)
-
-    def from_span(c):
-        return tuple(sum(int(c[i]) * basis[i][j] for i in range(m))
-                     for j in range(n))
-
-    return m, to_span, from_span
 
 
 def _triangulate(cone: Cone) -> list[list[tuple[int, ...]]]:
@@ -685,29 +638,26 @@ def dual_monoid_hilbert_basis(cone: Cone) -> dict:
                         + [_neg(b) for b in sat_basis]}
     pcone = Cone.from_rays(prays, n=k)
     assert pcone.is_pointed()
-    m, to_span, from_span = _span_coordinate_maps(list(pcone.rays()), k)
-    srays = [to_span(r) for r in pcone.rays()]
-    scone = Cone.from_rays(srays, n=m)
-    candidates: set[tuple[int, ...]] = set()
-    for simplex in _triangulate(scone):
-        for p in _parallelepiped_points([list(r) for r in simplex], m):
-            if any(v != 0 for v in p):
-                candidates.add(p)
+    # a Hilbert basis lies among the rays and the half-open parallelepiped
+    # points of any triangulation (Bruns & Gubeladze, ch. 2)
+    candidates = set(pcone.rays())
+    for simplex in _triangulate(pcone):
+        candidates.update(p for p in _parallelepiped_points(simplex) if any(p))
     # strictly positive functional on the pointed cone
-    ell = tuple(sum(Fraction(a[i]) for a in scone.ineqs()) for i in range(m))
-    ordered = sorted(candidates, key=lambda x: (dot(ell, x), x))
+    ell = [sum(col) for col in zip(*pcone.ineqs())]
+    ordered = sorted(candidates, key=lambda x: (_idot(ell, x), x))
     basis: list[tuple[int, ...]] = []
     memo: dict = {}
     for x in ordered:
-        if not _monoid_member(x, basis, scone, memo):
+        if not _monoid_member(x, basis, pcone, memo):
             basis.append(x)
             memo.clear()
     # removal certification
     for g in basis:
         others = [h for h in basis if h != g]
-        assert not _monoid_member(g, others, scone, {}), \
+        assert not _monoid_member(g, others, pcone, {}), \
             "Hilbert basis element generated by the others"
-    gens = [lift(from_span(b)) for b in basis]
+    gens = [lift(b) for b in basis]
     lin = [tuple(b) for b in sat_basis]
     return {"generators": gens, "lineality": lin,
             "all": gens + lin + [_neg(b) for b in lin]}

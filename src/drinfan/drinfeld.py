@@ -201,14 +201,17 @@ def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
         if not acc.is_zero_to_precision():
             raise PrecisionError(
                 f"quotient relation residual at tau^{k} does not vanish")
-    new_module = DrinfeldModule(field, AdditiveSeries(field, phi_coeffs))
-    # structure-map sanity: the linear coefficient must be t
+    # structure-map sanity: the linear coefficient must be t.  A missing
+    # key is a coefficient that vanished to working precision.
+    if 0 not in phi_coeffs:
+        raise PrecisionError("linear coefficient of the quotient lost")
     lin = phi_coeffs[0] - LaurentSeries.t_power(field, 1)
     if not lin.is_zero_to_precision():
         raise PrecisionError("linear coefficient of the quotient is not t")
-    top = phi_coeffs[r + 1].valuation()
-    if top is None:
+    if r + 1 not in phi_coeffs:
         raise PrecisionError("top coefficient of the quotient lost")
+    top = phi_coeffs[r + 1].valuation()
+    new_module = DrinfeldModule(field, AdditiveSeries(field, phi_coeffs))
     return TateStep(module=new_module, exponential=e, m=m,
                     lattice_valuations=lam_vals, top_valuation=top)
 

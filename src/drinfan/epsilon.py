@@ -40,6 +40,8 @@ prefix by one stage.  epsilon_closed, epsilon_inv, delta, epsilon_hat and
 epsilon_hat_inv take their stages and delta from it, so the d-r coordinate
 calls that xi_eval and pi_eval make on one point share a single chain.
 Only results are cached: an invalid weight vector raises on every call.
+q and r are checked before the weights on every call, so an empty weight
+vector (epsilon the identity, delta zero) is checked like any other.
 The cache holds immutable tuples; hat_stage_weights returns a fresh list.
 """
 
@@ -217,16 +219,12 @@ def epsilon_hat_inv(q: int, r: int, weights: Sequence[Fraction],
 
 def delta(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:
     """Normalization constant; 0 for no weights."""
-    if not weights:
-        return Fraction(0)
     return _stages(q, r, _check_args(q, r, weights))[1]
 
 
 def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
                    x: Fraction) -> Fraction:
     """Closed-form epsilon (requires weakly increasing weights)."""
-    if not weights:
-        return Fraction(x)
     stages, d = _stages(q, r, _check_args(q, r, weights))
     return _chain(q, r, stages, Fraction(x)) + d
 
@@ -234,8 +232,6 @@ def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
 def epsilon(q: int, r: int, weights: Sequence[Fraction],
             x: Fraction) -> Fraction:
     """epsilon, via the closed form when available, else the defining sum."""
-    if not weights:
-        return Fraction(x)
     if is_monotone(weights):
         return epsilon_closed(q, r, weights, x)
     return epsilon_oracle(q, r, weights, x)
@@ -244,8 +240,6 @@ def epsilon(q: int, r: int, weights: Sequence[Fraction],
 def epsilon_inv(q: int, r: int, weights: Sequence[Fraction],
                 y: Fraction) -> Fraction:
     """Inverse of the (strictly increasing) closed-form epsilon."""
-    if not weights:
-        return Fraction(y)
     stages, d = _stages(q, r, _check_args(q, r, weights))
     return _chain_inv(q, r, stages, Fraction(y) - d)
 

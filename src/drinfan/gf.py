@@ -24,43 +24,35 @@ from typing import Iterator, Sequence
 __all__ = ["GF", "Poly", "RatFunc", "check_q", "is_prime_power"]
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q == p**e, or raise ValueError."""
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q == p**e and p prime, by trial division up to sqrt(q);
+    ValueError if q is not a prime power."""
     if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, e
-    raise ValueError(f"q = {q} is not a supported prime power (need q <= 16)")
+        raise ValueError("q must be at least 2")
+    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)
+    m, e = q, 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, e
 
 
 def check_q(q: int) -> None:
     """Raise ValueError unless q is a prime power >= 2, the size of a finite
     field.  Any prime power passes (17, 25, ...), not only the q <= 16 that
     GF builds and is_prime_power accepts."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+    _prime_power(q)
 
 
 def is_prime_power(q: int) -> bool:
+    """True if q is a prime power that GF supports (q <= 16)."""
     try:
-        _factor_prime_power(q)
-        return True
+        _prime_power(q)
     except ValueError:
         return False
+    return q <= 16
 
 
 # Irreducible monic polynomials over F_p used as modulus for F_{p^e},
@@ -81,7 +73,7 @@ class GF:
     """
 
     def __init__(self, q: int):
-        p, e = _factor_prime_power(q)
+        p, e = _prime_power(q)
         if q > 16:
             raise ValueError(f"q = {q} exceeds the supported bound of 16")
         self.q = q

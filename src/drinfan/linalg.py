@@ -9,8 +9,11 @@ This module is the only place in drinfan that eliminates.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors, Smith normal form with transformation
-  matrices, and saturated-lattice coordinate changes used by the cone
-  engine.  ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
+  matrices, a basis of the saturated integer kernel (``int_kernel_basis``)
+  and quotient coordinates for Z^n modulo a saturated sublattice
+  (``quotient_lattice_maps``).  The cone engine uses the Smith form for
+  parallelepiped points and the quotient coordinates for Hilbert bases.
+  ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
 """
 
 from __future__ import annotations

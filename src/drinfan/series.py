@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .gf import GF, Poly
+from .gf import GF
 
 __all__ = ["PrecisionError", "LaurentSeries", "AdditiveSeries",
            "lower_hull", "root_valuations"]
@@ -103,12 +103,6 @@ class LaurentSeries:
     def t_power(field: GF, e: int, c: int = 1,
                 prec: int | None = None) -> "LaurentSeries":
         return LaurentSeries(field, {e: c}, prec)
-
-    @staticmethod
-    def from_poly(p: Poly, prec: int | None = None) -> "LaurentSeries":
-        """Interpret a polynomial in T as a polynomial in t (T |-> t)."""
-        return LaurentSeries(p.field, {i: c for i, c in enumerate(p.coeffs) if c},
-                             prec)
 
     # -- structure ---------------------------------------------------------
 

@@ -176,6 +176,7 @@ def delta_tilde(q: int, point: ClassPoint, i: int) -> Fraction:
 
 def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     """The rescaling map xi^d_k; output always has rational coordinates."""
+    check_q(q)
     d = point.d
     r, p = _point_powers(point)
     out = []
@@ -218,9 +219,6 @@ class PiecewiseLinearMap:
             if cone.contains(v):
                 return mat_vec(mat, v)
         raise ValueError(f"point {coords} not in the domain of the map")
-
-    def domain_fan(self) -> Fan:
-        return Fan(c for c, _ in self.pieces)
 
 
 def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,

@@ -207,3 +207,34 @@ def test_in_process_calls_match_fresh_processes(capsys):
             assert capsys.readouterr().out == fresh.stdout, argv
             outs.append(fresh.stdout)
         assert outs[0] != outs[1], seq
+
+
+def test_empty_weights_still_check_q_and_r():
+    for args in (("eps", "eval", "--q", "6", "--x", "3"),
+                 ("eps", "delta", "--q", "6"),
+                 ("eps", "eval", "--q", "2", "--r", "0", "--x", "3"),
+                 ("xi", "eval", "--q", "6", "--coords", "0,0")):
+        out = run(*args)
+        assert out.returncode == 2, args
+        assert out.stderr.strip() and "Traceback" not in out.stderr, args
+    out = run("eps", "eval", "--q", "2", "--x", "3")
+    assert out.returncode == 0
+    assert out.stdout.strip() == "3"
+
+
+def test_low_precision_lost_coefficient_exits_3():
+    for q, ms, precision in (("2", "1,3", "2"), ("2", "1,4", "3"),
+                             ("3", "1,3", "3")):
+        out = run("tate", "quotient", "--q", q, "--r", "1", "--ms", ms,
+                  "--precision", precision)
+        assert out.returncode == 3, (q, ms, precision)
+        assert "Traceback" not in out.stderr, (q, ms, precision)
+
+
+def test_parallelepiped_over_the_cap_exits_2():
+    # the dual of cone{(1,0),(1,N)} is one simplex of index N
+    for args in (("hilbert", "--cone", "1,0;1,20000001"),
+                 ("fan", "refine", "--cone", "1,0;1,20000001")):
+        out = run(*args)
+        assert out.returncode == 2, args
+        assert "lattice points" in out.stderr, args

@@ -3,6 +3,7 @@
 
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -10,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.cones import Cone, Fan, dual_monoid_hilbert_basis
-from drinfan.linalg import rank
+from drinfan import cones
+from drinfan.cones import (Cone, Fan, _parallelepiped_points,
+                           dual_monoid_hilbert_basis)
+from drinfan.linalg import det, mat_inv, rank, rref, smith_normal_form, solve
 from drinfan.xi import cone_Cd, sigma_upper_fan
 
 
@@ -264,3 +267,146 @@ def test_validate_matches_all_pairs_oracle():
             assert fan.validate(support) == []
         rejected += got != []
     assert rejected == 2  # the overlapping cones, the ray inside a quadrant
+
+
+# -- lattice points of fundamental parallelepipeds ----------------------------
+
+def _bounding_box_parallelepiped_points(rays, n):
+    """Oracle: every integer point of the bounding box of the half-open
+    parallelepiped of independent rays, kept when its exact ray
+    coordinates t (solved on m independent coordinates, then checked on
+    all n) satisfy 0 <= t_i < 1."""
+    m = len(rays)
+    assert rank(rays) == m
+    verts = [[sum(rays[i][j] for i in range(m) if mask >> i & 1)
+              for j in range(n)] for mask in range(1 << m)]
+    lo = [min(v[j] for v in verts) for j in range(n)]
+    hi = [max(v[j] for v in verts) for j in range(n)]
+    _, idx = rref(rays)
+    sub_inv = mat_inv([[Fraction(rays[i][j]) for i in range(m)] for j in idx])
+    out = []
+    for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        t = [sum(sub_inv[i][j] * x[idx[j]] for j in range(m))
+             for i in range(m)]
+        if any(ti < 0 or ti >= 1 for ti in t):
+            continue
+        if all(sum(rays[i][j] * t[i] for i in range(m)) == x[j]
+               for j in range(n)):
+            out.append(tuple(x))
+    return out
+
+
+def _random_independent_rays(rng, m, n, bound):
+    while True:
+        rays = [tuple(rng.randint(-bound, bound) for _ in range(n))
+                for _ in range(m)]
+        if rank(rays) == m:
+            return rays
+
+
+def test_parallelepiped_points_match_bounding_box_oracle():
+    rng = random.Random(20201)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, n)
+        rays = _random_independent_rays(rng, m, n, 2 if n == 4 else 3)
+        pts = _parallelepiped_points(rays)
+        assert set(pts) == set(_bounding_box_parallelepiped_points(rays, n))
+        assert len(set(pts)) == len(pts)
+        # one point per class of (span & Z^n) / Z^m rays: the product of
+        # the Smith diagonal, which is also the gcd of the maximal minors
+        _, S, _ = smith_normal_form(rays)
+        index = 1
+        for i in range(m):
+            index *= S[i][i]
+        minors = 0
+        for cols in itertools.combinations(range(n), m):
+            minors = math.gcd(minors, det([[r[c] for c in cols] for r in rays]))
+        assert len(pts) == index == minors, rays
+
+
+def test_parallelepiped_points_reject_dependent_rays_and_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match="independent"):
+        _parallelepiped_points([(1, 2), (2, 4)])
+    with pytest.raises(ValueError, match="independent"):
+        _parallelepiped_points([(1, 0), (0, 1), (1, 1)])
+    # the cap applies to the exact count, before anything is enumerated
+    monkeypatch.setattr(cones, "_BOX_CAP", 12)
+    assert len(_parallelepiped_points([(1, 0, 0), (1, 12, 0)])) == 12
+    for rays in ([(1, 0, 0), (1, 13, 0)], [(2, 0), (0, 7)]):
+        with pytest.raises(ValueError, match="lattice points"):
+            _parallelepiped_points(rays)
+    with pytest.raises(ValueError, match="lattice points"):
+        dual_monoid_hilbert_basis(Cone.from_rays([(1, 0), (1, 13)]))
+    with pytest.raises(ValueError, match="lattice points"):
+        Fan([Cone.from_rays([(1, 0), (1, 13)])]).regular_refinement()
+
+
+def _monoid_oracle(gens, lineality, dual, ell):
+    """Membership in the monoid generated by gens and +/- lineality:
+    subtract generators while staying in the dual cone until ell, which
+    is positive on every generator, reaches 0; there the point must be an
+    integer combination of the lineality basis."""
+    memo = {}
+
+    def member(x):
+        if x not in memo:
+            if sum(a * b for a, b in zip(ell, x)) == 0:
+                if not lineality:
+                    memo[x] = not any(x)
+                else:
+                    c = solve([list(col) for col in zip(*lineality)], x)
+                    memo[x] = c is not None and all(
+                        Fraction(v).denominator == 1 for v in c)
+            else:
+                memo[x] = any(
+                    dual.contains(y) and member(y)
+                    for y in (tuple(a - b for a, b in zip(x, g))
+                              for g in gens))
+        return memo[x]
+
+    return member
+
+
+def _hilbert_cases():
+    rng = random.Random(777)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 3)
+        rays = _random_vectors(rng, n, rng.randint(1, n + 1), -2, 3) \
+            or [(1,) * n]
+        lines = []
+        if rng.random() < 0.4:
+            lines = _random_vectors(rng, n, 1, -2, 3)
+        cases.append(Cone.from_rays(rays, n=n, lines=lines))
+    return cases
+
+
+def test_hilbert_basis_properties_random():
+    cases = _hilbert_cases()
+    assert any(c.lines() for c in cases) and any(c.is_pointed() for c in cases)
+    for c in cases:
+        data = dual_monoid_hilbert_basis(c)
+        gens, lin = data["generators"], data["lineality"]
+        everything = set(data["all"])
+        assert len(everything) == len(data["all"])
+        # every generator pairs nonnegatively with the cone
+        for g in data["all"]:
+            assert all(sum(a * b for a, b in zip(g, r)) >= 0 for r in c.rays())
+            assert all(sum(a * b for a, b in zip(g, l)) == 0 for l in c.lines())
+        # no generator is a sum of two others
+        for a, b in itertools.combinations_with_replacement(data["all"], 2):
+            assert tuple(x + y for x, y in zip(a, b)) not in everything, c
+        # every half-open point of every simplex of dual generators lies in
+        # the monoid the generators span
+        dual = c.dual()
+        ell = [sum(col) for col in zip(*c.rays())] if c.rays() else [0] * c.n
+        member = _monoid_oracle(gens, lin, dual, ell)
+        dgens = list(dual.rays()) + list(dual.lines()) \
+            + [tuple(-x for x in l) for l in dual.lines()]
+        k = rank(dgens) if dgens else 0
+        for simplex in itertools.combinations(dgens, k):
+            if k and rank(simplex) == k:
+                for p in _bounding_box_parallelepiped_points(
+                        list(simplex), c.n):
+                    assert member(p), (c, p)

@@ -80,6 +80,16 @@ def test_insufficient_precision_raises():
         iterate_tate(2, 1, [1, 3], 40)
 
 
+@pytest.mark.parametrize("q, r, ms, precision",
+                         [(2, 1, [1, 3], 2), (2, 1, [1, 4], 3),
+                          (3, 1, [1, 3], 3)])
+def test_coefficient_lost_at_low_precision_raises(q, r, ms, precision):
+    # a linear or top coefficient that vanished to working precision is a
+    # PrecisionError, not a KeyError
+    with pytest.raises(PrecisionError):
+        iterate_tate(q, r, ms, precision)
+
+
 def test_torsion_matches_prediction():
     K2, K3 = gf(2), gf(3)
     cases = [

@@ -236,3 +236,15 @@ def test_xi_eval_equals_defining_sum():
             epsilon_oracle(q, r, p[r - 1:], Fraction(q) ** (-k * r) * v)
             for v in p[r - 1:]]
         assert list(xi_eval(q, k, point).values) == want
+
+
+def test_empty_weights_check_q_and_r():
+    for q, r in ((6, 1), (1, 1), (2, 0)):
+        for f in (lambda: epsilon(q, r, [], 3), lambda: delta(q, r, []),
+                  lambda: epsilon_closed(q, r, (), 3),
+                  lambda: epsilon_inv(q, r, (), 3)):
+            with pytest.raises(ValueError):
+                f()
+    assert epsilon(2, 1, [], Fraction(3)) == 3
+    assert epsilon_inv(2, 1, [], Fraction(3)) == 3
+    assert delta(2, 1, []) == 0

@@ -136,3 +136,14 @@ def test_check_q_accepts_exactly_the_prime_powers():
     for q in (17, 25, 27, 32, 49, 121, 10007, 3 ** 40):
         check_q(q)
     assert not is_prime_power(17)
+
+
+def test_is_prime_power_is_what_gf_builds():
+    for q in range(-2, 300):
+        try:
+            F = gf(q)
+        except ValueError:
+            assert not is_prime_power(q), q
+        else:
+            assert is_prime_power(q), q
+            assert F.p ** F.e == q
