@@ -379,11 +379,14 @@ class Fan:
 
     def __init__(self, cones: Iterable[Cone] = ()):
         self.cones: dict = {}
+        self._maximal: list[Cone] | None = None
         for c in cones:
             self.add(c)
 
     def add(self, cone: Cone) -> None:
+        # the only mutation of self.cones, so the only cache invalidation
         if cone.key() not in self.cones:
+            self._maximal = None
             for f in cone.faces():
                 self.cones.setdefault(f.key(), f)
 
@@ -397,13 +400,15 @@ class Fan:
         return cone.key() in self.cones
 
     def maximal_cones(self) -> list[Cone]:
-        out = []
-        all_cones = list(self.cones.values())
-        for c in all_cones:
-            if not any(o is not c and o.contains_cone(c) and o.key() != c.key()
-                       for o in all_cones):
-                out.append(c)
-        return out
+        """Cones contained in no other cone of the fan (a fresh list; the
+        all-pairs scan runs once per state of the fan)."""
+        if self._maximal is None:
+            all_cones = list(self.cones.values())
+            self._maximal = [
+                c for c in all_cones
+                if not any(o is not c and o.contains_cone(c)
+                           and o.key() != c.key() for o in all_cones)]
+        return list(self._maximal)
 
     def validate(self, support: Cone | None = None) -> list[str]:
         """Return a list of violations (empty means the fan is valid).

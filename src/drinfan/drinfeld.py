@@ -9,7 +9,10 @@ module psi(T) = t z + z^{q^r}, the module provides:
   period space (A acts through psi), built as a monic subspace polynomial
   by the one-dimension-at-a-time recursion e' = tau e - e(lambda)^{q-1} e
   over the finitely many lattice elements of valuation above the working
-  precision cutoff, then normalized to linear coefficient 1,
+  precision cutoff, then normalized to linear coefficient 1; each step
+  truncates every coefficient to relative precision precision + 1, which
+  is all the normalization reads (no coefficient has smaller valuation
+  than the linear one; `tate_step` states the bound),
 * the quotient module phi with phi(T) e = e psi(T), solved triangularly;
   the tail of the relation is checked to vanish to working precision,
 * iterated quotients (each step raises the rank by one),
@@ -134,10 +137,19 @@ def _lattice_basis(module: DrinfeldModule, m: int, precision: int
     return pts
 
 
-def _subspace_polynomial(field: GF, points: Sequence[LaurentSeries]
-                         ) -> AdditiveSeries:
+def _subspace_polynomial(field: GF, points: Sequence[LaurentSeries],
+                         rel: int) -> AdditiveSeries:
     """Monic additive polynomial vanishing on the F_q-span of the points
-    (which must be F_q-independent)."""
+    (which must be F_q-independent, with strictly decreasing valuations),
+    each coefficient known to relative precision ``rel``.
+
+    After every step e <- tau e - e(lambda)^(q-1) e each coefficient c is
+    truncated at v(c) + rel.  The step itself loses no relative precision:
+    the top term of e(lambda) is lambda^(q^j) with coefficient exactly 1,
+    and it strictly dominates the other terms because lambda has smaller
+    valuation than every point of the span so far.  So e(lambda) and every
+    new coefficient again have relative precision at least ``rel``.
+    """
     q = field.q
     e = AdditiveSeries.identity(field)
     for lam in points:
@@ -146,6 +158,8 @@ def _subspace_polynomial(field: GF, points: Sequence[LaurentSeries]
             raise ArithmeticError("basis point already in the span")
         a = img.pow_int(q - 1)
         e = e.frobenius_twist() - e.scale(a)
+        e = AdditiveSeries(field, {i: c.truncate(c.valuation() + rel)
+                                   for i, c in e.coeffs.items()})
     return e
 
 
@@ -155,6 +169,15 @@ def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
     Raises ValueError if the lattice is not admissible (the exponential
     would not converge) and PrecisionError if the requested working
     precision cannot certify the quotient relation.
+
+    The monic exponential is computed to relative precision precision + 1
+    and no further.  Normalizing needs c_0^{-1} to absolute precision
+    precision + 1 - v(c_0), which `inverse` reaches exactly when c_0 is
+    known to relative precision precision + 1, and every c_i modulo
+    t^(v(c_0) + precision + 1).  Every nonzero root of the monic
+    exponential is a lattice point of negative valuation; c_0 is (up to
+    sign) the product of all of them and c_i a sum of products of fewer.
+    So v(c_i) >= v(c_0), and relative precision precision + 1 covers c_i.
     """
     if m < 1:
         raise ValueError("lattice generator exponent m must be >= 1")
@@ -164,7 +187,7 @@ def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
     q = field.q
     r = module.rank
     pts = _lattice_basis(module, m, precision)
-    e_monic = _subspace_polynomial(field, pts)
+    e_monic = _subspace_polynomial(field, pts, precision + 1)
     lam_vals = tuple(sorted(-v.valuation() for v in pts))
     # normalize to linear coefficient one
     c0 = e_monic.coeff(0)

@@ -253,6 +253,11 @@ class LaurentSeries:
         The series must have a determined nonzero lowest coefficient.  For an
         inexact input the achievable precision is p - 2v (error delta/a^2);
         requesting more raises PrecisionError.
+
+        Newton's iteration x <- 2x - u x^2 on the normalized series u doubles
+        the number of known terms of u^{-1} per round, and only u mod t^need
+        can reach x mod t^need, so the terms of u from t^need on are never
+        read and each round works modulo t^known.
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of (numerically) zero series")
@@ -274,17 +279,16 @@ class LaurentSeries:
         # u = self / (c0 t^v) is 1 + (positive valuation); invert by Newton on
         # exact representatives (the iteration self-corrects, so the generic
         # pessimistic precision propagation does not apply inside the loop).
-        u = LaurentSeries(F, {e - v: F.div(c, c0) for e, c in self.coeffs.items()},
-                          None)
         need = prec + v  # precision of u^{-1} needed
+        u = LaurentSeries(F, {e - v: F.div(c, c0) for e, c in self.coeffs.items()
+                              if e - v < need}, None)
         x = LaurentSeries.one(F)
         known = 1
         two = 2 % F.p
         while known < need:
             known = min(2 * known, need)
-            step = x.scale(two) - (u * x) * x
-            x = LaurentSeries(F, {e: c for e, c in step.coeffs.items()
-                                  if e < known}, None)
+            step = x.scale(two) - (u.truncate(known) * x) * x
+            x = LaurentSeries(F, step.coeffs, None)
         return LaurentSeries(F, {e - v: F.div(c, c0)
                                  for e, c in x.coeffs.items()},
                              prec)

@@ -72,6 +72,20 @@ def test_face_closure_in_fan():
     assert fan.validate(support) == []
 
 
+def test_maximal_cones_follow_add():
+    # the maximal cones are cached per fan; add() must clear the cache
+    fan = Fan([Cone.from_rays([(1, 0), (1, 1)])])
+    first = fan.maximal_cones()
+    assert len(first) == 1
+    first.clear()  # a copy: the caller cannot empty the cache
+    assert len(fan.maximal_cones()) == 1
+    fan.add(Cone.from_rays([(1, 1), (0, 1)]))
+    assert sorted(c.rays() for c in fan.maximal_cones()) == \
+        [((0, 1), (1, 1)), ((1, 0), (1, 1))]
+    fan.add(Cone.from_rays([(1, 0), (0, 1)]))  # swallows both
+    assert [c.rays() for c in fan.maximal_cones()] == [((0, 1), (1, 0))]
+
+
 def test_fan_validation_detects_overlap():
     fan = Fan([Cone.from_rays([(1, 0), (1, 2)]),
                Cone.from_rays([(1, 1), (0, 1)])])  # overlapping cones

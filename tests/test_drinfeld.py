@@ -1,16 +1,18 @@
 """Tate quotients: exponentials, quotient modules, torsion valuations."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from drinfan import drinfeld
 from drinfan.drinfeld import (admissibility_margin, class_point_of_steps,
                               iterate_tate, lattice_profile_of_steps,
                               predicted_torsion_valuations, standard_module,
                               tate_step, torsion_valuations)
 from drinfan.epsilon import delta
 from drinfan.gf import Poly, gf
-from drinfan.series import PrecisionError
+from drinfan.series import AdditiveSeries, PrecisionError
 
 F = Fraction
 PREC = 48
@@ -141,3 +143,86 @@ def test_linear_coefficient_is_structure_map():
     c0 = module.phi_T.coeff(0)
     assert c0.coeff(1) == 1
     assert c0.valuation() == 1
+
+
+# the ten instances of tests/test_acceptance.py
+TORSION_INSTANCES = [
+    (2, 1, [1]), (2, 1, [2]), (2, 1, [3]), (2, 1, [1, 3]), (2, 1, [2, 4]),
+    (3, 1, [1]), (3, 1, [2]), (2, 2, [1]), (2, 2, [2]), (2, 1, [1, 4]),
+]
+
+
+def _exact_subspace_polynomial(field, points, rel):
+    """The recursion on exact series, never truncated: the oracle for
+    drinfeld._subspace_polynomial (``rel`` is ignored)."""
+    e = AdditiveSeries.identity(field)
+    for lam in points:
+        img = e.apply(lam)
+        if img.is_zero_to_precision():
+            raise ArithmeticError("basis point already in the span")
+        e = e.frobenius_twist() - e.scale(img.pow_int(field.q - 1))
+    return e
+
+
+def _snapshot(series):
+    return {i: (c.coeffs, c.prec) for i, c in series.coeffs.items()}
+
+
+def _tate_outcome(q, r, ms, precision):
+    """Everything iterate_tate returns, or the error it raises."""
+    try:
+        _, steps = iterate_tate(q, r, ms, precision)
+    except (PrecisionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(_snapshot(s.module.phi_T), _snapshot(s.exponential), s.m,
+             s.lattice_valuations, s.top_valuation) for s in steps]
+
+
+@pytest.mark.parametrize("q, r, ms", [(2, 1, [1, 3]), (3, 1, [2]),
+                                      (2, 2, [1])])
+def test_subspace_polynomial_keeps_relative_precision(q, r, ms):
+    # every coefficient is the exact one, cut at exactly v(c) + rel
+    module, _ = iterate_tate(q, r, ms[:-1], 64)
+    pts = drinfeld._lattice_basis(module, ms[-1], 64)
+    exact = _exact_subspace_polynomial(module.field, pts, None)
+    got = drinfeld._subspace_polynomial(module.field, pts, 65)
+    assert got.coeffs.keys() == exact.coeffs.keys()
+    for i, c in got.coeffs.items():
+        assert c.prec == c.valuation() + 65
+        assert c == exact.coeffs[i].truncate(c.prec)
+
+
+def test_truncated_exponential_matches_exact_oracle(monkeypatch):
+    # truncating the recursion to relative precision precision + 1 changes
+    # no coefficient, no precision and no PrecisionError
+    runs = [(q, r, ms, p) for (q, r, ms) in TORSION_INSTANCES
+            for p in list(range(2, 49)) + [64]]
+    fast = [_tate_outcome(*run) for run in runs]
+    monkeypatch.setattr(drinfeld, "_subspace_polynomial",
+                        _exact_subspace_polynomial)
+    for run, got in zip(runs, fast):
+        assert got == _tate_outcome(*run), run
+    errors = sum(isinstance(out, tuple) for out in fast)
+    assert 0 < errors < len(runs)
+
+
+@pytest.mark.parametrize("ms, precision",
+                         [([1, 2, 3], 160), ([1, 2, 4], 256),
+                          ([1, 3, 6], 512)])
+def test_rank4_torsion_matches_prediction(ms, precision):
+    # three-step quotients of the rank-1 module: the torsion law at rank 4
+    N = Poly.T(gf(2)) * Poly.T(gf(2))
+    module, _ = iterate_tate(2, 1, ms, precision)
+    assert module.rank == 4
+    assert torsion_valuations(module, N) == \
+        predicted_torsion_valuations(2, 1, ms, N)
+
+
+def test_top_valuation_law_at_precision_512():
+    # the exact recursion took seconds here; the truncated one is fast
+    start = time.monotonic()
+    _, steps = iterate_tate(2, 1, [1, 3], 512)
+    profile = lattice_profile_of_steps(2, 1, [1, 3])
+    assert [s.top_valuation for s in steps] == \
+        [(2 ** (1 + j) - 1) * delta(2, 1, profile[:j]) for j in (1, 2)]
+    assert time.monotonic() - start < 5.0

@@ -164,6 +164,45 @@ def test_inverse_exact_and_truncated():
     assert (b * binv - LaurentSeries.one(F)).is_zero_to_precision()
 
 
+def _inverse_oracle(a, prec):
+    """Newton's iteration on the whole normalized series, every product
+    exact: the oracle for inverse(), whose rounds read u mod t^known only."""
+    F = a.field
+    v = min(a.coeffs)
+    c0 = a.coeffs[v]
+    u = LaurentSeries(F, {e - v: F.div(c, c0) for e, c in a.coeffs.items()},
+                      None)
+    need = prec + v
+    x = LaurentSeries.one(F)
+    known = 1
+    while known < need:
+        known = min(2 * known, need)
+        step = x.scale(2 % F.p) - (u * x) * x
+        x = LaurentSeries(F, {e: c for e, c in step.coeffs.items()
+                              if e < known}, None)
+    return LaurentSeries(F, {e - v: F.div(c, c0) for e, c in x.coeffs.items()},
+                         prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inverse_of_long_series_matches_oracle(q):
+    # like the linear coefficient of a monic exponential: thousands of terms
+    # over a wide span, inverted to ~130 digits of relative precision
+    F = gf(q)
+    rng = random.Random(q)
+    v = -10922
+    coeffs = {v + x: rng.randrange(1, q)
+              for x in rng.sample(range(1, 10930), 4500)}
+    coeffs[v] = 1
+    a = LaurentSeries(F, coeffs, None)
+    assert len(a.coeffs) > 4000
+    for s, prec in [(a, 129 - v), (a, 1 - v), (a.truncate(v + 300), 200 - v)]:
+        inv = s.inverse(prec)
+        want = _inverse_oracle(s, prec)
+        assert (inv.coeffs, inv.prec) == (want.coeffs, want.prec)
+        assert s * inv == LaurentSeries.one(F, (s * inv).prec)
+
+
 def test_precision_error_on_ambiguous_valuation():
     F = gf(2)
     s = LaurentSeries(F, {}, prec=3)
