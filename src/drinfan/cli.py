@@ -24,10 +24,11 @@ from fractions import Fraction
 
 from . import epsilon as eps_mod
 from .atlas import (chart_monomials, component_graph, division_polynomial_exponents,
-                    division_polynomial_is_symmetric, slope_fan,
+                    division_polynomial_is_symmetric, slope_determinants,
+                    slope_fan, slope_fan_is_interior_smooth,
                     slope_fan_is_smooth, symmetric_identity_holds)
 from .bruhat_tits import simplex_cone, standard_simplex_cone
-from .cones import Cone, dual_monoid_hilbert_basis
+from .cones import Cone, Fan, dual_monoid_hilbert_basis
 from .drinfeld import (class_point_of_steps, iterate_tate,
                        predicted_torsion_valuations, torsion_valuations)
 from .gf import Poly, gf
@@ -152,7 +153,6 @@ def cmd_fan(args) -> int:
         return 0
     if args.action == "refine":
         cone = _parse_cone(args.cone)
-        from .cones import Fan
         refined = Fan([cone]).regular_refinement()
         _emit(_fan_json(refined), args.out)
         return 0
@@ -228,7 +228,6 @@ def cmd_atlas(args) -> int:
               "monomials": chart_monomials(c)}
              for c in fan.maximal_cones()),
             key=lambda d: d["rays"])
-        from .atlas import slope_determinants, slope_fan_is_interior_smooth
         _emit({"smooth": slope_fan_is_smooth(alphas),
                "interior_smooth": slope_fan_is_interior_smooth(alphas),
                "determinants": slope_determinants(alphas),

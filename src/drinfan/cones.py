@@ -11,10 +11,16 @@ ints.  Adjacency of rays is decided combinatorially from their tight sets.
 Canonical forms use primitive integer vectors, so cone equality and
 hashing are exact; rational input is accepted and scaled on entry.
 
+A cone's face lattice is computed once from the incidence of its rays and
+its facet inequalities: the ray sets of the faces are the intersections,
+as bitmasks, of the ray sets of the facets (see ``Cone.faces``), so no
+face is built by conversion and ``is_face_of`` is a key lookup.  A fan
+tracks its maximal cones as cones are added (``Fan.add``).
+
 Fans are validated over their maximal cones: face closure, every cone a
 face of a maximal cone, the pairwise intersection condition on maximal
 cones, and support coverage by the wall condition (see ``Fan.validate``).
-Also provided: face lattices, common refinements, Hilbert bases of dual
+Also provided: common refinements, Hilbert bases of dual
 monoids, and regularity testing with refinement by determinant-descent
 stellar subdivisions.  The last two rest on one lattice routine: the
 integer points of the half-open fundamental parallelepiped of independent
@@ -34,7 +40,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import (det, primitive, quotient_lattice_maps, rank, rref,
+from .linalg import (det, primitive, quotient_lattice_maps, rref,
                      smith_normal_form)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
@@ -184,7 +190,6 @@ class Cone:
             self._in_eqs = self._vectors(eqs, "equation")
         self._V: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
         self._H: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
-        self._facets_cache: list["Cone"] | None = None
         self._faces_cache: list["Cone"] | None = None  # proper faces only
 
     def _vectors(self, vs, what: str) -> list[tuple]:
@@ -222,15 +227,15 @@ class Cone:
     # -- representation -----------------------------------------------------
 
     def _compute(self) -> None:
-        if self._V is not None and self._H is not None:
-            return
-        if self._in_ineqs is not None:
-            self._V = _canonical(*_dd_convert(self._in_ineqs, self._in_eqs, self.n))
+        if self._V is None:
+            if self._in_ineqs is not None:
+                self._V = _canonical(*_dd_convert(self._in_ineqs, self._in_eqs, self.n))
+            else:
+                # generators given: H-rep = V-rep of the dual cone
+                self._H = _canonical(*_dd_convert(self._gen_rays, self._gen_lines, self.n))
+                self._V = _canonical(*_dd_convert(*self._H, self.n))
+        if self._H is None:
             self._H = _canonical(*_dd_convert(*self._V, self.n))
-        else:
-            # generators given: H-rep = V-rep of the dual cone
-            self._H = _canonical(*_dd_convert(self._gen_rays, self._gen_lines, self.n))
-            self._V = _canonical(*_dd_convert(*self._H, self.n))
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
         self._compute()
@@ -264,8 +269,7 @@ class Cone:
     # -- queries --------------------------------------------------------------
 
     def dim(self) -> int:
-        gens = list(self.rays()) + list(self.lines())
-        return rank(gens) if gens else 0
+        return self.n - len(self.eqs())
 
     def is_pointed(self) -> bool:
         return not self.lines()
@@ -299,52 +303,49 @@ class Cone:
     # -- faces ------------------------------------------------------------------
 
     def facets(self) -> list["Cone"]:
-        if self._facets_cache is None:
-            out = {}
-            for a in self.ineqs():
-                f = Cone.from_ineqs(self.ineqs(), n=self.n,
-                                    eqs=list(self.eqs()) + [a])
-                out[f.key()] = f
-            self._facets_cache = list(out.values())
-        return list(self._facets_cache)
+        """The facets, one per inequality, in ``ineqs()`` order."""
+        by_rays = {f.rays(): f for f in self.faces()}
+        rays = self.rays()
+        return [by_rays[tuple(r for r in rays if not _idot(a, r))]
+                for a in self.ineqs()]
 
     def faces(self) -> list["Cone"]:
-        """All faces including self and the minimal face.
+        """All faces: self first, then the proper faces by ray count.
 
-        Only the proper faces are cached, so a cone holds no reference to
-        itself and is freed without the cyclic garbage collector.  Each
-        face is one object: the cached facets of every face are repointed
-        at the first object found for that face.
+        A face is determined by the rays it contains, and its ray set is
+        an intersection of the ray sets of facets (Kaibel & Pfetsch,
+        "Computing the face lattice of a polytope from its vertex-facet
+        incidences", 2002); these are closed under ``&`` as bitmasks.  A
+        face's rays are a subsequence of self's rays, which are sorted,
+        primitive and reduced modulo the same lines, so the face's V-rep
+        is canonical as it stands.  Each face caches the faces built
+        before it that it contains, so every face is one object; self is
+        not cached in its own list, so the references form no cycle.
         """
-        if self._faces_cache is not None:
-            return [self] + self._faces_cache
-        seen: dict = {self.key(): self}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                if c.dim() == len(c.lines()):  # minimal face reached
-                    continue
-                shared = []
-                for f in c.facets():
-                    g = seen.setdefault(f.key(), f)
-                    if g is f:
-                        nxt.append(f)
-                    shared.append(g)
-                c._facets_cache = shared
-            frontier = nxt
-        self._faces_cache = list(seen.values())[1:]
+        if self._faces_cache is None:
+            rays, lines = self.rays(), self.lines()
+            facet_masks = [sum(1 << i for i, r in enumerate(rays)
+                               if not _idot(a, r)) for a in self.ineqs()]
+            full = (1 << len(rays)) - 1
+            masks, seen = [full], {full}
+            for m in masks:  # grows while read: the closure under &
+                for f in facet_masks:
+                    if m & f not in seen:
+                        seen.add(m & f)
+                        masks.append(m & f)
+            built: dict[int, Cone] = {}
+            for m in sorted(masks, key=int.bit_count)[:-1]:
+                face_rays = tuple(r for i, r in enumerate(rays) if m >> i & 1)
+                face = Cone(self.n, rays=face_rays, lines=lines)
+                face._V = (face_rays, lines)
+                face._faces_cache = [g for k, g in built.items() if k & m == k]
+                built[m] = face
+            self._faces_cache = list(built.values())
         return [self] + self._faces_cache
 
     def is_face_of(self, other: "Cone") -> bool:
-        if not other.contains_cone(self):
-            return False
-        tight = [a for a in other.ineqs()
-                 if all(_idot(a, r) == 0 for r in self.rays())
-                 and all(_idot(a, l) == 0 for l in self.lines())]
-        face = Cone.from_ineqs(other.ineqs(), n=other.n,
-                               eqs=list(other.eqs()) + tight)
-        return face == self
+        key = self.key()
+        return self.n == other.n and any(f.key() == key for f in other.faces())
 
     # -- lattice properties -------------------------------------------------------
 
@@ -362,7 +363,6 @@ class Cone:
         m = len(rays)
         if m == 0:
             return 1
-        from math import gcd
         g = 0
         for cols in itertools.combinations(range(self.n), m):
             sub = [[row[c] for c in cols] for row in rays]
@@ -379,16 +379,20 @@ class Fan:
 
     def __init__(self, cones: Iterable[Cone] = ()):
         self.cones: dict = {}
-        self._maximal: list[Cone] | None = None
+        self._maximal: list[Cone] = []
         for c in cones:
             self.add(c)
 
     def add(self, cone: Cone) -> None:
-        # the only mutation of self.cones, so the only cache invalidation
+        # a new cone's other new cones are its faces, so only the cone
+        # itself can become maximal, and it is tracked in insertion order
         if cone.key() not in self.cones:
-            self._maximal = None
             for f in cone.faces():
                 self.cones.setdefault(f.key(), f)
+            if not any(m.contains_cone(cone) for m in self._maximal):
+                self._maximal = [m for m in self._maximal
+                                 if not cone.contains_cone(m)]
+                self._maximal.append(cone)
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -400,14 +404,8 @@ class Fan:
         return cone.key() in self.cones
 
     def maximal_cones(self) -> list[Cone]:
-        """Cones contained in no other cone of the fan (a fresh list; the
-        all-pairs scan runs once per state of the fan)."""
-        if self._maximal is None:
-            all_cones = list(self.cones.values())
-            self._maximal = [
-                c for c in all_cones
-                if not any(o is not c and o.contains_cone(c)
-                           and o.key() != c.key() for o in all_cones)]
+        """Cones contained in no other cone of the fan, in the order they
+        were added (a fresh list)."""
         return list(self._maximal)
 
     def validate(self, support: Cone | None = None) -> list[str]:

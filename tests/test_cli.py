@@ -1,5 +1,6 @@
 """CLI output formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -238,3 +239,20 @@ def test_parallelepiped_over_the_cap_exits_2():
         out = run(*args)
         assert out.returncode == 2, args
         assert "lattice points" in out.stderr, args
+
+
+def test_fan_output_bytes_pinned(capsys):
+    # sha256 of stdout recorded before face lattices came from incidence
+    # and maximal cones from Fan.add; any change in fan output shows here
+    pinned = {
+        "fan refine --cone 3,0,5;1,2,5;5,1,4;4,5,0":
+            "d58acb6d247d3c6be9c409b8dfd7c7e0ea3a1f97839735d15e70a755f1f661dc",
+        "fan join --q 2 --d 4 --k 1 --kprime 2":
+            "3080785bf69d9ad8532de99fe369b08b06daa4c7ff5eb4da18db7dfc7e32378f",
+        "fan sigma-upper --q 2 --d 5 --k 2":
+            "1ac990a01b75bac43a7b7a616fda2dc31f369e28776bd4737f90ebf769e08549",
+    }
+    for command, digest in pinned.items():
+        assert cli.main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -235,6 +235,105 @@ def test_faces_cache_holds_no_reference_cycle():
         gc.enable()
 
 
+# -- face lattices from incidence against double description -----------------
+
+def _dd_facets(c):
+    """Oracle: one double-description round trip per inequality."""
+    out = {}
+    for a in c.ineqs():
+        f = Cone.from_ineqs(c.ineqs(), n=c.n, eqs=list(c.eqs()) + [a])
+        out[f.key()] = f
+    return list(out.values())
+
+
+def _dd_faces(c):
+    """Oracle: self and the facets of facets, each built by conversion."""
+    seen = {c.key(): c}
+    frontier = [c]
+    while frontier:
+        frontier = [f for x in frontier for f in _dd_facets(x)
+                    if seen.setdefault(f.key(), f) is f]
+    return list(seen.values())
+
+
+def _dd_is_face_of(c, other):
+    """Oracle: c is the face of other cut out by the inequalities tight on c."""
+    if not other.contains_cone(c):
+        return False
+    tight = [a for a in other.ineqs()
+             if all(sum(x * y for x, y in zip(a, v)) == 0
+                    for v in c.rays() + c.lines())]
+    face = Cone.from_ineqs(other.ineqs(), n=other.n,
+                           eqs=list(other.eqs()) + tight)
+    return face == c
+
+
+def _face_lattice_cases():
+    cases = [
+        Cone.from_ineqs([], n=3),  # the whole space: no inequalities
+        Cone.from_rays([], n=2),  # the origin
+        Cone.from_rays([], n=3, lines=[(1, 2, 0)]),  # a line
+        Cone.from_rays([(0, 1)], n=2, lines=[(1, 0)]),  # a half-plane
+        Cone.from_rays([(1, 0, 0), (0, 1, 0)]),  # a quadrant in R^3
+        Cone.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1),
+                        (0, -1, 0, 1)], lines=[(0, 0, 1, 0)]),
+    ]
+    for seed in range(60):
+        rng = random.Random(f"faces:{seed}")
+        n = rng.randint(1, 4)
+        if seed % 2:
+            lines = _random_vectors(rng, n, rng.choice((0, 0, 1)))
+            rays = _random_vectors(rng, n, rng.randint(0, 6))
+            if rays or lines:
+                cases.append(Cone.from_rays(rays, n=n, lines=lines))
+        else:
+            eqs = _random_vectors(rng, n, rng.choice((0, 0, 1)))
+            cases.append(Cone.from_ineqs(
+                _random_vectors(rng, n, rng.randint(0, 6)), n=n, eqs=eqs))
+    return cases
+
+
+def test_incidence_faces_match_dd_oracle():
+    cases = _face_lattice_cases()
+    assert any(c.lines() and c.ineqs() for c in cases)
+    assert any(c.eqs() and c.ineqs() for c in cases)
+    for c in cases:
+        faces = c.faces()
+        keys = [f.key() for f in faces]
+        assert faces[0] is c and len(set(keys)) == len(keys)
+        assert set(keys) == {f.key() for f in _dd_faces(c)}, c
+        # one facet per inequality, in ineqs() order, each one face object
+        facets = c.facets()
+        assert len(facets) == len(c.ineqs())
+        assert [f.key() for f in facets] == [f.key() for f in _dd_facets(c)]
+        assert all(any(f is g for g in faces) for f in facets)
+        for f in faces:
+            # the preset V-rep is canonical, and its H-rep and dim are right
+            rebuilt = Cone.from_rays(f.rays(), n=c.n, lines=f.lines())
+            assert rebuilt.key() == f.key()
+            assert (rebuilt.ineqs(), rebuilt.eqs()) == (f.ineqs(), f.eqs())
+            gens = list(f.rays()) + list(f.lines())
+            assert f.dim() == (rank(gens) if gens else 0)
+        for f, g in itertools.product(faces, repeat=2):
+            assert f.is_face_of(g) == _dd_is_face_of(f, g), (f, g)
+
+
+def test_is_face_of_matches_dd_oracle_on_non_faces():
+    quadrant = Cone.from_rays([(1, 0), (0, 1)])
+    diagonal = Cone.from_rays([(1, 1)])
+    assert not diagonal.is_face_of(quadrant)
+    assert not _dd_is_face_of(diagonal, quadrant)
+    outside = Cone.from_rays([(1, 0), (-1, 1)])
+    for a, b in itertools.permutations([quadrant, diagonal, outside], 2):
+        assert a.is_face_of(b) == _dd_is_face_of(a, b)
+    cases = _face_lattice_cases()
+    for c1, c2 in itertools.product(cases[:30], repeat=2):
+        if c1.n == c2.n:
+            for f in c1.faces():
+                assert f.is_face_of(c2) == _dd_is_face_of(f, c2), (f, c2)
+
+
 # -- fan validation over maximal cones against all pairs ---------------------
 
 def _validate_all_pairs(fan):
@@ -281,6 +380,39 @@ def test_validate_matches_all_pairs_oracle():
             assert fan.validate(support) == []
         rejected += got != []
     assert rejected == 2  # the overlapping cones, the ray inside a quadrant
+
+
+def _maximal_all_pairs(fan):
+    """Oracle: the cones of the fan contained in no other, in fan order."""
+    all_cones = list(fan)
+    return [c for c in all_cones
+            if not any(o is not c and o.contains_cone(c) and o.key() != c.key()
+                       for o in all_cones)]
+
+
+def _assert_maximal_matches_oracle(fan):
+    assert [c.key() for c in fan.maximal_cones()] == \
+        [c.key() for c in _maximal_all_pairs(fan)]
+
+
+def test_maximal_cones_match_all_pairs_oracle(monkeypatch):
+    for fan, _ in _validation_cases():
+        _assert_maximal_matches_oracle(fan)
+    steps = []
+    subdivide = Fan.stellar_subdivide
+
+    def recorded(self, w):
+        steps.append(subdivide(self, w))
+        return steps[-1]
+
+    monkeypatch.setattr(Fan, "stellar_subdivide", recorded)
+    for rays in ([(1, 0), (1, 4)], [(1, 0), (2, 5)],
+                 [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],
+                 [(1, 0, 0), (0, 1, 0), (1, 2, 7)]):
+        Fan([Cone.from_rays(rays)]).regular_refinement()
+    assert len(steps) > 10
+    for fan in steps:
+        _assert_maximal_matches_oracle(fan)
 
 
 # -- lattice points of fundamental parallelepipeds ----------------------------

@@ -195,3 +195,16 @@ def test_sigma_upper_d6_k1_builds_and_validates():
     assert len(fan) == 2 ** 5  # the faces of the simplicial cone C_6
     assert [c.key() for c in fan.maximal_cones()] == [cone_Cd(6).key()]
     assert fan.validate(cone_Cd(6)) == []
+
+
+def test_sigma_upper_d7_k1_validates():
+    fan = sigma_upper_fan(2, 7, 1)
+    assert len(fan) == 2 ** 6
+    assert fan.validate(cone_Cd(7)) == []
+
+
+def test_sigma_upper_d6_k2_size_and_validation():
+    fan = sigma_upper_fan(2, 6, 2)
+    assert len(fan) == 568
+    assert len(fan.maximal_cones()) == 42
+    assert fan.validate(cone_Cd(6)) == []
