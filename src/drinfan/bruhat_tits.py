@@ -159,6 +159,8 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
     (a_i - a_j); the two descriptions are asserted to agree.
     """
     check_q(q)
+    if r < 1:
+        raise ValueError("rank parameter r must be >= 1")
     sets = [canonical_exponents(e) for e in exponent_sets]
     if not sets:
         raise ValueError("need at least one lattice class")

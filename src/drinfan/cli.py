@@ -258,25 +258,32 @@ def _write_dot(comps, edges, path: str) -> None:
 
 
 def cmd_satake_check(args) -> int:
-    rows = []
-    ok1 = symmetric_identity_holds(2)
-    rows.append(("satake", "symmetric-identity", "True", str(ok1),
-                 "pass" if ok1 else "FAIL"))
-    exps = division_polynomial_exponents(2)
-    ok2 = exps == [1, 2, 4, 8]
-    rows.append(("satake", "division-exponents", "[1, 2, 4, 8]", str(exps),
-                 "pass" if ok2 else "FAIL"))
-    ok3 = division_polynomial_is_symmetric(2)
-    rows.append(("satake", "gl3-invariance", "True", str(ok3),
-                 "pass" if ok3 else "FAIL"))
-    _print_tsv(rows)
-    return 0 if ok1 and ok2 and ok3 else CHECK_FAILED
+    return _report([
+        ("satake", "symmetric-identity", True, symmetric_identity_holds(2)),
+        ("satake", "division-exponents", [1, 2, 4, 8],
+         division_polynomial_exponents(2)),
+        ("satake", "gl3-invariance", True, division_polynomial_is_symmetric(2)),
+    ])
 
 
-def _print_tsv(rows) -> None:
+def _report(rows, shown=lambda row: True, tally: bool = False) -> int:
+    """Print (suite, case, expected, got) rows as a TSV report and return
+    the exit code.
+
+    A row passes when expected == got.  Failing rows are always printed,
+    passing ones when ``shown`` picks them; ``tally`` adds a closing
+    "# failures: N" line.
+    """
     print("suite\tcase\texpected\tgot\tstatus")
+    failures = 0
     for row in rows:
-        print("\t".join(str(x) for x in row))
+        ok = row[2] == row[3]
+        failures += not ok
+        if not ok or shown(row):
+            print("\t".join(map(str, row + ("pass" if ok else "FAIL",))))
+    if tally:
+        print(f"# failures: {failures}")
+    return CHECK_FAILED if failures else 0
 
 
 def _rand_frac(rng: random.Random) -> Fraction:
@@ -296,7 +303,6 @@ def cmd_verify(args) -> int:
 def _verify_identities(args) -> int:
     rng = random.Random(f"{args.seed}:identities")
     rows = []
-    failures = 0
     count = args.count
     for q in (2, 3):
         for case in range(count):
@@ -304,86 +310,53 @@ def _verify_identities(args) -> int:
             n = rng.randint(1, 3)
             w = sorted(_rand_frac(rng) for _ in range(n))
             x = _rand_frac(rng) * max(w)
-            got = eps_mod.epsilon_closed(q, r, w, x)
-            want = eps_mod.epsilon_oracle(q, r, w, x)
-            ok = got == want
-            failures += not ok
-            if case < 3 or not ok:
-                rows.append((f"closed-vs-oracle-q{q}", case,
-                             _frac_str(want), _frac_str(got),
-                             "pass" if ok else "FAIL"))
+            rows.append((f"closed-vs-oracle-q{q}", case,
+                         eps_mod.epsilon_oracle(q, r, w, x),
+                         eps_mod.epsilon_closed(q, r, w, x)))
         for case in range(count):
             r = rng.randint(1, 3)
             n = rng.randint(1, 3)
             w = sorted(_rand_frac(rng) for _ in range(n))
             x = _rand_frac(rng) * max(w) + max(w)  # x >= s_n
-            lhs = eps_mod.epsilon_hat(q, r, w, q ** r * x)
-            rhs = q ** (r + n) * eps_mod.epsilon_hat(q, r, w, x)
-            ok = lhs == rhs
-            failures += not ok
-            if case < 3 or not ok:
-                rows.append((f"scaling-q{q}", case, _frac_str(rhs),
-                             _frac_str(lhs), "pass" if ok else "FAIL"))
+            rows.append((f"scaling-q{q}", case,
+                         q ** (r + n) * eps_mod.epsilon_hat(q, r, w, x),
+                         eps_mod.epsilon_hat(q, r, w, q ** r * x)))
         for case in range(count):
             r = rng.randint(1, 3)
             n = rng.randint(2, 3)
             w = sorted(_rand_frac(rng) for _ in range(n))
-            lhs = eps_mod.delta(q, r, w)
             s1 = w[0]
             rest = [eps_mod.epsilon_hat1(q, r, s1, t) for t in w[1:]]
-            rhs = eps_mod.delta(q, r, [s1]) + eps_mod.delta(q, r + 1, rest)
-            ok = lhs == rhs
-            failures += not ok
-            if case < 3 or not ok:
-                rows.append((f"delta-split-q{q}", case, _frac_str(rhs),
-                             _frac_str(lhs), "pass" if ok else "FAIL"))
+            rows.append((f"delta-split-q{q}", case,
+                         eps_mod.delta(q, r, [s1]) + eps_mod.delta(q, r + 1, rest),
+                         eps_mod.delta(q, r, w)))
         for case in range(count):
             r = rng.randint(1, 3)
             n = rng.randint(1, 3)
             w = sorted(_rand_frac(rng) for _ in range(n + 1))
-            lhs = eps_mod.delta(q, r, w)
-            rhs = (eps_mod.delta(q, r, w[:-1])
-                   + Fraction(q - 1, q ** (r + n + 1) - 1)
-                   * eps_mod.epsilon_hat(q, r, w[:-1], w[-1]))
-            ok = lhs == rhs
-            failures += not ok
-            if case < 3 or not ok:
-                rows.append((f"delta-extend-q{q}", case, _frac_str(rhs),
-                             _frac_str(lhs), "pass" if ok else "FAIL"))
-    _print_tsv(rows)
-    print(f"# failures: {failures}")
-    return 0 if failures == 0 else CHECK_FAILED
+            rows.append((f"delta-extend-q{q}", case,
+                         eps_mod.delta(q, r, w[:-1])
+                         + Fraction(q - 1, q ** (r + n + 1) - 1)
+                         * eps_mod.epsilon_hat(q, r, w[:-1], w[-1]),
+                         eps_mod.delta(q, r, w)))
+    return _report(rows, shown=lambda row: row[1] < 3, tally=True)
 
 
 def _verify_tate(args) -> int:
     rows = []
-    failures = 0
     for (q, r, ms) in [(2, 1, [1]), (2, 1, [2]), (3, 1, [1]), (2, 1, [1, 3])]:
-        module, steps = iterate_tate(q, r, ms, args.precision)
-        field = gf(q)
-        N = Poly.T(field)
-        actual = torsion_valuations(module, N)
-        predicted = predicted_torsion_valuations(q, r, ms, N)
-        ok = actual == predicted
-        failures += not ok
+        module, _ = iterate_tate(q, r, ms, args.precision)
+        N = Poly.T(gf(q))
         rows.append((f"tate-q{q}-r{r}", ",".join(map(str, ms)),
-                     str(predicted), str(actual), "pass" if ok else "FAIL"))
-    _print_tsv(rows)
-    return 0 if failures == 0 else CHECK_FAILED
+                     predicted_torsion_valuations(q, r, ms, N),
+                     torsion_valuations(module, N)))
+    return _report(rows)
 
 
 def _verify_sigk3(args) -> int:
-    rows = []
-    failures = 0
-    for k in (1, 2, 3):
-        fan = sigma_upper_fan(args.q, 3, k)
-        got = len(fan.maximal_cones())
-        ok = got == k
-        failures += not ok
-        rows.append((f"sigk3-q{args.q}", f"k={k}", k, got,
-                     "pass" if ok else "FAIL"))
-    _print_tsv(rows)
-    return 0 if failures == 0 else CHECK_FAILED
+    return _report([(f"sigk3-q{args.q}", f"k={k}", k,
+                     len(sigma_upper_fan(args.q, 3, k).maximal_cones()))
+                    for k in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------

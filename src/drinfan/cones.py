@@ -9,7 +9,10 @@ integer vector, every new line or ray is an integer combination of two
 old ones divided by the gcd of its entries, and all arithmetic is on plain
 ints.  Adjacency of rays is decided combinatorially from their tight sets.
 Canonical forms use primitive integer vectors, so cone equality and
-hashing are exact; rational input is accepted and scaled on entry.
+hashing are exact; rational input is accepted and scaled on entry.  The
+canonical form is fraction-free too: the lines are brought to reduced
+row echelon form by Gauss-Jordan steps made of the same integer
+combinations, and the rays are reduced modulo them (``_canonical``).
 
 A cone's face lattice is computed once from the incidence of its rays and
 its facet inequalities: the ray sets of the faces are the intersections,
@@ -29,7 +32,12 @@ rays, enumerated exactly from the Smith normal form of the ray matrix
 Number Theory", 2.4).  A dual-monoid Hilbert basis is taken from the rays
 and those points over a triangulation of the dual cone, projected modulo
 its lineality space (Bruns & Gubeladze, "Polytopes, Rings, and K-Theory",
-ch. 2); a descent point is one of those points of a non-regular cone.
+ch. 2), and reduced greedily by a positive functional.  The projected
+monoid is saturated (all lattice points of its cone), so a candidate x is
+reducible iff x - h lies in the cone for a basis element h found before
+it (Bruns & Ichim, "Normaliz: algorithms for affine monoids and rational
+cones", J. Algebra 324, 2010).  A descent point is one of the
+parallelepiped points of a non-regular cone.
 """
 
 from __future__ import annotations
@@ -40,8 +48,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import (det, primitive, quotient_lattice_maps, rref,
-                     smith_normal_form)
+from .linalg import det, primitive, quotient_lattice_maps, smith_normal_form
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -54,6 +61,10 @@ def _neg(v):
     return tuple(-x for x in v)
 
 
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _idot(a, b):
     """Dot product without conversions (ints, or ints and Fractions)."""
     return sum(map(mul, a, b))
@@ -62,16 +73,6 @@ def _idot(a, b):
 def _exact(v) -> tuple:
     """v with every entry an int or a Fraction."""
     return tuple(x if type(x) is int else Fraction(x) for x in v)
-
-
-def _int_primitive(v) -> tuple[int, ...] | None:
-    """v scaled to a primitive integer vector; None for the zero vector."""
-    if all(type(x) is int for x in v):
-        g = gcd(*v)
-        if g == 0:
-            return None
-        return tuple(v) if g == 1 else tuple(x // g for x in v)
-    return primitive(v) if any(v) else None
 
 
 def _combine(c1: int, v1, c2: int, v2) -> tuple[int, ...]:
@@ -96,13 +97,12 @@ def _dd_convert(ineqs: Sequence[Sequence], eqs: Sequence[Sequence], n: int
     rays: list[tuple[int, ...]] = []
     constraints: list[tuple[int, ...]] = []
     for e in eqs:
-        e = _int_primitive(e)
-        if e is not None:
+        if any(e):
+            e = primitive(e)
             constraints += (e, _neg(e))
     for a in ineqs:
-        a = _int_primitive(a)
-        if a is not None:  # 0 >= 0 holds everywhere
-            constraints.append(a)
+        if any(a):  # 0 >= 0 holds everywhere
+            constraints.append(primitive(a))
 
     processed: list[tuple[int, ...]] = []
     for a in constraints:
@@ -148,29 +148,44 @@ def _canonical(rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]]
                ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Canonical (rays, lines) of the cone generated by rays and lines.
 
-    Lines become the primitive rows of the reduced row echelon form of
-    their span, sorted; each ray is reduced modulo that span (its pivot
-    coordinates zeroed) and made primitive.  Rays are sorted and distinct.
+    The inputs are primitive integer vectors, as ``_dd_convert`` returns
+    them.  Lines become the primitive rows of the reduced row echelon form
+    of their span, sorted; each ray is reduced modulo that span (its pivot
+    coordinates zeroed) and stays primitive.  Rays are sorted and distinct.
+
+    The echelon form is fraction-free Gauss-Jordan by ``_combine``: each
+    line is reduced modulo the rows so far, its pivot made positive, and
+    its pivot column cleared from the older rows.  Every row stays a
+    positive multiple of the row of the rational reduced echelon form, and
+    every reduced ray of the rational reduction, so after division by the
+    gcd both are the primitive vectors exact elimination would give.
     """
-    if not lines:
-        crays = {_int_primitive(r) for r in rays}
-        crays.discard(None)
-        return tuple(sorted(crays)), ()
-    red, pivots = rref(lines)
-    red = red[:len(pivots)]
-    clines = tuple(sorted(primitive(row) for row in red))
+    rows: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    for l in lines:
+        for row, pc in zip(rows, pivots):
+            if l[pc]:
+                l = _combine(row[pc], l, -l[pc], row)
+        pc = next((j for j, x in enumerate(l) if x), None)
+        if pc is None:
+            continue
+        if l[pc] < 0:
+            l = _neg(l)
+        rows = [_combine(l[pc], row, -row[pc], l) if row[pc] else row
+                for row in rows]
+        rows.append(l)
+        pivots.append(pc)
     crays = set()
     for r in rays:
-        v = list(r)
-        for row, pc in zip(red, pivots):
+        v = r
+        for row, pc in zip(rows, pivots):
             if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
+                v = _combine(row[pc], v, -v[pc], row)
         if any(v):
-            crays.add(primitive(v))
+            crays.add(v)
         elif any(r):
             raise ValueError("ray lies in the lineality space")
-    return tuple(sorted(crays)), clines
+    return tuple(sorted(crays)), tuple(sorted(rows))
 
 
 class Cone:
@@ -606,21 +621,6 @@ def _triangulate(cone: Cone) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _monoid_member(x: tuple[int, ...], gens: list[tuple[int, ...]],
-                   cone: Cone, memo: dict) -> bool:
-    if all(v == 0 for v in x):
-        return True
-    if x in memo:
-        return memo[x]
-    memo[x] = False  # guards against cycles (none expected: functional drops)
-    for g in gens:
-        y = tuple(a - b for a, b in zip(x, g))
-        if cone.contains(y) and _monoid_member(y, gens, cone, memo):
-            memo[x] = True
-            break
-    return memo[x]
-
-
 def dual_monoid_hilbert_basis(cone: Cone) -> dict:
     """Hilbert basis of {y in Z^n : y . x >= 0 for all x in cone}.
 
@@ -649,16 +649,15 @@ def dual_monoid_hilbert_basis(cone: Cone) -> dict:
     # strictly positive functional on the pointed cone
     ell = [sum(col) for col in zip(*pcone.ineqs())]
     ordered = sorted(candidates, key=lambda x: (_idot(ell, x), x))
+    # the monoid is pcone & Z^k, so x is reducible iff x - h lies in pcone
+    # for some basis element h of smaller ell, all of which come earlier
     basis: list[tuple[int, ...]] = []
-    memo: dict = {}
     for x in ordered:
-        if not _monoid_member(x, basis, pcone, memo):
+        if not any(pcone.contains(_sub(x, h)) for h in basis):
             basis.append(x)
-            memo.clear()
-    # removal certification
-    for g in basis:
-        others = [h for h in basis if h != g]
-        assert not _monoid_member(g, others, pcone, {}), \
+    # removal certification, by the same criterion over all pairs
+    for g, h in itertools.permutations(basis, 2):
+        assert not pcone.contains(_sub(g, h)), \
             "Hilbert basis element generated by the others"
     gens = [lift(b) for b in basis]
     lin = [tuple(b) for b in sat_basis]

@@ -29,6 +29,7 @@ insufficient, never a silently wrong answer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -84,6 +85,8 @@ class DrinfeldModule:
 def standard_module(q: int, r: int) -> DrinfeldModule:
     """psi(T) = t z + z^{q^r} (rank r, good reduction rank r ... its
     reduction has rank r; the t-coefficient realizes the structure map)."""
+    if r < 1:
+        raise ValueError("rank parameter r must be >= 1")
     field = gf(q)
     return DrinfeldModule(field, AdditiveSeries(field, {
         0: LaurentSeries.t_power(field, 1),
@@ -203,27 +206,21 @@ def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
         coeffs[i] = (ci * c0_inv).truncate(precision + 1)
     coeffs[0] = LaurentSeries.one(field, precision + 1)
     e = AdditiveSeries(field, coeffs)
-    # triangular solve of phi(T) e = e psi(T)
+    # triangular solve of phi(T) e = e psi(T): e_0 = 1 exactly, so the
+    # k-th unknown equals the residual for k <= r + 1, and past the top
+    # the residual must vanish to working precision
     rhs = e.compose(module.phi_T)
-    n_tau = e.tau_degree()
     phi_coeffs: dict[int, LaurentSeries] = {}
-    for k in range(r + 2):
+    for k in range(r + 2 + e.tau_degree()):
         acc = rhs.coeff(k)
-        for i in range(k):
-            if i in phi_coeffs:
-                acc = acc - phi_coeffs[i] * e.coeff(k - i).frobenius_power(i)
-        # e_0 = 1 exactly, so the k-th unknown equals the residual
-        if not acc.is_zero_to_precision():
-            phi_coeffs[k] = acc
-    # tail must vanish to working precision
-    for k in range(r + 2, r + 2 + n_tau):
-        acc = rhs.coeff(k)
-        for i in range(min(k, r + 1) + 1):
-            if i in phi_coeffs:
-                acc = acc - phi_coeffs[i] * e.coeff(k - i).frobenius_power(i)
-        if not acc.is_zero_to_precision():
+        for i, c in phi_coeffs.items():
+            acc = acc - c * e.coeff(k - i).frobenius_power(i)
+        if acc.is_zero_to_precision():
+            continue
+        if k > r + 1:
             raise PrecisionError(
                 f"quotient relation residual at tau^{k} does not vanish")
+        phi_coeffs[k] = acc
     # structure-map sanity: the linear coefficient must be t.  A missing
     # key is a coefficient that vanished to working precision.
     if 0 not in phi_coeffs:
@@ -301,7 +298,6 @@ def predicted_torsion_valuations(q: int, r: int, ms: Sequence[int],
     for val, mult in torsion_valuations(base, N):
         counts[Fraction(val)] = counts.get(Fraction(val), 0) + mult
     reps = list(polys_of_degree_at_most(field, k - 1))
-    import itertools
     for tup in itertools.product(reps, repeat=n):
         if all(a.is_zero() for a in tup):
             continue

@@ -1,6 +1,9 @@
 """Exact linear algebra over a field, over an integral domain, and over Z.
 
-This module is the only place in drinfan that eliminates.
+Field elimination lives here, and only here.  The cone engine eliminates
+over Z with its own integer combination step (``cones._combine``), in its
+double description and its canonical form, on ints throughout once
+rational input is scaled to primitive integer vectors.
 
 * Gauss-Jordan over an exact field: ``rref`` and the ``rank``,
   ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
@@ -8,9 +11,10 @@ This module is the only place in drinfan that eliminates.
   entries of F_q(T).  The field is the one the entries live in.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
-* Over Z: primitive vectors, Smith normal form with transformation
-  matrices, a basis of the saturated integer kernel (``int_kernel_basis``)
-  and quotient coordinates for Z^n modulo a saturated sublattice
+* Over Z: primitive vectors (an all-int vector is divided by its gcd,
+  with no ``Fraction``), Smith normal form with transformation matrices,
+  a basis of the saturated integer kernel (``int_kernel_basis``) and
+  quotient coordinates for Z^n modulo a saturated sublattice
   (``quotient_lattice_maps``).  The cone engine uses the Smith form for
   parallelepiped points and the quotient coordinates for Hilbert bases.
   ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
@@ -178,7 +182,16 @@ def det(m: Sequence[Sequence]):
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same direction)."""
+    """Scale a rational vector to a primitive integer vector (same direction).
+
+    An all-int vector is divided by the gcd of its entries, with no
+    ``Fraction`` made.
+    """
+    if all(type(x) is int for x in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("cannot normalize the zero vector")
+        return tuple(v) if g == 1 else tuple(x // g for x in v)
     fv = [Fraction(x) for x in v]
     if all(x == 0 for x in fv):
         raise ValueError("cannot normalize the zero vector")

@@ -261,13 +261,10 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
 
 
 def _image_cone(q: int, k: int, sigma: Cone) -> Cone:
-    d = sigma.n + 1
     img_rays = []
     for g in sigma.rays():
         img = xi_eval(q, k, ClassPoint.from_coords(g)).values
         img_rays.append(primitive(img))
-    if not img_rays:
-        return Cone.from_rays([], n=sigma.n)
     return Cone.from_rays(img_rays, n=sigma.n)
 
 

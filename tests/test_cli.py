@@ -175,7 +175,10 @@ def test_bad_vectors_exit_2():
                  ("bt", "simplex", "--q", "6", "--n", "2"),
                  ("eps", "eval", "--q", "6", "--weights", "2", "--x", "3"),
                  ("xi", "eval", "--q", "6", "--coords", "1,2"),
-                 ("fan", "sigma-upper", "--q", "6")):
+                 ("fan", "sigma-upper", "--q", "6"),
+                 ("bt", "simplex", "--q", "2", "--r", "-1"),
+                 ("bt", "simplex", "--q", "2", "--r", "0"),
+                 ("tate", "quotient", "--q", "2", "--r", "0", "--ms", "1")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args
@@ -243,7 +246,8 @@ def test_parallelepiped_over_the_cap_exits_2():
 
 def test_fan_output_bytes_pinned(capsys):
     # sha256 of stdout recorded before face lattices came from incidence
-    # and maximal cones from Fan.add; any change in fan output shows here
+    # and maximal cones from Fan.add (the first three), and before the cone
+    # engine became integer-only (the rest); any change in output shows here
     pinned = {
         "fan refine --cone 3,0,5;1,2,5;5,1,4;4,5,0":
             "d58acb6d247d3c6be9c409b8dfd7c7e0ea3a1f97839735d15e70a755f1f661dc",
@@ -251,6 +255,22 @@ def test_fan_output_bytes_pinned(capsys):
             "3080785bf69d9ad8532de99fe369b08b06daa4c7ff5eb4da18db7dfc7e32378f",
         "fan sigma-upper --q 2 --d 5 --k 2":
             "1ac990a01b75bac43a7b7a616fda2dc31f369e28776bd4737f90ebf769e08549",
+        # pointed, full-dimensional: the dual monoid is pointed
+        "hilbert --cone 1,2,3;2,-1,1;0,1,-1":
+            "0e723715cf9808b60d1c2477965df7e9acdf2956e330438a4c754d56716532c0",
+        # not full-dimensional: the dual has lineality
+        "hilbert --cone 3,1,0,0;1,3,0,0;0,0,1,2":
+            "b7a7a1bc2d047578c5385d5a672f5c433b133869948fd1124d433faa171c38b5",
+        "bt cone --q 2 --sets 0,0,1;0,1,1":
+            "23af9951cfad2c3783e244410b24b57f4a2656262aa94299615f86504a23f3b7",
+        "atlas charts --alphas 3/2,5/2,4":
+            "8c818e3973f4a7bd7b341856835b6746eb2269bf5b5372e4f33db3781d8c719a",
+        "satake-check":
+            "2782f1159b7349710d777cd5f478930878b809def91d803181a8589be8b7f83b",
+        "verify identities --q 3 --seed 4 --count 30":
+            "dd454b9d139ae735a6351a4654911425753434960dccfccd7730fb4b6e267461",
+        "verify sigk3 --q 3":
+            "61d3e8e7926bdd06402efa1ff5b3b408b6f5d9b28ec1ecbab1ea5913c87830de",
     }
     for command, digest in pinned.items():
         assert cli.main(command.split()) == 0, command

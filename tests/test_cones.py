@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from drinfan import cones
 from drinfan.cones import (Cone, Fan, _parallelepiped_points,
                            dual_monoid_hilbert_basis)
-from drinfan.linalg import det, mat_inv, rank, rref, smith_normal_form, solve
+from drinfan.linalg import (det, mat_inv, primitive, rank, rref,
+                            smith_normal_form, solve)
 from drinfan.xi import cone_Cd, sigma_upper_fan
 
 
@@ -220,6 +221,48 @@ def test_dd_convert_random_integer_cones():
                              eqs=[_scaled(rng, e, False) for e in eqs])
         assert hs.key() == h.key(), seed
         _check_rays_against_facets(h)
+
+
+def _rref_canonical(rays, lines):
+    """Oracle for ``cones._canonical``: rational reduced row echelon form
+    of the lines, rays reduced modulo it, everything made primitive."""
+    if not lines:
+        return tuple(sorted({primitive(r) for r in rays if any(r)})), ()
+    red, pivots = rref(lines)
+    red = red[:len(pivots)]
+    clines = tuple(sorted(primitive(row) for row in red))
+    crays = set()
+    for r in rays:
+        v = list(r)
+        for row, pc in zip(red, pivots):
+            if v[pc]:
+                f = v[pc]
+                v = [x - f * y for x, y in zip(v, row)]
+        if any(v):
+            crays.add(primitive(v))
+        elif any(r):
+            raise ValueError("ray lies in the lineality space")
+    return tuple(sorted(crays)), clines
+
+
+def test_canonical_matches_rref_oracle():
+    with_lines = big = 0  # cases with two or more lines, with large entries
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        bound = rng.choice((3, 3, 10 ** 7))
+        gens = _random_vectors(rng, n, rng.randint(1, 6), -bound, bound)
+        lines = _random_vectors(rng, n, rng.choice((0, 1, 2, 3)), -bound,
+                                bound)
+        # both directions: generators to H-rep and inequalities to V-rep
+        for vs, ls in ((gens, lines), (lines, gens[:2])):
+            out_rays, out_lines = cones._dd_convert(vs, ls, n)
+            assert cones._canonical(out_rays, out_lines) == \
+                _rref_canonical(out_rays, out_lines), seed
+            with_lines += len(out_lines) > 1
+            big += any(abs(x) > 10 ** 6 for v in out_rays + out_lines
+                       for x in v)
+    assert with_lines > 10 and big > 10
 
 
 def test_faces_cache_holds_no_reference_cycle():

@@ -79,6 +79,17 @@ def test_mat_inv():
 def test_primitive():
     assert primitive((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
     assert primitive((Fraction(0), Fraction(-2))) == (0, -1)
+    # all-int vectors: divided by the gcd, signs kept
+    assert primitive((4, -6, 0)) == (2, -3, 0)
+    assert primitive((-3, 0)) == (-1, 0)
+    assert primitive((5, 7)) == (5, 7)
+    assert all(type(x) is int for x in primitive((4, -6, 0)))
+    # ints mixed with Fractions
+    assert primitive((2, Fraction(1, 3))) == (6, 1)
+    assert primitive((Fraction(-4), 6)) == (-2, 3)
+    for zero in ((0, 0), (Fraction(0), 0), ()):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive(zero)
 
 
 def _perm_det(m, zero, one):
