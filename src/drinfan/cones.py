@@ -36,7 +36,9 @@ ch. 2), and reduced greedily by a positive functional.  The projected
 monoid is saturated (all lattice points of its cone), so a candidate x is
 reducible iff x - h lies in the cone for a basis element h found before
 it (Bruns & Ichim, "Normaliz: algorithms for affine monoids and rational
-cones", J. Algebra 324, 2010).  A descent point is one of the
+cones", J. Algebra 324, 2010); that test compares the integer values of x
+and h on the cone's equations and inequalities, computed once per
+candidate.  A descent point is one of the
 parallelepiped points of a non-regular cone.
 """
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .linalg import det, primitive, quotient_lattice_maps, smith_normal_form
@@ -650,11 +652,19 @@ def dual_monoid_hilbert_basis(cone: Cone) -> dict:
     ell = [sum(col) for col in zip(*pcone.ineqs())]
     ordered = sorted(candidates, key=lambda x: (_idot(ell, x), x))
     # the monoid is pcone & Z^k, so x is reducible iff x - h lies in pcone
-    # for some basis element h of smaller ell, all of which come earlier
+    # for some basis element h of smaller ell, all of which come earlier;
+    # x - h lies in pcone iff x and h agree on every equation and x is at
+    # least h on every inequality
+    eqs, ineqs = pcone.eqs(), pcone.ineqs()
     basis: list[tuple[int, ...]] = []
+    basis_values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for x in ordered:
-        if not any(pcone.contains(_sub(x, h)) for h in basis):
+        ex = tuple(_idot(e, x) for e in eqs)
+        ix = tuple(_idot(a, x) for a in ineqs)
+        if not any(eh == ex and all(map(le, ih, ix))
+                   for eh, ih in basis_values):
             basis.append(x)
+            basis_values.append((ex, ix))
     # removal certification, by the same criterion over all pairs
     for g, h in itertools.permutations(basis, 2):
         assert not pcone.contains(_sub(g, h)), \

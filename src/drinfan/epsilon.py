@@ -38,7 +38,10 @@ entries) keyed on (q, r, checked weight tuple).  Stage i depends only on
 s_1..s_{i+1}, so the chain of a vector extends the cached chain of its
 prefix by one stage.  epsilon_closed, epsilon_inv, delta, epsilon_hat and
 epsilon_hat_inv take their stages and delta from it, so the d-r coordinate
-calls that xi_eval and pi_eval make on one point share a single chain.
+calls that xi_eval makes to epsilon_closed on one point (and pi_eval to
+epsilon_hat) share a single chain.  xi_eval skips the epsilon dispatcher:
+the values of a ClassPoint are weakly increasing, and _stages rejects any
+other weight vector.
 Only results are cached: an invalid weight vector raises on every call.
 q and r are checked before the weights on every call, so an empty weight
 vector (epsilon the identity, delta zero) is checked like any other.

@@ -24,9 +24,11 @@ from typing import Iterator, Sequence
 __all__ = ["GF", "Poly", "RatFunc", "check_q", "is_prime_power"]
 
 
+@lru_cache(maxsize=128, typed=True)
 def _prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q == p**e and p prime, by trial division up to sqrt(q);
-    ValueError if q is not a prime power."""
+    ValueError if q is not a prime power.  Results are memoized; an
+    exception is not, so an invalid q raises on every call."""
     if q < 2:
         raise ValueError("q must be at least 2")
     p = next((p for p in range(2, isqrt(q) + 1) if q % p == 0), q)

@@ -9,6 +9,9 @@ rational input is scaled to primitive integer vectors.
   ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
   ``fractions.Fraction`` entries (ints are promoted) or on ``RatFunc``
   entries of F_q(T).  The field is the one the entries live in.
+  ``solve`` takes one right-hand side or a matrix of them (one row per
+  equation, as ``numpy.linalg.solve`` does) and eliminates ``[A | B]``
+  once for all of its columns.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
@@ -51,11 +54,13 @@ def _zero_one(x) -> tuple:
 
 
 def frac_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum(((x if type(x) is Fraction else Fraction(x))
+                * (y if type(y) is Fraction else Fraction(y))
+                for x, y in zip(a, b)), Fraction(0))
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
@@ -115,19 +120,31 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One solution of A x = b (free unknowns 0), or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+def solve(rows: Sequence[Sequence], rhs: Sequence):
+    """One solution of A x = b (free unknowns 0), or None if inconsistent.
+
+    rhs is a vector b, or a matrix B given by its rows, one per equation
+    (as in numpy.linalg.solve).  For a matrix the result is X, as a tuple of
+    rows, one per unknown, with A X = B: one elimination of [A | B] solves
+    every column, each column exactly as a solve of that column alone
+    would, and the result is None if any column is inconsistent.  The
+    first pivot in the B columns marks the first inconsistent column.
+    """
+    matrix = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    aug = [list(r) + (list(b) if matrix else [b]) for r, b in zip(rows, rhs)]
     if not aug:
         return ()
     n = len(rows[0])
     red, pivots = rref(aug)
-    if n in pivots:
+    if pivots and pivots[-1] >= n:
         return None
-    x = [_zero_one(red[0][0])[0]] * n
+    zero = _zero_one(red[0][0])[0]
+    x = [[zero] * (len(aug[0]) - n)] * n
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
-    return tuple(x)
+        x[pc] = red[r][n:]
+    if matrix:
+        return tuple(tuple(row) for row in x)
+    return tuple(row[0] for row in x)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:

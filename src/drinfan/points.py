@@ -26,7 +26,8 @@ class ClassPoint:
             raise ValueError("need d-1 coordinates for a point of C_d")
         if self.pow_exponent < 1:
             raise ValueError("pow_exponent must be >= 1")
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v)
+                     for v in self.values)
         if any(v < 0 for v in vals):
             raise ValueError("stored powers must be nonnegative")
         if any(a > b for a, b in zip(vals, vals[1:])):
@@ -35,7 +36,8 @@ class ClassPoint:
 
     @staticmethod
     def from_coords(coords, d: int | None = None) -> "ClassPoint":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c)
+                       for c in coords)
         return ClassPoint(d or len(coords) + 1, coords, 1)
 
     def stratum(self) -> int:

@@ -9,8 +9,9 @@ Contents:
 * the rescaling maps xi_k (evaluated stratum by stratum on power
   coordinates, always landing in rational coordinates),
 * exact linearization: on each cone sigma of Sigma^(k), xi_{k'} factors as
-  a single linear map applied to pi; the matrix is recovered by exact
-  sampling and certified on generators plus interior points,
+  a single linear map applied to pi; the matrix comes from one exact
+  elimination over interior samples, each evaluated once (pi and xi from
+  one ClassPoint), and is certified on generators plus interior points,
 * the image fans Sigma_k = {xi_k(sigma)} and the piecewise-linear
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces.
 """
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .epsilon import delta, epsilon, epsilon_hat
+from .epsilon import delta, epsilon_closed, epsilon_hat
 from .gf import check_q
 from .linalg import frac_vec, mat_inv, mat_mul, mat_vec, primitive, solve
 from .points import ClassPoint
@@ -53,6 +54,11 @@ def cone_Cd(d: int) -> Cone:
     return Cone.from_ineqs(ineqs, n=n)
 
 
+def _check_levels(*ks: int) -> None:
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+
+
 def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
     """The full-dimensional pieces of a full-dimensional pointed cone cut
     by the hyperplane form = 0: the cone itself if the form has one sign on
@@ -78,8 +84,7 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
     is the fan those cells form, and the cost grows with the output.
     """
     check_q(q)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_levels(k)
     n = d - 1
     maximal = [cone_Cd(d)]
     for i in range(2, n + 1):
@@ -175,17 +180,19 @@ def delta_tilde(q: int, point: ClassPoint, i: int) -> Fraction:
 
 
 def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
-    """The rescaling map xi^d_k; output always has rational coordinates."""
+    """The rescaling map xi^d_k; output always has rational coordinates.
+
+    Coordinate i >= r is epsilon^{r, d-r}_{p_r..p_{d-1}}(q^{-k r} p_i), by
+    the closed form: the values of a ClassPoint are weakly increasing."""
     check_q(q)
+    _check_levels(k)
     d = point.d
     r, p = _point_powers(point)
-    out = []
-    for i in range(1, d):
-        if i < r:
-            out.append(Fraction(0))
-        else:
-            arg = Fraction(q) ** (-k * r) * p[i - 1]
-            out.append(epsilon(q, r, p[r - 1:], arg))
+    weights = p[r - 1:]
+    scale = Fraction(q) ** (-k * r)  # a Fraction power: never a float
+    out = [Fraction(0)] * (r - 1)
+    out += [epsilon_closed(q, r, weights, scale * p[i - 1])
+            for i in range(r, d)]
     return ClassPoint.from_coords(out, d)
 
 
@@ -202,7 +209,7 @@ def interior_samples(sigma: Cone, rng: random.Random, count: int
     out = []
     for _ in range(count):
         cs = [rng.randint(1, 9) for _ in rays]
-        out.append(tuple(sum(Fraction(c * g[i]) for c, g in zip(cs, rays))
+        out.append(tuple(Fraction(sum(c * g[i] for c, g in zip(cs, rays)))
                          for i in range(sigma.n)))
     return out
 
@@ -226,35 +233,36 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
                  ) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
-    The matrix is recovered from exact interior samples and certified on
-    every generator of sigma plus `certify_points` fresh interior points.
-    Raises LinearizationError if no consistent matrix exists or the
-    certification fails.
+    Each of 2n+2 exact interior samples becomes one ClassPoint, at which pi
+    and xi are both evaluated; one elimination of [pi values | xi values]
+    gives every row of M.  M is certified on every generator of sigma plus
+    `certify_points` fresh interior points, by exact equality.  Raises
+    LinearizationError if no consistent matrix exists (naming the first
+    coordinate with none) or the certification fails.
     """
+    _check_levels(base_k, target_k)
     n = sigma.n
-    d = n + 1
     theta = theta_vector(q, base_k, sigma)
-    pts = interior_samples(sigma, rng, 2 * n + 2)
-    A = [list(pi_eval(q, base_k, sigma, ClassPoint.from_coords(p), theta))
-         for p in pts]
-    B = [list(xi_eval(q, target_k, ClassPoint.from_coords(p)).values)
-         for p in pts]
-    rows = []
-    for i in range(n):
-        w = solve(A, [b[i] for b in B])
-        if w is None:
-            raise LinearizationError(
-                f"no linear factorization for coordinate {i + 1} on {sigma!r}")
-        rows.append(tuple(w))
-    M = tuple(rows)
+
+    def pi_xi(coords):
+        cp = ClassPoint.from_coords(coords)
+        return (pi_eval(q, base_k, sigma, cp, theta),
+                xi_eval(q, target_k, cp).values)
+
+    A, B = zip(*map(pi_xi, interior_samples(sigma, rng, 2 * n + 2)))
+    X = solve(A, B)
+    if X is None:
+        i = next(i for i in range(n)
+                 if solve(A, [b[i] for b in B]) is None)
+        raise LinearizationError(
+            f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+    M = tuple(zip(*X))  # row i of M is column i of X
     # certification: generators and fresh interior points
     check_pts = [frac_vec(g) for g in sigma.rays()]
     check_pts += interior_samples(sigma, rng, certify_points)
     for p in check_pts:
-        cp = ClassPoint.from_coords(p)
-        lhs = xi_eval(q, target_k, cp).values
-        rhs = mat_vec(M, pi_eval(q, base_k, sigma, cp, theta))
-        if tuple(lhs) != tuple(rhs):
+        pi, xi = pi_xi(p)
+        if xi != mat_vec(M, pi):
             raise LinearizationError(
                 f"linearization certificate failed at {p} on {sigma!r}")
     return M
@@ -292,6 +300,7 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     """The transition map xi_{k,k'} = xi_{k'} o xi_k^{-1} as exact linear
     pieces on the cones xi_k(sigma), sigma running over the maximal cones
     of Sigma^(K) with K = max(k, k')."""
+    _check_levels(k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
     upper = sigma_upper_fan(q, d, K)

@@ -178,7 +178,12 @@ def test_bad_vectors_exit_2():
                  ("fan", "sigma-upper", "--q", "6"),
                  ("bt", "simplex", "--q", "2", "--r", "-1"),
                  ("bt", "simplex", "--q", "2", "--r", "0"),
-                 ("tate", "quotient", "--q", "2", "--r", "0", "--ms", "1")):
+                 ("tate", "quotient", "--q", "2", "--r", "0", "--ms", "1"),
+                 ("xi", "linearize", "--q", "2", "--d", "3", "--k", "0",
+                  "--kprime", "1"),
+                 ("xi", "linearize", "--q", "2", "--d", "3", "--k", "1",
+                  "--kprime", "0"),
+                 ("xi", "eval", "--q", "2", "--k", "-1", "--coords", "1,2")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args

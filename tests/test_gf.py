@@ -138,6 +138,17 @@ def test_check_q_accepts_exactly_the_prime_powers():
     assert not is_prime_power(17)
 
 
+def test_check_q_raises_on_every_call():
+    # the prime-power factorization is memoized, its exceptions are not
+    for q in (6, 1, 12):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                check_q(q)
+    for _ in range(2):
+        check_q(8)
+        assert is_prime_power(8) and not is_prime_power(6)
+
+
 def test_is_prime_power_is_what_gf_builds():
     for q in range(-2, 300):
         try:

@@ -204,3 +204,57 @@ def test_solve_over_rational_functions_detects_inconsistency(q):
         assert all(not row[0] for row in mat_mul(a, [[c] for c in kernel[0]]))
         with pytest.raises(ValueError):
             mat_inv(a)
+
+
+def _column_solves(a, b):
+    """Oracle for a matrix right-hand side: one vector solve per column."""
+    cols = [solve(a, [row[j] for row in b]) for j in range(len(b[0]))]
+    if any(c is None for c in cols):
+        return None
+    return tuple(zip(*cols))
+
+
+def test_solve_matrix_rhs_matches_column_solves():
+    rng = random.Random(31)
+    kinds = {"consistent": 0, "rank-deficient": 0, "inconsistent": 0}
+    for trial in range(90):
+        m, n, k = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3)
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(m)]
+        kind = list(kinds)[trial % 3]
+        if kind != "consistent":
+            if m == 1:
+                continue
+            a[-1] = [2 * x for x in a[0]]  # rank below m
+        x = [[Fraction(rng.randint(-5, 5)) for _ in range(k)]
+             for _ in range(n)]
+        b = mat_mul(a, x)
+        if kind == "inconsistent":
+            j = rng.randrange(k)
+            if rank(a) == m:  # no room for an inconsistent right-hand side
+                continue
+            b[-1][j] += 1
+        got = solve(a, b)
+        assert got == _column_solves(a, b)
+        assert solve(a, [tuple(row) for row in b]) == got  # rows as tuples
+        if kind == "inconsistent":
+            assert got is None
+        else:
+            assert got is not None and mat_mul(a, got) == b
+            assert len(got) == n and all(len(row) == k for row in got)
+        kinds[kind] += 1
+    assert all(kinds.values())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_solve_matrix_rhs_over_rational_functions(q):
+    field = gf(q)
+    rng = random.Random(300 + q)
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        a = _invertible_ratfunc_matrix(rng, field, n)
+        b = [[_random_ratfunc(rng, field) for _ in range(2)]
+             for _ in range(n)]
+        got = solve(a, b)
+        assert got == _column_solves(a, b)
+        assert mat_mul(a, got) == b

@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from drinfan.cones import Cone, Fan
+from drinfan.linalg import frac_vec, mat_inv, mat_mul, mat_vec, solve
 from drinfan.points import ClassPoint
-from drinfan.xi import (cone_Cd, contains_class_point, delta_tilde,
-                        interior_samples, linearize_xi, pi_eval,
+from drinfan.xi import (LinearizationError, cone_Cd, contains_class_point,
+                        delta_tilde, interior_samples, linearize_xi, pi_eval,
                         pi_family_eval, sigma_k_fan, sigma_kk_map,
                         sigma_upper_fan, theta_vector, xi_eval,
                         xi_eval_coords)
@@ -208,3 +211,127 @@ def test_sigma_upper_d6_k2_size_and_validation():
     assert len(fan) == 568
     assert len(fan.maximal_cones()) == 42
     assert fan.validate(cone_Cd(6)) == []
+
+
+# -- one-pass linearization against the per-coordinate procedure -------------
+
+def _linearize_per_coordinate(q, sigma, base_k, target_k, rng,
+                              certify_points=5):
+    """Oracle: one ClassPoint per evaluation and one solve per coordinate,
+    drawing the same samples from rng in the same order."""
+    n = sigma.n
+    theta = theta_vector(q, base_k, sigma)
+    pts = interior_samples(sigma, rng, 2 * n + 2)
+    A = [list(pi_eval(q, base_k, sigma, ClassPoint.from_coords(p), theta))
+         for p in pts]
+    B = [list(xi_eval(q, target_k, ClassPoint.from_coords(p)).values)
+         for p in pts]
+    rows = []
+    for i in range(n):
+        w = solve(A, [b[i] for b in B])
+        if w is None:
+            raise LinearizationError(
+                f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+        rows.append(tuple(w))
+    M = tuple(rows)
+    check_pts = [frac_vec(g) for g in sigma.rays()]
+    check_pts += interior_samples(sigma, rng, certify_points)
+    for p in check_pts:
+        cp = ClassPoint.from_coords(p)
+        lhs = xi_eval(q, target_k, cp).values
+        rhs = mat_vec(M, pi_eval(q, base_k, sigma, cp, theta))
+        if tuple(lhs) != tuple(rhs):
+            raise LinearizationError(
+                f"linearization certificate failed at {p} on {sigma!r}")
+    return M
+
+
+LEVEL_CASES = [(q, d, k) for q in (2, 3) for d in (3, 4) for k in (1, 2, 3)]
+
+
+def test_sigma_k_fan_matches_per_coordinate_oracle():
+    for q, d, k in LEVEL_CASES:
+        _, pieces = sigma_k_fan(q, d, k, seed=3)
+        rng = random.Random(f"sigma_k:3:{q}:{d}:{k}")
+        maximal = sigma_upper_fan(q, d, k).maximal_cones()
+        assert [p["source"] for p in pieces] == maximal
+        for piece, sigma in zip(pieces, maximal):
+            want = _linearize_per_coordinate(q, sigma, k, k, rng)
+            assert piece["matrix"] == want, (q, d, k, sigma)
+
+
+def test_sigma_kk_map_matches_per_coordinate_oracle():
+    for q, d, k in LEVEL_CASES:
+        for kp in (1, 2, 3):
+            m = sigma_kk_map(q, d, k, kp, seed=5)
+            rng = random.Random(f"sigma_kk:5:{q}:{d}:{k}:{kp}")
+            K = max(k, kp)
+            maximal = sigma_upper_fan(q, d, K).maximal_cones()
+            assert len(m.pieces) == len(maximal)
+            for (_, trans), sigma in zip(m.pieces, maximal):
+                mk = _linearize_per_coordinate(q, sigma, K, k, rng)
+                mkp = _linearize_per_coordinate(q, sigma, K, kp, rng)
+                want = tuple(tuple(row) for row in mat_mul(mkp, mat_inv(mk)))
+                assert trans == want, (q, d, k, kp, sigma)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except LinearizationError as exc:
+        return str(exc)
+
+
+def test_linearization_failures_match_per_coordinate_oracle():
+    # a cone of Sigma^(k) linearized towards a higher level, or all of C_d,
+    # can have no linear factorization; both sides must then name the same
+    # first coordinate (2, 3 and 4 all occur here) or the same certificate
+    # point
+    cones = [(q, d, k, sigma) for q in (2, 3) for d in (3, 4, 5)
+             for k in (1, 2)
+             for sigma in sigma_upper_fan(q, d, k).maximal_cones()]
+    cones += [(q, 4, 2, cone_Cd(4)) for q in (2, 3)]
+    messages = set()
+    for q, d, k, sigma in cones:
+        for tk in (1, 2, 3):
+            got = _outcome(linearize_xi, q, sigma, k, tk,
+                           random.Random(f"fail:{q}:{d}:{k}:{tk}"))
+            want = _outcome(_linearize_per_coordinate, q, sigma, k, tk,
+                            random.Random(f"fail:{q}:{d}:{k}:{tk}"))
+            assert got == want, (q, d, k, tk, sigma)
+            if isinstance(got, str):
+                messages.add(got.split(" on ")[0][:40])
+    assert {f"no linear factorization for coordinate {i}"
+            for i in (2, 3, 4)} <= messages
+    assert "linearization certificate failed at (Fra" in messages
+    with pytest.raises(LinearizationError, match="for coordinate 2 on"):
+        linearize_xi(2, cone_Cd(4), 2, 2, random.Random(0))
+
+
+def test_levels_below_one_rejected():
+    sigma = cone_Cd(3)
+    p = ClassPoint.from_coords([1, 2])
+    for call in (lambda: xi_eval(2, 0, p),
+                 lambda: xi_eval(2, -1, p),
+                 lambda: xi_eval_coords(2, 0, [0, 0]),
+                 lambda: sigma_kk_map(2, 3, 0, 1),
+                 lambda: sigma_kk_map(2, 3, 1, 0),
+                 lambda: linearize_xi(2, sigma, 0, 1, random.Random(0)),
+                 lambda: linearize_xi(2, sigma, 1, 0, random.Random(0))):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call()
+
+
+def test_class_point_checks_survive_the_fraction_fast_path():
+    for coords in ([F(-1), F(2)], [-1, 2], [F(3), F(2)], [3, 2]):
+        with pytest.raises(ValueError):
+            ClassPoint.from_coords(coords)
+        with pytest.raises(ValueError):
+            ClassPoint(3, tuple(coords))
+    with pytest.raises(ValueError):
+        ClassPoint(4, (F(1), F(2)))
+    with pytest.raises(ValueError):
+        ClassPoint.from_coords([F(1), F(2)], d=4)
+    p = ClassPoint.from_coords([1, F(3, 2)])
+    assert p.values == (F(1), F(3, 2))
+    assert all(type(v) is Fraction for v in p.values)
