@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cones import Cone, Fan, dual_monoid_hilbert_basis
 from .gf import GF, gf
@@ -135,6 +135,8 @@ Component = tuple  # ("point", a) | ("line", l) | ("flag", a, l, i)
 
 
 def component_inventory(q: int, m: int) -> list[Component]:
+    if m < 0:
+        raise ValueError("flag level count m must be >= 0")
     pts = projective_points(q)
     lines = projective_lines(q)
     comps: list[Component] = [("point", a) for a in pts]
@@ -289,20 +291,20 @@ def division_polynomial_exponents(q: int = 2) -> list[int]:
     return [k for k, _ in _division_polynomial(q)]
 
 
-def division_polynomial_is_symmetric(q: int = 2,
-                                     trials: Iterable[Sequence[Sequence[int]]]
-                                     | None = None) -> bool:
-    """Invariance of the division polynomial under GL_3(F_q) substitutions
-    on (u0, u1, u2) (generators of the group by default)."""
+# generators of GL_3(F_2) acting on (u0, u1, u2)
+_GL3_GENERATORS = (
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),  # swap u0, u1
+    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),  # u0 -> u0 + u1
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),  # cyclic
+)
+
+
+def division_polynomial_is_symmetric(q: int = 2) -> bool:
+    """Invariance of the division polynomial under the substitutions
+    _GL3_GENERATORS on (u0, u1, u2)."""
     field = gf(q)
     coeffs = _division_polynomial(q)
-    if trials is None:
-        trials = [
-            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],  # swap u0, u1
-            [[1, 1, 0], [0, 1, 0], [0, 0, 1]],  # u0 -> u0 + u1
-            [[0, 0, 1], [1, 0, 0], [0, 1, 0]],  # cyclic
-        ]
-    for mat in trials:
+    for mat in _GL3_GENERATORS:
         images = []
         for row in mat:
             p = MPoly.zero(field)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands cover the scalar kernel (eps), the rescaling maps and fans
-(xi, fan), dual-monoid Hilbert bases (hilbert), building cones (bt), the
-Tate-quotient lab (tate), the boundary atlas (atlas, satake-check), and
-self-verification suites that emit TSV reports (verify).
+Subcommands, one path each: eps eval|delta|inv (the scalar kernel), xi
+eval|linearize (the rescaling maps and the transition maps xi_{k,k'}), fan
+sigma-upper|sigma-k|join|refine, hilbert, bt simplex|cone, tate
+quotient|torsion, atlas graph|charts, satake-check, and the TSV suites
+verify identities|tate|sigk3.  `verify identities` covers q = 2 and 3 and
+evaluates every law through the table epsilon.IDENTITIES.
 
 All output is deterministic: JSON is emitted with sorted keys, rays and
 cones in canonical sorted order, and rationals as "a/b" strings.  Random
@@ -51,10 +53,14 @@ def _parse_vec(s: str) -> list[Fraction]:
     return [Fraction(p) for p in s.split(",") if p != ""]
 
 
-def _parse_cone(s: str, n: int | None = None) -> Cone:
-    rays = [[int(x) for x in part.split(",")]
-            for part in s.split(";") if part]
-    return Cone.from_rays(rays, n=n or (len(rays[0]) if rays else 1))
+def _parse_rows(s: str) -> list[list[int]]:
+    """Integer rows written 'a,b;c,d;...': cone rays or exponent vectors."""
+    return [[int(x) for x in part.split(",")] for part in s.split(";") if part]
+
+
+def _parse_cone(s: str) -> Cone:
+    rays = _parse_rows(s)
+    return Cone.from_rays(rays, n=len(rays[0]) if rays else 1)
 
 
 def _cone_json(c: Cone) -> dict:
@@ -85,14 +91,15 @@ def _matrix_json(mat) -> list[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations; argparse restricts each action to its choices,
+# so no command needs a fallback branch
 
 
 def cmd_eps(args) -> int:
     w = _parse_vec(args.weights) if args.weights else []
-    if args.action in ("eval", "closed"):
+    if args.action == "eval":
         x = Fraction(args.x)
-        if args.action == "closed" or args.method == "closed":
+        if args.method == "closed":
             v = eps_mod.epsilon_closed(args.q, args.r, w, x)
         elif args.method == "oracle":
             v = eps_mod.epsilon_oracle(args.q, args.r, w, x)
@@ -101,40 +108,30 @@ def cmd_eps(args) -> int:
         print(_frac_str(v))
     elif args.action == "delta":
         print(_frac_str(eps_mod.delta(args.q, args.r, w)))
-    elif args.action == "inv":
+    else:  # inv
         print(_frac_str(eps_mod.epsilon_inv(args.q, args.r, w,
                                             Fraction(args.x))))
     return 0
 
 
-def _sigma_kk(args) -> int:
-    """The transition map xi_{k,k'}: `xi linearize` and `fan sigma-kk`."""
-    m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
-    pieces = sorted(
-        ({"cone": _cone_json(c), "matrix": _matrix_json(mat)}
-         for c, mat in m.pieces),
-        key=lambda p: p["cone"]["rays"])
-    _emit({"pieces": pieces}, args.out)
-    return 0
-
-
 def cmd_xi(args) -> int:
     if args.action == "eval":
-        coords = _parse_vec(args.coords)
-        out = xi_eval_coords(args.q, args.k, coords)
-        _emit({"image": [_frac_str(x) for x in out]}, args.out)
-        return 0
-    if args.action == "linearize":
-        return _sigma_kk(args)
-    return USAGE_ERROR
+        out = xi_eval_coords(args.q, args.k, _parse_vec(args.coords))
+        obj = {"image": [_frac_str(x) for x in out]}
+    else:  # linearize: the transition map xi_{k,k'}
+        m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
+        obj = {"pieces": sorted(
+            ({"cone": _cone_json(c), "matrix": _matrix_json(mat)}
+             for c, mat in m.pieces),
+            key=lambda p: p["cone"]["rays"])}
+    _emit(obj, args.out)
+    return 0
 
 
 def cmd_fan(args) -> int:
     if args.action == "sigma-upper":
-        fan = sigma_upper_fan(args.q, args.d, args.k)
-        _emit(_fan_json(fan), args.out)
-        return 0
-    if args.action == "sigma-k":
+        obj = _fan_json(sigma_upper_fan(args.q, args.d, args.k))
+    elif args.action == "sigma-k":
         fan, pieces = sigma_k_fan(args.q, args.d, args.k, seed=args.seed)
         obj = _fan_json(fan)
         obj["pieces"] = sorted(
@@ -142,21 +139,14 @@ def cmd_fan(args) -> int:
               "image": _cone_json(p["image"]),
               "matrix": _matrix_json(p["matrix"])} for p in pieces),
             key=lambda p: p["source"]["rays"])
-        _emit(obj, args.out)
-        return 0
-    if args.action == "sigma-kk":
-        return _sigma_kk(args)
-    if args.action == "join":
+    elif args.action == "join":
         left, _ = sigma_k_fan(args.q, args.d, args.k, seed=args.seed)
         right, _ = sigma_k_fan(args.q, args.d, args.kprime, seed=args.seed)
-        _emit(_fan_json(left.join(right)), args.out)
-        return 0
-    if args.action == "refine":
-        cone = _parse_cone(args.cone)
-        refined = Fan([cone]).regular_refinement()
-        _emit(_fan_json(refined), args.out)
-        return 0
-    return USAGE_ERROR
+        obj = _fan_json(left.join(right))
+    else:  # refine
+        obj = _fan_json(Fan([_parse_cone(args.cone)]).regular_refinement())
+    _emit(obj, args.out)
+    return 0
 
 
 def cmd_hilbert(args) -> int:
@@ -171,15 +161,10 @@ def cmd_hilbert(args) -> int:
 def cmd_bt(args) -> int:
     if args.action == "simplex":
         c = standard_simplex_cone(args.q, args.n, r=args.r)
-        _emit(_cone_json(c), args.out)
-        return 0
-    if args.action == "cone":
-        sets = [[int(x) for x in part.split(",")]
-                for part in args.sets.split(";") if part]
-        c = simplex_cone(sets, args.q, r=args.r)
-        _emit(_cone_json(c), args.out)
-        return 0
-    return USAGE_ERROR
+    else:  # cone
+        c = simplex_cone(_parse_rows(args.sets), args.q, r=args.r)
+    _emit(_cone_json(c), args.out)
+    return 0
 
 
 def cmd_tate(args) -> int:
@@ -220,20 +205,17 @@ def cmd_atlas(args) -> int:
         if args.dot:
             _write_dot(comps, edges, args.dot)
         return 0
-    if args.action == "charts":
-        alphas = _parse_vec(args.alphas) if args.alphas else []
-        fan = slope_fan(alphas)
-        charts = sorted(
-            ({"rays": sorted(list(r) for r in c.rays()),
-              "monomials": chart_monomials(c)}
-             for c in fan.maximal_cones()),
-            key=lambda d: d["rays"])
-        _emit({"smooth": slope_fan_is_smooth(alphas),
-               "interior_smooth": slope_fan_is_interior_smooth(alphas),
-               "determinants": slope_determinants(alphas),
-               "charts": charts}, args.out)
-        return 0
-    return USAGE_ERROR
+    alphas = _parse_vec(args.alphas) if args.alphas else []  # charts
+    charts = sorted(
+        ({"rays": sorted(list(r) for r in c.rays()),
+          "monomials": chart_monomials(c)}
+         for c in slope_fan(alphas).maximal_cones()),
+        key=lambda d: d["rays"])
+    _emit({"smooth": slope_fan_is_smooth(alphas),
+           "interior_smooth": slope_fan_is_interior_smooth(alphas),
+           "determinants": slope_determinants(alphas),
+           "charts": charts}, args.out)
+    return 0
 
 
 def _comp_name(c) -> str:
@@ -291,54 +273,34 @@ def _rand_frac(rng: random.Random) -> Fraction:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "identities":
-        return _verify_identities(args)
-    if args.suite == "tate":
-        return _verify_tate(args)
-    if args.suite == "sigk3":
-        return _verify_sigk3(args)
-    return USAGE_ERROR
+    return {"identities": _verify_identities, "tate": _verify_tate,
+            "sigk3": _verify_sigk3}[args.suite](args)
+
+
+# how `verify identities` samples each law of epsilon.IDENTITIES: the least
+# weight count, the weights drawn beyond it, and x from (rng, max weight)
+_IDENTITY_SAMPLERS = {
+    "closed-vs-oracle": (1, 0, lambda rng, top: _rand_frac(rng) * top),
+    "scaling": (1, 0, lambda rng, top: _rand_frac(rng) * top + top),  # x >= s_n
+    "delta-split": (2, 0, None),
+    "delta-extend": (1, 1, None),
+}
 
 
 def _verify_identities(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     rng = random.Random(f"{args.seed}:identities")
     rows = []
-    count = args.count
     for q in (2, 3):
-        for case in range(count):
-            r = rng.randint(1, 3)
-            n = rng.randint(1, 3)
-            w = sorted(_rand_frac(rng) for _ in range(n))
-            x = _rand_frac(rng) * max(w)
-            rows.append((f"closed-vs-oracle-q{q}", case,
-                         eps_mod.epsilon_oracle(q, r, w, x),
-                         eps_mod.epsilon_closed(q, r, w, x)))
-        for case in range(count):
-            r = rng.randint(1, 3)
-            n = rng.randint(1, 3)
-            w = sorted(_rand_frac(rng) for _ in range(n))
-            x = _rand_frac(rng) * max(w) + max(w)  # x >= s_n
-            rows.append((f"scaling-q{q}", case,
-                         q ** (r + n) * eps_mod.epsilon_hat(q, r, w, x),
-                         eps_mod.epsilon_hat(q, r, w, q ** r * x)))
-        for case in range(count):
-            r = rng.randint(1, 3)
-            n = rng.randint(2, 3)
-            w = sorted(_rand_frac(rng) for _ in range(n))
-            s1 = w[0]
-            rest = [eps_mod.epsilon_hat1(q, r, s1, t) for t in w[1:]]
-            rows.append((f"delta-split-q{q}", case,
-                         eps_mod.delta(q, r, [s1]) + eps_mod.delta(q, r + 1, rest),
-                         eps_mod.delta(q, r, w)))
-        for case in range(count):
-            r = rng.randint(1, 3)
-            n = rng.randint(1, 3)
-            w = sorted(_rand_frac(rng) for _ in range(n + 1))
-            rows.append((f"delta-extend-q{q}", case,
-                         eps_mod.delta(q, r, w[:-1])
-                         + Fraction(q - 1, q ** (r + n + 1) - 1)
-                         * eps_mod.epsilon_hat(q, r, w[:-1], w[-1]),
-                         eps_mod.delta(q, r, w)))
+        for name, law in eps_mod.IDENTITIES.items():
+            least, extra, draw_x = _IDENTITY_SAMPLERS[name]
+            for case in range(args.count):
+                r = rng.randint(1, 3)
+                n = rng.randint(least, 3) + extra
+                w = sorted(_rand_frac(rng) for _ in range(n))
+                x = draw_x(rng, max(w)) if draw_x else None
+                rows.append((f"{name}-q{q}", case, *law(q, r, w, x)))
     return _report(rows, shown=lambda row: row[1] < 3, tally=True)
 
 
@@ -369,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eps", help="scalar kernel evaluation")
-    sp.add_argument("action", choices=["eval", "closed", "delta", "inv"])
+    sp.add_argument("action", choices=["eval", "delta", "inv"])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--weights", default="")
@@ -384,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--kprime", type=int, default=2)
     sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--coords", "--point", dest="coords", default="")
+    sp.add_argument("--coords", default="")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_xi)
 
     sp = sub.add_parser("fan", help="comparison and image fans")
-    sp.add_argument("action", choices=["sigma-upper", "sigma-k", "sigma-kk",
-                                       "join", "refine"])
+    sp.add_argument("action", choices=["sigma-upper", "sigma-k", "join",
+                                       "refine"])
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--d", type=int, default=3)
     sp.add_argument("--k", type=int, default=1)
@@ -443,10 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verification suites (TSV report)")
     sp.add_argument("suite", choices=["identities", "tate", "sigk3"])
-    sp.add_argument("--q", type=int, default=2)
+    sp.add_argument("--q", type=int, default=2,
+                    help="field size for sigk3; identities always covers "
+                         "q = 2 and 3")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", "--trials", dest="count", type=int,
-                    default=200)
+    sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--precision", type=int, default=48)
     sp.set_defaults(func=cmd_verify)
 

@@ -291,9 +291,6 @@ class Cone:
     def is_pointed(self) -> bool:
         return not self.lines()
 
-    def is_trivial(self) -> bool:
-        return not self.rays() and not self.lines()
-
     def contains(self, x: Sequence) -> bool:
         x = _exact(x)
         return (all(_idot(e, x) == 0 for e in self.eqs())
@@ -303,12 +300,6 @@ class Cone:
         return (all(self.contains(r) for r in other.rays())
                 and all(self.contains(l) and self.contains(_neg(l))
                         for l in other.lines()))
-
-    def relative_interior_point(self) -> tuple[Fraction, ...]:
-        rays = self.rays()
-        if not rays:
-            return tuple(Fraction(0) for _ in range(self.n))
-        return tuple(sum(Fraction(r[i]) for r in rays) for i in range(self.n))
 
     def dual(self) -> "Cone":
         return Cone.from_ineqs(self.rays(), n=self.n, eqs=self.lines())
@@ -514,15 +505,6 @@ class Fan:
             for c2 in other.cones.values():
                 out.add(c1.intersect(c2))
         return out
-
-    def is_subdivision_of(self, coarse: "Fan", support: Cone) -> bool:
-        if self.validate(support) or coarse.validate(support):
-            return False
-        coarse_max = coarse.maximal_cones()
-        for c in self.maximal_cones():
-            if not any(o.contains_cone(c) for o in coarse_max):
-                return False
-        return True
 
     def stellar_subdivide(self, w: Sequence[int]) -> "Fan":
         w = tuple(int(x) for x in w)

@@ -61,15 +61,6 @@ class DrinfeldModule:
     def rank(self) -> int:
         return self.phi_T.tau_degree()
 
-    def reduction_rank(self) -> int:
-        """Largest i with unit tau^i-coefficient (rank of the reduction)."""
-        best = 0
-        for i in range(self.rank + 1):
-            c = self.phi_T.coeff(i)
-            if not c.is_zero_to_precision() and c.valuation() == 0:
-                best = i
-        return best
-
     def phi_of(self, a: Poly) -> AdditiveSeries:
         """The additive polynomial phi(a) for a in F_q[T]."""
         out = AdditiveSeries.zero(self.field)
@@ -169,9 +160,9 @@ def _subspace_polynomial(field: GF, points: Sequence[LaurentSeries],
 def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
     """Quotient of `module` by the A-lattice generated by t^{-m}.
 
-    Raises ValueError if the lattice is not admissible (the exponential
-    would not converge) and PrecisionError if the requested working
-    precision cannot certify the quotient relation.
+    Raises ValueError if precision < 1 or the lattice is not admissible
+    (the exponential would not converge), and PrecisionError if the
+    requested working precision cannot certify the quotient relation.
 
     The monic exponential is computed to relative precision precision + 1
     and no further.  Normalizing needs c_0^{-1} to absolute precision
@@ -184,6 +175,8 @@ def tate_step(module: DrinfeldModule, m: int, precision: int) -> TateStep:
     """
     if m < 1:
         raise ValueError("lattice generator exponent m must be >= 1")
+    if precision < 1:
+        raise ValueError("working precision must be >= 1")
     if admissibility_margin(module, m) < 0:
         raise ValueError("inadmissible lattice: exponential does not converge")
     field = module.field

@@ -46,13 +46,20 @@ Only results are cached: an invalid weight vector raises on every call.
 q and r are checked before the weights on every call, so an empty weight
 vector (epsilon the identity, delta zero) is checked like any other.
 The cache holds immutable tuples; hat_stage_weights returns a fresh list.
+
+Identity table.  IDENTITIES maps each law that `drinfan verify identities`
+checks to f(q, r, w, x) -> (expected, got): closed form against the
+defining sum, the scaling law q^{r+n} epsilon_hat(x) = epsilon_hat(q^r x)
+(which holds for x >= s_n / q^r), the delta split through the first
+weight's one-weight map, and the delta extension above (these ignore x).
+The CLI and the acceptance tests sample their own points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gf import check_q
 
@@ -60,6 +67,7 @@ __all__ = [
     "epsilon_oracle", "epsilon_closed", "epsilon", "epsilon_hat", "delta",
     "epsilon_hat_inv", "epsilon_inv", "hat_stage_weights", "is_monotone",
     "delta_oracle", "epsilon_hat_oracle", "epsilon_hat1", "epsilon_hat1_inv",
+    "IDENTITIES",
 ]
 
 
@@ -265,3 +273,20 @@ def epsilon_hat_oracle(q: int, r: int, weights: Sequence[Fraction],
     """Reduced map from the defining sums (reference implementation)."""
     return (epsilon_oracle(q, r, weights, x)
             - delta_oracle(q, r, weights))
+
+
+IDENTITIES: dict[str, Callable[..., tuple[Fraction, Fraction]]] = {
+    "closed-vs-oracle": lambda q, r, w, x: (
+        epsilon_oracle(q, r, w, x), epsilon_closed(q, r, w, x)),
+    "scaling": lambda q, r, w, x: (
+        q ** (r + len(w)) * epsilon_hat(q, r, w, x),
+        epsilon_hat(q, r, w, q ** r * x)),
+    "delta-split": lambda q, r, w, x: (
+        delta(q, r, w[:1])
+        + delta(q, r + 1, [epsilon_hat1(q, r, w[0], t) for t in w[1:]]),
+        delta(q, r, w)),
+    "delta-extend": lambda q, r, w, x: (
+        delta(q, r, w[:-1]) + Fraction(q - 1, q ** (r + len(w)) - 1)
+        * epsilon_hat(q, r, w[:-1], w[-1]),
+        delta(q, r, w)),
+}

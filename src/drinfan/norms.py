@@ -4,9 +4,10 @@ A WeightedNorm with positive rational weights s = (s_1, ..., s_n) measures
 mu(sum x_i e_i) = max_i s_i |x_i| with |x| = q^deg(x), |0| = 0.  The module
 computes successive-minima bases of full A-lattices by exhaustive search
 inside an exact degree bound (greedy over the lattice minus the A-span of
-the vectors chosen so far, lexicographic tie-breaking), the norm profile,
-and the predicate for a change of basis to preserve the successive-minima
-property (degree bound on entries plus invertible tie blocks over F_q).
+the vectors chosen so far, lexicographic tie-breaking) with their norm
+profile, and the predicate for a change of basis to preserve the
+successive-minima property (degree bound on entries plus invertible tie
+blocks over F_q).
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from typing import Sequence
 from .gf import GF, Poly, RatFunc, polys_of_degree_at_most
 from .linalg import det, solve
 
-__all__ = ["WeightedNorm", "successive_minima", "norm_profile",
-           "is_norm_preserving_change", "apply_change", "normalized_profile"]
+__all__ = ["WeightedNorm", "successive_minima", "is_norm_preserving_change",
+           "apply_change", "normalized_profile"]
 
 Vector = tuple[Poly, ...]
+
+# largest number of coefficient tuples successive_minima will enumerate
+_SEARCH_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ def _in_A_span(vectors: list[Vector], x: Vector) -> bool:
     return sol is not None and all(c.den.degree == 0 for c in sol)
 
 
-def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
-                      search_cap: int = 200_000
+def successive_minima(norm: WeightedNorm, generators: Sequence[Vector]
                       ) -> tuple[list[Vector], list[Fraction]]:
     """Greedy successive-minima basis of the A-lattice spanned by generators.
 
@@ -90,8 +93,8 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
                 adj_deg = max(adj_deg, md.degree)
     deg_a = adj_deg + deg_x  # det has degree >= 0, dividing only lowers this
     count = (q ** (deg_a + 1)) ** n
-    if count > search_cap:
-        raise ValueError(f"search space {count} exceeds cap {search_cap}")
+    if count > _SEARCH_CAP:
+        raise ValueError(f"search space {count} exceeds cap {_SEARCH_CAP}")
     coeff_space = list(polys_of_degree_at_most(field, deg_a))
     candidates = []
     for coeffs in itertools.product(coeff_space, repeat=n):
@@ -116,11 +119,6 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector],
     if len(basis) != n:
         raise RuntimeError("failed to extract a full successive-minima basis")
     return basis, values
-
-
-def norm_profile(norm: WeightedNorm, generators: Sequence[Vector]
-                 ) -> list[Fraction]:
-    return successive_minima(norm, generators)[1]
 
 
 def normalized_profile(values: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -377,35 +377,6 @@ class AdditiveSeries:
             out = out + c * s.frobenius_power(i)
         return out
 
-    def compositional_inverse(self, tau_bound: int) -> "AdditiveSeries":
-        """g with self . g = identity modulo tau^(tau_bound+1).
-
-        Requires the tau^0 coefficient to be invertible (unit lowest term).
-        """
-        f0 = self.coeff(0)
-        if f0.is_zero_to_precision():
-            raise ZeroDivisionError("tau^0 coefficient is zero; not invertible")
-        prec_goal = f0.prec
-        f0_inv = f0.inverse(None if prec_goal is None else prec_goal - 2 * min(f0.coeffs))
-        g: dict[int, LaurentSeries] = {0: f0_inv}
-        q = self.field.q
-        for k in range(1, tau_bound + 1):
-            acc = LaurentSeries.zero(self.field)
-            for i in range(1, k + 1):
-                fi = self.coeff(i)
-                if fi.is_zero_to_precision() and fi.prec is None:
-                    continue
-                gj = g.get(k - i)
-                if gj is None:
-                    continue
-                acc = acc + fi * gj.frobenius_power(i)
-            g[k] = (-acc) * f0_inv
-        return AdditiveSeries(self.field, g)
-
-    def truncate_tau(self, tau_bound: int) -> "AdditiveSeries":
-        return AdditiveSeries(self.field, {i: c for i, c in self.coeffs.items()
-                                           if i <= tau_bound})
-
     def newton_points(self) -> list[tuple[int, int | None, int | None]]:
         """(z-exponent, valuation or None, precision bound) per tau index.
 

@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 
+# fresh interior points on which linearize_xi certifies each matrix
+_CERTIFY_POINTS = 5
+
+
 class LinearizationError(ArithmeticError):
     """Raised when a claimed linear factorization fails certification."""
 
@@ -229,14 +233,13 @@ class PiecewiseLinearMap:
 
 
 def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
-                 rng: random.Random, certify_points: int = 5
-                 ) -> tuple[tuple[Fraction, ...], ...]:
+                 rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
     Each of 2n+2 exact interior samples becomes one ClassPoint, at which pi
     and xi are both evaluated; one elimination of [pi values | xi values]
     gives every row of M.  M is certified on every generator of sigma plus
-    `certify_points` fresh interior points, by exact equality.  Raises
+    _CERTIFY_POINTS fresh interior points, by exact equality.  Raises
     LinearizationError if no consistent matrix exists (naming the first
     coordinate with none) or the certification fails.
     """
@@ -259,7 +262,7 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
     M = tuple(zip(*X))  # row i of M is column i of X
     # certification: generators and fresh interior points
     check_pts = [frac_vec(g) for g in sigma.rays()]
-    check_pts += interior_samples(sigma, rng, certify_points)
+    check_pts += interior_samples(sigma, rng, _CERTIFY_POINTS)
     for p in check_pts:
         pi, xi = pi_xi(p)
         if xi != mat_vec(M, pi):

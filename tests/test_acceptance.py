@@ -12,6 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
+from drinfan import cli
 from drinfan.atlas import (component_graph, slope_determinants,
                            slope_fan_is_interior_smooth, slope_fan_is_smooth,
                            symmetric_identity_holds)
@@ -19,9 +20,9 @@ from drinfan.cones import Cone, Fan
 from drinfan.drinfeld import (class_point_of_steps, iterate_tate,
                               lattice_profile_of_steps,
                               predicted_torsion_valuations, torsion_valuations)
-from drinfan.epsilon import (delta, delta_oracle, epsilon_closed,
-                             epsilon_hat, epsilon_hat1, epsilon_hat_oracle,
-                             epsilon_oracle, hat_stage_weights)
+from drinfan.epsilon import (IDENTITIES, delta, delta_oracle, epsilon_hat,
+                             epsilon_hat1, epsilon_hat_oracle,
+                             hat_stage_weights)
 from drinfan.gf import Poly, gf
 from drinfan.points import ClassPoint
 from drinfan.xi import (_image_cone, cone_Cd, contains_class_point,
@@ -53,8 +54,8 @@ def test_01_closed_form_matches_oracle_grid():
                     w = _sorted_weights(rng, n)
                     x = F(rng.randint(1, 256), rng.randint(1, 4))
                     x = min(x, F(64))
-                    assert epsilon_closed(q, r, w, x) == \
-                        epsilon_oracle(q, r, w, x)
+                    expected, got = IDENTITIES["closed-vs-oracle"](q, r, w, x)
+                    assert expected == got
                     points += 1
     assert points >= 500
     assert time.monotonic() - start < 10.0
@@ -72,62 +73,80 @@ def _identity_points(q, seed, count, n_max=3):
         yield q, r, w, x
 
 
+def _identity_failures(q, table):
+    """Failures at q of the identity suite, reading the laws the CLI also
+    checks from ``table``."""
+    failures = 0
+
+    # scaling: hat(x) = q^{r+n} * hat(x / q^r) above the last weight
+    for (qq, r, w, x) in _identity_points(q, 1, 200):
+        x = x + w[-1]  # ensure x >= w[-1]
+        expected, got = table["scaling"](qq, r, w, x / F(qq) ** r)
+        failures += expected != got
+
+    # composition: hat over n+m weights splits through the first m
+    for (qq, r, w, x) in _identity_points(q, 2, 200, n_max=2):
+        extra = _sorted_weights(random.Random(f"m:{qq}:{x}"), 1, cap=16)
+        full = sorted(w + extra)
+        m = 1
+        t, tail = full[:m], full[m:]
+        sp = [epsilon_hat(qq, r, t, s) for s in tail]
+        lhs = epsilon_hat(qq, r, full, x)
+        rhs = epsilon_hat(qq, r + m, sp, epsilon_hat(qq, r, t, x))
+        failures += lhs != rhs
+
+    # one-weight chain: hat == composition of one-weight maps at the
+    # stage weights
+    for (qq, r, w, x) in _identity_points(q, 3, 200):
+        stages = hat_stage_weights(qq, r, w)
+        y = x
+        for j, t in enumerate(stages):
+            y = epsilon_hat1(qq, r + j, t, y)
+        failures += y != epsilon_hat_oracle(qq, r, w, x)
+
+    # delta split: first weight peels off with the remaining weights
+    # pushed through its one-weight map
+    for (qq, r, w, _) in _identity_points(q, 4, 200):
+        if len(w) < 2:
+            w = w + [w[-1] + 1]
+        expected, got = table["delta-split"](qq, r, w, None)
+        failures += expected != got
+
+    # delta extension: adding a weight adds a scaled hat value
+    for (qq, r, w, _) in _identity_points(q, 5, 200):
+        extra = w[-1] + F(random.Random(f"e:{qq}:{w[-1]}").randint(0, 8))
+        expected, got = table["delta-extend"](qq, r, w + [extra], None)
+        failures += expected != got
+
+    return failures
+
+
 def test_02_identity_suite():
     for q in (2, 3):
-        failures = 0
-
-        # scaling: hat(x) = q^{r+n} * hat(x / q^r) above the last weight
-        for (qq, r, w, x) in _identity_points(q, 1, 200):
-            x = x + w[-1]  # ensure x >= w[-1]
-            lhs = epsilon_hat(qq, r, w, x)
-            rhs = F(qq) ** (r + len(w)) * \
-                epsilon_hat(qq, r, w, x / F(qq) ** r)
-            failures += lhs != rhs
-
-        # composition: hat over n+m weights splits through the first m
-        for (qq, r, w, x) in _identity_points(q, 2, 200, n_max=2):
-            extra = _sorted_weights(random.Random(f"m:{qq}:{x}"), 1, cap=16)
-            full = sorted(w + extra)
-            m = 1
-            t, tail = full[:m], full[m:]
-            sp = [epsilon_hat(qq, r, t, s) for s in tail]
-            lhs = epsilon_hat(qq, r, full, x)
-            rhs = epsilon_hat(qq, r + m, sp, epsilon_hat(qq, r, t, x))
-            failures += lhs != rhs
-
-        # one-weight chain: hat == composition of one-weight maps at the
-        # stage weights
-        for (qq, r, w, x) in _identity_points(q, 3, 200):
-            stages = hat_stage_weights(qq, r, w)
-            y = x
-            for j, t in enumerate(stages):
-                y = epsilon_hat1(qq, r + j, t, y)
-            failures += y != epsilon_hat_oracle(qq, r, w, x)
-
-        # delta split: first weight peels off with the remaining weights
-        # pushed through its one-weight map
-        for (qq, r, w, _) in _identity_points(q, 4, 200):
-            if len(w) < 2:
-                w = w + [w[-1] + 1]
-            sp = [epsilon_hat(qq, r, w[:1], s) for s in w[1:]]
-            lhs = delta(qq, r, w)
-            rhs = delta(qq, r, w[:1]) + delta(qq, r + 1, sp)
-            failures += lhs != rhs
-
-        # delta extension: adding a weight adds a scaled hat value
-        for (qq, r, w, _) in _identity_points(q, 5, 200):
-            extra = w[-1] + F(random.Random(f"e:{qq}:{w[-1]}").randint(0, 8))
-            n = len(w)
-            lhs = delta(qq, r, w + [extra])
-            rhs = delta(qq, r, w) + \
-                F(qq - 1, qq ** (r + n + 1) - 1) * epsilon_hat(qq, r, w, extra)
-            failures += lhs != rhs
-
-        assert failures == 0
+        assert _identity_failures(q, IDENTITIES) == 0
 
         # cross-check delta against its independent oracle on a sample
         for (qq, r, w, _) in _identity_points(q, 6, 40):
             assert delta(qq, r, w) == delta_oracle(qq, r, w)
+
+
+def test_02_identity_table_feeds_cli_and_suite(monkeypatch, capsys):
+    # a wrong law in the one table fails both consumers, in its suite only
+    law = IDENTITIES["scaling"]
+
+    def wrong(q, r, w, x):  # q^{r+n-1} in place of q^{r+n}
+        expected, got = law(q, r, w, x)
+        return expected / q, got
+
+    monkeypatch.setitem(IDENTITIES, "scaling", wrong)
+    capsys.readouterr()
+    assert cli.main(["verify", "identities", "--count", "3"]) == 1
+    rows = [line.split("\t")
+            for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert {row[0] for row in rows if row[-1] == "FAIL"} == \
+        {"scaling-q2", "scaling-q3"}
+    for q in (2, 3):
+        assert _identity_failures(q, IDENTITIES) > 0
 
 
 # 3. the level-one image fan is the face fan of the chain cone, d = 2, 3, 4
@@ -216,9 +235,8 @@ def test_07_tate_valuations():
     module, steps = iterate_tate(2, 1, [1, 3], 64)
     profile = lattice_profile_of_steps(2, 1, [1, 3])
     assert profile == (F(1), F(2))
-    assert delta(2, 1, profile) == \
-        delta(2, 1, profile[:1]) + delta(2, 2, [epsilon_hat(2, 1, profile[:1],
-                                                            profile[1])])
+    expected, got = IDENTITIES["delta-split"](2, 1, profile, None)
+    assert expected == got
     assert steps[1].top_valuation == (2 ** 3 - 1) * delta(2, 1, profile) == 5
     assert time.monotonic() - start < 30.0
 

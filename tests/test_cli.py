@@ -159,15 +159,6 @@ def test_bt_cone_odd_q():
     assert json.loads(out.stdout)["rays"] == [[1, 3]]
 
 
-def test_xi_linearize_and_fan_sigma_kk_agree():
-    opts = ["--q", "2", "--d", "3", "--k", "2", "--kprime", "1",
-            "--seed", "5"]
-    a = run("xi", "linearize", *opts)
-    b = run("fan", "sigma-kk", *opts)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout and a.stdout == b.stdout
-
-
 def test_bad_vectors_exit_2():
     for args in (("hilbert", "--cone", "1,0;0"),
                  ("bt", "cone", "--q", "2", "--sets", "0,1;0"),
@@ -183,7 +174,22 @@ def test_bad_vectors_exit_2():
                   "--kprime", "1"),
                  ("xi", "linearize", "--q", "2", "--d", "3", "--k", "1",
                   "--kprime", "0"),
-                 ("xi", "eval", "--q", "2", "--k", "-1", "--coords", "1,2")):
+                 ("xi", "eval", "--q", "2", "--k", "-1", "--coords", "1,2"),
+                 ("verify", "identities", "--count", "0"),
+                 ("verify", "identities", "--count", "-3"),
+                 ("atlas", "graph", "--m", "-1"),
+                 ("tate", "quotient", "--q", "2", "--ms", "1",
+                  "--precision", "0"),
+                 ("tate", "torsion", "--q", "2", "--ms", "1",
+                  "--precision", "-1"),
+                 ("verify", "tate", "--precision", "0"),
+                 # the removed duplicates of xi linearize, eps eval
+                 # --method closed, --coords and --count
+                 ("fan", "sigma-kk", "--q", "2", "--d", "3", "--k", "2",
+                  "--kprime", "1"),
+                 ("eps", "closed", "--q", "2", "--weights", "1", "--x", "2"),
+                 ("xi", "eval", "--q", "2", "--point", "1,2"),
+                 ("verify", "identities", "--trials", "3")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args

@@ -18,10 +18,20 @@ F = Fraction
 PREC = 48
 
 
+def _reduction_rank(module):
+    """Largest i with unit tau^i-coefficient (rank of the reduction)."""
+    best = 0
+    for i in range(module.rank + 1):
+        c = module.phi_T.coeff(i)
+        if not c.is_zero_to_precision() and c.valuation() == 0:
+            best = i
+    return best
+
+
 def test_standard_module():
     m = standard_module(2, 1)
     assert m.rank == 1
-    assert m.reduction_rank() == 1  # the top coefficient is a unit
+    assert _reduction_rank(m) == 1  # the top coefficient is a unit
     assert m.phi_T.z_degree() == 2
 
 
@@ -30,7 +40,7 @@ def test_reduction_rank_drops_after_quotient():
     # coefficient has positive valuation
     module, _ = iterate_tate(2, 1, [2], PREC)
     assert module.rank == 2
-    assert module.reduction_rank() == 1
+    assert _reduction_rank(module) == 1
 
 
 def test_phi_of_polynomial():
