@@ -60,7 +60,9 @@ def _parse_rows(s: str) -> list[list[int]]:
 
 def _parse_cone(s: str) -> Cone:
     rays = _parse_rows(s)
-    return Cone.from_rays(rays, n=len(rays[0]) if rays else 1)
+    if not rays:
+        raise ValueError("--cone needs at least one ray 'a,b;c,d;...'")
+    return Cone.from_rays(rays, n=len(rays[0]))
 
 
 def _cone_json(c: Cone) -> dict:
@@ -326,11 +328,15 @@ def _verify_sigk3(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="drinfan",
+    # no option prefixes: each option has exactly one spelling
+    p = argparse.ArgumentParser(prog="drinfan", allow_abbrev=False,
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eps", help="scalar kernel evaluation")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    sp = command("eps", "scalar kernel evaluation")
     sp.add_argument("action", choices=["eval", "delta", "inv"])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=1)
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sp.set_defaults(func=cmd_eps)
 
-    sp = sub.add_parser("xi", help="rescaling maps")
+    sp = command("xi", "rescaling maps")
     sp.add_argument("action", choices=["eval", "linearize"])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_xi)
 
-    sp = sub.add_parser("fan", help="comparison and image fans")
+    sp = command("fan", "comparison and image fans")
     sp.add_argument("action", choices=["sigma-upper", "sigma-k", "join",
                                        "refine"])
     sp.add_argument("--q", type=int, default=2)
@@ -363,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_fan)
 
-    sp = sub.add_parser("hilbert", help="dual-monoid Hilbert basis")
+    sp = command("hilbert", "dual-monoid Hilbert basis")
     sp.add_argument("--cone", required=True,
                     help="rays as 'a,b;c,d;...'")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hilbert)
 
-    sp = sub.add_parser("bt", help="building cones")
+    sp = command("bt", "building cones")
     sp.add_argument("action", choices=["simplex", "cone"])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int, default=2)
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bt)
 
-    sp = sub.add_parser("tate", help="Tate-quotient lab")
+    sp = command("tate", "Tate-quotient lab")
     sp.add_argument("action", choices=["quotient", "torsion"])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--r", type=int, default=1)
@@ -390,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_tate)
 
-    sp = sub.add_parser("atlas", help="boundary atlas")
+    sp = command("atlas", "boundary atlas")
     sp.add_argument("action", choices=["graph", "charts"])
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--m", type=int, default=0)
@@ -399,11 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_atlas)
 
-    sp = sub.add_parser("satake-check",
-                        help="degree-one symmetric identity checks")
+    sp = command("satake-check", "degree-one symmetric identity checks")
     sp.set_defaults(func=cmd_satake_check)
 
-    sp = sub.add_parser("verify", help="verification suites (TSV report)")
+    sp = command("verify", "verification suites (TSV report)")
     sp.add_argument("suite", choices=["identities", "tate", "sigk3"])
     sp.add_argument("--q", type=int, default=2,
                     help="field size for sigk3; identities always covers "

@@ -2,31 +2,37 @@
 
 A WeightedNorm with positive rational weights s = (s_1, ..., s_n) measures
 mu(sum x_i e_i) = max_i s_i |x_i| with |x| = q^deg(x), |0| = 0.  The module
-computes successive-minima bases of full A-lattices by exhaustive search
-inside an exact degree bound (greedy over the lattice minus the A-span of
-the vectors chosen so far, lexicographic tie-breaking) with their norm
-profile, and the predicate for a change of basis to preserve the
-successive-minima property (degree bound on entries plus invertible tie
-blocks over F_q).
+computes successive-minima bases of full A-lattices by basis reduction
+(Lenstra, J. Comput. Syst. Sci. 30, 1985; Mulders and Storjohann,
+J. Symbolic Comput. 35, 2003), their norm profile, and the predicate for a
+change of basis to preserve the successive-minima property (degree bound
+on entries plus invertible tie blocks over F_q).
+
+Reduction criterion: the leading vector of b is lc(b_i) at each position i
+with s_i |b_i| = mu(b), and 0 elsewhere.  If the leading vectors of a basis
+are independent over F_q, no cancellation happens at the top:
+mu(sum a_j b_j) = max_j |a_j| mu(b_j), and the sorted norms of the basis
+are the successive minima.  Two positions lead together in one vector only
+if s_i / s_j is a power of q, so the norms of the basis fall into classes
+mu q^Z; an F_q-relation among leading vectors holds within each class, and
+its multipliers T^e are monomials.  Each reduction step replaces a vector
+by a combination of strictly smaller norm, and the norms of lattice
+vectors below a bound form a finite set, so the reduction terminates.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gf import GF, Poly, RatFunc, polys_of_degree_at_most
-from .linalg import det, solve
+from .gf import GF, Poly, RatFunc
+from .linalg import det, nullspace
 
 __all__ = ["WeightedNorm", "successive_minima", "is_norm_preserving_change",
            "apply_change", "normalized_profile"]
 
 Vector = tuple[Poly, ...]
-
-# largest number of coefficient tuples successive_minima will enumerate
-_SEARCH_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,8 @@ class WeightedNorm:
 
     def __post_init__(self):
         ws = tuple(Fraction(w) for w in self.weights)
+        if not ws:
+            raise ValueError("weights must be non-empty")
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", ws)
@@ -49,76 +57,52 @@ class WeightedNorm:
                    default=Fraction(0))
 
 
-def _in_A_span(vectors: list[Vector], x: Vector) -> bool:
-    """Is x in the A-span of the given vectors?"""
-    if not vectors:
-        return all(p.is_zero() for p in x)
-    # solve sum_j c_j vectors[j] = x over F_q(T); need every c_j in A
-    sol = solve([[RatFunc.of(v[i]) for v in vectors] for i in range(len(x))],
-                [RatFunc.of(p) for p in x])
-    return sol is not None and all(c.den.degree == 0 for c in sol)
-
-
 def successive_minima(norm: WeightedNorm, generators: Sequence[Vector]
                       ) -> tuple[list[Vector], list[Fraction]]:
-    """Greedy successive-minima basis of the A-lattice spanned by generators.
+    """Successive-minima basis of the A-lattice spanned by generators.
 
-    Each chosen vector has minimal norm among lattice vectors outside the
-    A-span of the previously chosen ones; ties are broken by the
-    lexicographic order of the coefficient tuple.  Exhaustive search within
-    an exact degree bound derived from the generator norms.
+    Reduces a copy of the generators until their leading vectors are
+    independent over F_q.  While they are not, take an F_q-relation
+    sum c_j lead(b_j) = 0, let b_top have the largest norm among the b_j
+    with c_j != 0, and keep only the b_j with mu(b_top) / mu(b_j) = q^e_j:
+    b_j leads at position i only if mu(b_j) lies in s_i q^Z, so the
+    relation holds on this q-class alone.  Replace b_top by
+    sum c_j T^e_j b_j, a unimodular change since c_top is a unit.  Each
+    term has norm mu(b_top) and leading vector lead(b_j), so the leading
+    terms cancel and the norm strictly drops; norms of lattice vectors up
+    to the largest generator norm form a finite set, so the loop ends.
+    Returns the basis sorted by norm and its norms, the successive minima.
     """
-    field = norm.field
-    q = field.q
-    n = norm.n
-    gens = [tuple(g) for g in generators]
-    if len(gens) != n:
-        raise ValueError("need n generators for a full lattice")
-    if det([[g[i] for g in gens] for i in range(n)]).is_zero():
-        raise ValueError("generators are not a lattice basis")
-    # any successive-minima vector has norm <= max generator norm
-    bound = max(norm.norm(g) for g in gens)
-    min_w = min(norm.weights)
-    deg_x = 0
-    while Fraction(q) ** (deg_x + 1) * min_w <= bound:
-        deg_x += 1
-    # coefficient degree bound via Cramer: a = adj(G) x / det
-    adj_deg = 0
-    for i in range(n):
-        for j in range(n):
-            minor = [[gens[jj][ii] for jj in range(n) if jj != j]
-                     for ii in range(n) if ii != i]
-            md = det(minor) if minor else Poly.one(field)
-            if not md.is_zero():
-                adj_deg = max(adj_deg, md.degree)
-    deg_a = adj_deg + deg_x  # det has degree >= 0, dividing only lowers this
-    count = (q ** (deg_a + 1)) ** n
-    if count > _SEARCH_CAP:
-        raise ValueError(f"search space {count} exceeds cap {_SEARCH_CAP}")
-    coeff_space = list(polys_of_degree_at_most(field, deg_a))
-    candidates = []
-    for coeffs in itertools.product(coeff_space, repeat=n):
-        if all(c.is_zero() for c in coeffs):
-            continue
-        v = tuple(
-            sum((gens[j][i] * coeffs[j] for j in range(1, n)),
-                gens[0][i] * coeffs[0])
-            for i in range(n))
-        key = tuple(itertools.chain.from_iterable(c.coeffs for c in coeffs))
-        candidates.append((norm.norm(v), key, v))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    basis: list[Vector] = []
-    values: list[Fraction] = []
-    for value, _, v in candidates:
-        if len(basis) == n:
-            break
-        if _in_A_span(basis, v):
-            continue
-        basis.append(v)
-        values.append(value)
+    field, q, n = norm.field, norm.field.q, norm.n
+    basis = [tuple(g) for g in generators]
     if len(basis) != n:
-        raise RuntimeError("failed to extract a full successive-minima basis")
-    return basis, values
+        raise ValueError("need n generators for a full lattice")
+    if det([[g[i] for g in basis] for i in range(n)]).is_zero():
+        raise ValueError("generators are not a lattice basis")
+    while True:
+        mus = [norm.norm(b) for b in basis]
+        lead = [[p.coeffs[-1] if p and s * p.absolute_value() == mu else 0
+                 for s, p in zip(norm.weights, b)]
+                for b, mu in zip(basis, mus)]
+        # the F_q-relations: the kernel of the matrix with columns lead
+        relations = nullspace([[RatFunc.of(Poly.constant(field, x))
+                                for x in row] for row in zip(*lead)])
+        if not relations:
+            break
+        c = relations[0]
+        top = max((j for j in range(n) if c[j]), key=mus.__getitem__)
+        new = [Poly.zero(field)] * n
+        for j in range(n):
+            e = 0
+            while mus[j] * q ** e < mus[top]:
+                e += 1
+            # only the q-class of b_top: mu(b_top) = q^e mu(b_j)
+            if c[j] and mus[j] * q ** e == mus[top]:
+                m = Poly.make(field, [0] * e + [c[j].num.coeffs[0]])
+                new = [x + m * y for x, y in zip(new, basis[j])]
+        basis[top] = tuple(new)
+    order = sorted(range(n), key=mus.__getitem__)
+    return [basis[j] for j in order], [mus[j] for j in order]
 
 
 def normalized_profile(values: Sequence[Fraction]) -> tuple[Fraction, ...]:

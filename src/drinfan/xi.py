@@ -191,6 +191,8 @@ def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     check_q(q)
     _check_levels(k)
     d = point.d
+    if d < 2:
+        raise ValueError("d must be >= 2: a point needs a coordinate")
     r, p = _point_powers(point)
     weights = p[r - 1:]
     scale = Fraction(q) ** (-k * r)  # a Fraction power: never a float

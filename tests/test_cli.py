@@ -189,7 +189,18 @@ def test_bad_vectors_exit_2():
                   "--kprime", "1"),
                  ("eps", "closed", "--q", "2", "--weights", "1", "--x", "2"),
                  ("xi", "eval", "--q", "2", "--point", "1,2"),
-                 ("verify", "identities", "--trials", "3")):
+                 ("verify", "identities", "--trials", "3"),
+                 # option prefixes are no spellings of their options
+                 ("verify", "identities", "--cou", "1", "--se", "2"),
+                 ("xi", "eval", "--q", "2", "--coo", "1,2,4"),
+                 ("eps", "eval", "--q", "2", "--weights", "1", "--x", "2",
+                  "--meth", "oracle"),
+                 ("tate", "quotient", "--q", "2", "--ms", "1",
+                  "--prec", "8"),
+                 # an empty cone or point is no default
+                 ("fan", "refine"),
+                 ("hilbert", "--cone", ""),
+                 ("xi", "eval", "--q", "2")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from drinfan.gf import Poly, gf, polys_of_degree_at_most
+from drinfan import norms
+from drinfan.gf import Poly, RatFunc, gf, polys_of_degree_at_most
+from drinfan.linalg import det, nullspace, solve
 from drinfan.norms import (WeightedNorm, apply_change,
                            is_norm_preserving_change, normalized_profile,
                            successive_minima)
@@ -18,6 +20,102 @@ def _identity(field, n):
     one, zero = Poly.one(field), Poly.zero(field)
     return [tuple(one if i == j else zero for j in range(n))
             for i in range(n)]
+
+
+def _in_A_span(vectors, x):
+    """Is x in the A-span of the given vectors?"""
+    if not vectors:
+        return all(p.is_zero() for p in x)
+    # solve sum_j c_j vectors[j] = x over F_q(T); need every c_j in A
+    sol = solve([[RatFunc.of(v[i]) for v in vectors] for i in range(len(x))],
+                [RatFunc.of(p) for p in x])
+    return sol is not None and all(c.den.degree == 0 for c in sol)
+
+
+def _oracle_minima(norm, gens, cap):
+    """Successive minima by exhaustive greedy search, or None if it would
+    list more than cap coefficient tuples.
+
+    Lists every coefficient tuple up to a Cramer degree bound, sorted by
+    (norm, lexicographic coefficients), and keeps each vector outside the
+    A-span of those kept so far.  Independent of the reduction it checks.
+    """
+    field, q, n = norm.field, norm.field.q, norm.n
+    # any successive-minima vector has norm <= max generator norm
+    bound = max(norm.norm(g) for g in gens)
+    deg_x = 0
+    while Fraction(q) ** (deg_x + 1) * min(norm.weights) <= bound:
+        deg_x += 1
+    # coefficient degree bound via Cramer: a = adj(G) x / det
+    adj_deg = 0
+    for i in range(n):
+        for j in range(n):
+            minor = [[gens[jj][ii] for jj in range(n) if jj != j]
+                     for ii in range(n) if ii != i]
+            md = det(minor) if minor else Poly.one(field)
+            if not md.is_zero():
+                adj_deg = max(adj_deg, md.degree)
+    deg_a = adj_deg + deg_x  # det has degree >= 0, dividing only lowers this
+    if (q ** (deg_a + 1)) ** n > cap:
+        return None
+    candidates = []
+    for coeffs in itertools.product(
+            list(polys_of_degree_at_most(field, deg_a)), repeat=n):
+        if all(c.is_zero() for c in coeffs):
+            continue
+        v = tuple(sum((gens[j][i] * coeffs[j] for j in range(1, n)),
+                      gens[0][i] * coeffs[0]) for i in range(n))
+        key = tuple(itertools.chain.from_iterable(c.coeffs for c in coeffs))
+        candidates.append((norm.norm(v), key, v))
+    candidates.sort(key=lambda t: (t[0], t[1]))
+    basis, values = [], []
+    for value, _, v in candidates:
+        if len(basis) == n:
+            break
+        if not _in_A_span(basis, v):
+            basis.append(v)
+            values.append(value)
+    return values
+
+
+def _bidiagonal(field, n):
+    """Basis e_j + T e_(j+1) (and e_n) of the lattice A^n."""
+    T, one, zero = Poly.T(field), Poly.one(field), Poly.zero(field)
+    return [tuple(one if i == j else T if i == j + 1 else zero
+                  for i in range(n)) for j in range(n)]
+
+
+def _assert_same_lattice(old, new):
+    """new = M old with M over A and det M a nonzero constant."""
+    n = len(old)
+    # one equation per coordinate; unknown j, column k: coefficient of
+    # old_j in new_k
+    m = solve([[RatFunc.of(v[i]) for v in old] for i in range(n)],
+              [[RatFunc.of(v[i]) for v in new] for i in range(n)])
+    assert m is not None
+    assert all(c.den.degree == 0 for row in m for c in row)
+    d = det([[c.num for c in row] for row in m])
+    assert d.degree == 0
+
+
+def _random_case(rng, q, n):
+    """A nonsingular generator matrix with entries of degree <= 1 (linear
+    terms rarer in rank 3, to keep the oracle's search small) and weights
+    base * q^k, so that some weight ratios are powers of q and some not."""
+    field = gf(q)
+
+    def entry():
+        c0 = rng.randrange(q)
+        c1 = rng.randrange(q) if rng.random() < 1 / (n - 1) ** 2 else 0
+        return Poly.make(field, (c0, c1))
+
+    while True:
+        gens = [tuple(entry() for _ in range(n)) for _ in range(n)]
+        if not det([[g[i] for g in gens] for i in range(n)]).is_zero():
+            break
+    weights = tuple(rng.choice((F(1), F(3, 2), F(5, 3)))
+                    * q ** rng.randint(0, 4 - n) for _ in range(n))
+    return WeightedNorm(field, weights), gens
 
 
 def test_norm_values():
@@ -115,3 +213,68 @@ def test_rejects_non_basis():
     nm = WeightedNorm(K, (F(1), F(1)))
     with pytest.raises(ValueError):
         successive_minima(nm, [(zero, zero), (zero, zero)])
+
+
+def test_rejects_empty_weights():
+    with pytest.raises(ValueError):
+        WeightedNorm(gf(2), ())
+
+
+@pytest.mark.parametrize("weights,n,want", [
+    ((1, 2, 4), 3, [1, 2, 4]),
+    ((1, 1, 1, 1), 4, [1, 1, 1, 1]),
+])
+def test_minima_beyond_the_search(weights, n, want):
+    # both were past the exhaustive search's cap
+    K = gf(2)
+    nm = WeightedNorm(K, weights)
+    gens = _bidiagonal(K, n)
+    basis, vals = successive_minima(nm, gens)
+    assert vals == want
+    assert [nm.norm(b) for b in basis] == vals
+    _assert_same_lattice(gens, basis)
+
+
+@pytest.mark.parametrize("q,n,cases,least", [
+    (2, 2, 30, 25), (3, 2, 30, 20), (2, 3, 20, 15), (3, 3, 40, 5)])
+def test_reduction_matches_exhaustive_oracle(q, n, cases, least):
+    rng = random.Random(f"minima:{q}:{n}")
+    checked = 0
+    for _ in range(cases):
+        nm, gens = _random_case(rng, q, n)
+        basis, vals = successive_minima(nm, gens)
+        assert vals == sorted(vals)
+        assert [nm.norm(b) for b in basis] == vals
+        _assert_same_lattice(gens, basis)
+        want = _oracle_minima(nm, gens, cap=5_000)
+        if want is not None:
+            assert vals == want, (nm.weights, gens)
+            checked += 1
+    assert checked >= least
+
+
+def test_relation_across_q_classes(monkeypatch):
+    # the elimination returns kernel vectors inside one q-class; the
+    # reduction must not rely on it, so hand it the sum of all of them
+    steps = []
+
+    def summed_kernel(rows):
+        steps.append(rows)
+        assert len(steps) <= 20, "the reduction does not terminate"
+        kernel = nullspace(rows)
+        return [tuple(sum(col[1:], col[0]) for col in zip(*kernel))] \
+            if kernel else []
+
+    monkeypatch.setattr(norms, "nullspace", summed_kernel)
+    K = gf(2)
+    T, one, zero = Poly.T(K), Poly.one(K), Poly.zero(K)
+    # two dependent pairs, of norms (1, 2) and (3, 6); T^3 times the first
+    # vector has norm 8 at position 1 and 7 at position 5, so a multiplier
+    # outside the q-class of 6 would raise the norm it should lower
+    nm = WeightedNorm(K, (F(1), F(1), F(3), F(3), F(7, 8)))
+    gens = [(one, zero, zero, zero, one), (T, one, zero, zero, zero),
+            (zero, zero, one, zero, zero), (zero, zero, T, one, zero),
+            (zero, zero, zero, zero, one)]
+    basis, vals = successive_minima(nm, gens)
+    assert vals == [F(7, 8), 1, 1, 3, 3]
+    _assert_same_lattice(gens, basis)
