@@ -79,8 +79,29 @@ def _fan_json(fan) -> dict:
     return {"cones": cones, "maximal": maximal, "size": len(cones)}
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), for str keys.
+
+    With an indent the standard library falls back to its pure-Python
+    encoder, whose closures form a reference cycle on every call; here
+    only the containers are laid out, and each leaf still goes through
+    json.dumps, so escaping and number formatting are unchanged."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{inner}{json.dumps(key)}: {_json(obj[key], inner)}"
+                 for key in sorted(obj))
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ",".join(inner + _json(x, inner) for x in obj) + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _json(obj) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -332,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="drinfan", allow_abbrev=False,
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # command name -> its parser
 
     def command(name: str, summary: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=summary, allow_abbrev=False)
@@ -429,7 +451,10 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args, extra = _parser.parse_known_args(argv)
+        if extra:  # name the subcommand, whose usage shows the valid options
+            _parser.commands[args.command].error(
+                "unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:

@@ -25,27 +25,35 @@ delta^{r,n} = delta^{r,n-1} + (q-1)/(q^{r+n}-1) * epsilon_hat^{r,n-1}(s_n).
 Exact inverses of epsilon_hat and epsilon are included.
 
 Evaluation core.  The one-weight map and its inverse (_hat1, _hat1_inv)
-work on the numerators and denominators as ints: with s = u/v and x = a/b
-the band h is found by comparing a v with q^{hr} u b, and the value is
-built over one common denominator and normalized once, as a single
-Fraction.  The public epsilon_hat1 and epsilon_hat1_inv check their
-arguments and call this kernel; the chains call it directly, since stage
-weights are positive by construction.
+work on ints only: with s = u/v and x = a/b (b > 0) the band h is found by
+comparing a v with q^{hr} u b, which is homogeneous in (a, b), so a/b need
+not be in lowest terms, and the value comes back as an unreduced pair over
+the denominator b D v.  A stage chain (_chain, _chain_inv) carries that
+pair through all its stages and makes one Fraction at the end, adding
+delta in the same step for epsilon_closed.  The public epsilon_hat1 and
+epsilon_hat1_inv check their arguments and call this kernel; the chains
+call it directly, since stage weights are positive by construction.
 
 The stage chain of a weight vector (its stage weights and delta) is built
 once, by _stages, and kept in a small least-recently-used cache (64
 entries) keyed on (q, r, checked weight tuple).  Stage i depends only on
 s_1..s_{i+1}, so the chain of a vector extends the cached chain of its
-prefix by one stage.  epsilon_closed, epsilon_inv, delta, epsilon_hat and
-epsilon_hat_inv take their stages and delta from it, so the d-r coordinate
-calls that xi_eval makes to epsilon_closed on one point (and pi_eval to
-epsilon_hat) share a single chain.  xi_eval skips the epsilon dispatcher:
-the values of a ClassPoint are weakly increasing, and _stages rejects any
+prefix by one stage, and the chain of a prefix is a prefix of the chain.
+Every public function that needs a chain gets it from _stage_chain, which
+checks the weights and keeps the last successful (weights, q, r) in a
+one-entry memo keyed on identity.  The memo keeps only a tuple of exact
+Fractions, which cannot change, and holds it, so its id cannot be reused.
+xi_eval passes one such tuple, p_r..p_{d-1}, to epsilon_closed for each of
+the d-r coordinates of a point, so the point's weights are checked and its
+chain looked up once; pi_eval takes the prefix chains it needs as
+prefixes of that same chain.  xi_eval skips the epsilon dispatcher: the
+values of a ClassPoint are weakly increasing, and _stages rejects any
 other weight vector.
-Only results are cached: an invalid weight vector raises on every call.
-q and r are checked before the weights on every call, so an empty weight
-vector (epsilon the identity, delta zero) is checked like any other.
-The cache holds immutable tuples; hat_stage_weights returns a fresh list.
+Only successes are cached and memoized: an invalid weight vector raises on
+every call.  q and r are checked before the weights on every miss, so an
+empty weight vector (epsilon the identity, delta zero) is checked like any
+other.  The cache holds immutable tuples; hat_stage_weights returns a
+fresh list.
 
 Identity table.  IDENTITIES maps each law that `drinfan verify identities`
 checks to f(q, r, w, x) -> (expected, got): closed form against the
@@ -124,14 +132,14 @@ def epsilon_oracle(q: int, r: int, weights: Sequence[Fraction],
     return total
 
 
-def _hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
+def _hat1(q: int, r: int, u: int, v: int, a: int, b: int) -> tuple[int, int]:
     """epsilon_hat1 on checked arguments, in integer arithmetic.
 
-    With s = u/v, x = a/b and Q = q^r, the band h is the least h >= 0 with
-    a v <= Q^h u b, and the value q^h x - q^h Q^h c s, c = (q-1)/D,
-    D = q^{r+1} - 1, is put over the one denominator b D v."""
-    a, b = x.numerator, x.denominator
-    u, v = s.numerator, s.denominator
+    With s = u/v, x = a/b (b > 0, not necessarily in lowest terms) and
+    Q = q^r, the band h is the least h >= 0 with a v <= Q^h u b (homogeneous
+    in (a, b)), and the value q^h x - q^h Q^h c s, c = (q-1)/D,
+    D = q^{r+1} - 1, is returned as the unreduced pair
+    (q^h (a v D - Q^h (q-1) u b), b D v)."""
     Q = q ** r
     av, ub = a * v, u * b
     qh = Qh = 1
@@ -139,18 +147,17 @@ def _hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
         Qh *= Q
         qh *= q
     D = q * Q - 1
-    return Fraction(qh * (av * D - Qh * (q - 1) * ub), b * D * v)
+    return qh * (av * D - Qh * (q - 1) * ub), b * D * v
 
 
-def _hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
+def _hat1_inv(q: int, r: int, u: int, v: int, a: int, b: int
+              ) -> tuple[int, int]:
     """epsilon_hat1_inv on checked arguments, in integer arithmetic.
 
     The value at the right end of band h is P^h s (1 - c), P = q^{r+1},
-    increasing in h; with y = a/b the band is the least h with
-    a v D <= P^h u (P - q) b, and the preimage is
-    (a D v + P^h (q-1) u b) / (b D v q^h)."""
-    a, b = y.numerator, y.denominator
-    u, v = s.numerator, s.denominator
+    increasing in h; with s = u/v and y = a/b (b > 0) the band is the least
+    h with a v D <= P^h u (P - q) b, and the preimage is the unreduced pair
+    (a D v + P^h (q-1) u b, b D v q^h)."""
     P = q ** (r + 1)
     D = P - 1
     avD, edge = a * v * D, u * (P - q) * b
@@ -158,19 +165,48 @@ def _hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
     while avD > Ph * edge:
         Ph *= P
         qh *= q
-    return Fraction(avD + Ph * (q - 1) * u * b, b * D * v * qh)
+    return avD + Ph * (q - 1) * u * b, b * D * v * qh
 
 
 def epsilon_hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
     """One-weight reduced map; linear with slope q^h on the band
     q^{(h-1)r} s <= x <= q^{hr} s."""
     s, = _check_args(q, r, (s,))
-    return _hat1(q, r, s, Fraction(x))
+    x = Fraction(x)
+    return Fraction(*_hat1(q, r, s.numerator, s.denominator,
+                           x.numerator, x.denominator))
 
 
 def epsilon_hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
     s, = _check_args(q, r, (s,))
-    return _hat1_inv(q, r, s, Fraction(y))
+    y = Fraction(y)
+    return Fraction(*_hat1_inv(q, r, s.numerator, s.denominator,
+                               y.numerator, y.denominator))
+
+
+_ZERO = Fraction(0)
+
+
+def _chain(q: int, r: int, stages: Sequence[Fraction], x: Fraction,
+           shift: Fraction = _ZERO) -> Fraction:
+    """epsilon_hat(x) + shift: stage j is the one-weight map of rank r+j.
+
+    The value goes through the stages as an unreduced integer pair, and
+    one Fraction is made at the end."""
+    a, b = x.numerator, x.denominator
+    for j, t in enumerate(stages):
+        a, b = _hat1(q, r + j, t.numerator, t.denominator, a, b)
+    n, m = shift.numerator, shift.denominator
+    return Fraction(a * m + n * b, b * m)
+
+
+def _chain_inv(q: int, r: int, stages: Sequence[Fraction], y: Fraction
+               ) -> Fraction:
+    a, b = y.numerator, y.denominator
+    for j in range(len(stages) - 1, -1, -1):
+        t = stages[j]
+        a, b = _hat1_inv(q, r + j, t.numerator, t.denominator, a, b)
+    return Fraction(a, b)
 
 
 @lru_cache(maxsize=64)
@@ -182,7 +218,7 @@ def _stages(q: int, r: int, w: tuple[Fraction, ...]
     chain of w[:-1] by one stage, and delta by one term.  Every adjacent
     pair is compared before any stage is built."""
     if not w:
-        return (), Fraction(0)
+        return (), _ZERO
     if len(w) > 1 and w[-2] > w[-1]:
         raise ValueError("closed evaluation requires weakly increasing weights")
     head, d = _stages(q, r, w[:-1])
@@ -193,51 +229,59 @@ def _stages(q: int, r: int, w: tuple[Fraction, ...]
     return head + (v,), d + Fraction(q - 1, q ** (r + n + 1) - 1) * v
 
 
-def _chain(q: int, r: int, stages: Sequence[Fraction], x: Fraction
-           ) -> Fraction:
-    """epsilon_hat: stage j is the one-weight map of rank r+j."""
-    for j, t in enumerate(stages):
-        x = _hat1(q, r + j, t, x)
-    return x
+# the last weight vector _stage_chain checked: (weights, q, r, chain)
+_last: tuple = (None, None, None, None)
 
 
-def _chain_inv(q: int, r: int, stages: Sequence[Fraction], y: Fraction
-               ) -> Fraction:
-    for j in range(len(stages) - 1, -1, -1):
-        y = _hat1_inv(q, r + j, stages[j], y)
-    return y
+def _stage_chain(q: int, r: int, weights: Sequence[Fraction]
+                 ) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(stage weights, delta) of a weight vector, checked once per vector.
+
+    A one-entry memo is keyed on the identity of (weights, q, r), so the
+    calls that share one weight tuple (the coordinates of one point) check
+    it and look its chain up once.  Only a tuple of exact Fractions is
+    kept, which cannot change, and the memo holds it, so its id is not
+    reused while it is the key.  Only successes are kept."""
+    global _last
+    last = _last
+    if weights is last[0] and q is last[1] and r is last[2]:
+        return last[3]
+    chain = _stages(q, r, _check_args(q, r, weights))
+    if type(weights) is tuple and all(type(x) is Fraction for x in weights):
+        _last = (weights, q, r, chain)
+    return chain
 
 
 def hat_stage_weights(q: int, r: int, weights: Sequence[Fraction]
                       ) -> list[Fraction]:
     """Chained one-weight parameters: stage i has rank r+i and weight
     epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})."""
-    return list(_stages(q, r, _check_args(q, r, weights))[0])
+    return list(_stage_chain(q, r, weights)[0])
 
 
 def epsilon_hat(q: int, r: int, weights: Sequence[Fraction],
                 x: Fraction) -> Fraction:
     """Reduced map epsilon - delta, via the one-weight chain."""
-    stages, _ = _stages(q, r, _check_args(q, r, weights))
+    stages, _ = _stage_chain(q, r, weights)
     return _chain(q, r, stages, Fraction(x))
 
 
 def epsilon_hat_inv(q: int, r: int, weights: Sequence[Fraction],
                     y: Fraction) -> Fraction:
-    stages, _ = _stages(q, r, _check_args(q, r, weights))
+    stages, _ = _stage_chain(q, r, weights)
     return _chain_inv(q, r, stages, Fraction(y))
 
 
 def delta(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:
     """Normalization constant; 0 for no weights."""
-    return _stages(q, r, _check_args(q, r, weights))[1]
+    return _stage_chain(q, r, weights)[1]
 
 
 def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
                    x: Fraction) -> Fraction:
     """Closed-form epsilon (requires weakly increasing weights)."""
-    stages, d = _stages(q, r, _check_args(q, r, weights))
-    return _chain(q, r, stages, Fraction(x)) + d
+    stages, d = _stage_chain(q, r, weights)
+    return _chain(q, r, stages, x if type(x) is Fraction else Fraction(x), d)
 
 
 def epsilon(q: int, r: int, weights: Sequence[Fraction],
@@ -251,7 +295,7 @@ def epsilon(q: int, r: int, weights: Sequence[Fraction],
 def epsilon_inv(q: int, r: int, weights: Sequence[Fraction],
                 y: Fraction) -> Fraction:
     """Inverse of the (strictly increasing) closed-form epsilon."""
-    stages, d = _stages(q, r, _check_args(q, r, weights))
+    stages, d = _stage_chain(q, r, weights)
     return _chain_inv(q, r, stages, Fraction(y) - d)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .epsilon import delta, epsilon_closed, epsilon_hat
+from .epsilon import _chain, _stage_chain, delta, epsilon_closed, epsilon_hat
 from .gf import check_q
 from .linalg import frac_vec, mat_inv, mat_mul, mat_vec, primitive, solve
 from .points import ClassPoint
@@ -150,19 +150,21 @@ def _point_powers(point: ClassPoint) -> tuple[int, tuple[Fraction, ...]]:
 
 def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
             theta: tuple[int, ...] | None = None) -> tuple[Fraction, ...]:
-    """The flattening map attached to (k, sigma), in power coordinates."""
+    """The flattening map attached to (k, sigma), in power coordinates.
+
+    Coordinate i >= r is epsilon_hat^{r}_{p_r..p_{theta(i)-1}}(p_i).  Stage
+    j of a chain depends only on its first j+1 weights, so every prefix
+    chain is a prefix of the point's one chain over p_r..p_{d-1}, the
+    chain xi_eval uses (the values of a ClassPoint are weakly increasing).
+    """
     d = point.d
     if theta is None:
         theta = theta_vector(q, k, sigma)
     r, p = _point_powers(point)
-    out = []
-    for i in range(1, d):
-        if i < r:
-            out.append(Fraction(0))
-            continue
-        hi = max(theta[i - 1] - 1, r - 1)  # weights p_r .. p_{theta(i)-1}
-        weights = p[r - 1:hi]
-        out.append(epsilon_hat(q, r, weights, p[i - 1]))
+    stages, _ = _stage_chain(q, r, p[r - 1:])
+    out = [Fraction(0)] * (r - 1)
+    out += [_chain(q, r, stages[:max(theta[i - 1] - r, 0)], p[i - 1])
+            for i in range(r, d)]
     return tuple(out)
 
 
@@ -187,7 +189,10 @@ def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     """The rescaling map xi^d_k; output always has rational coordinates.
 
     Coordinate i >= r is epsilon^{r, d-r}_{p_r..p_{d-1}}(q^{-k r} p_i), by
-    the closed form: the values of a ClassPoint are weakly increasing."""
+    the closed form: the values of a ClassPoint are weakly increasing.
+    Every coordinate passes the one tuple p_r..p_{d-1} to epsilon_closed,
+    so the weights are checked and the stage chain is looked up once per
+    point; pi_eval takes its prefix chains from the same chain."""
     check_q(q)
     _check_levels(k)
     d = point.d

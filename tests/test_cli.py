@@ -1,7 +1,11 @@
 """CLI output formats, determinism, and exit codes."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
 
@@ -298,3 +302,55 @@ def test_fan_output_bytes_pinned(capsys):
         assert cli.main(command.split()) == 0, command
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_json_text_matches_json_dumps():
+    rng = random.Random(5)
+    leaves = ["", "a/b", 'quo"te\\', "tab\tnew\nline", "é→\U0001d538",
+              "\x00\x1f", 0, -7, 2 ** 80, 1.5, -0.0, 1e300, True, False, None]
+
+    def draw(depth):
+        kind = rng.randrange(4 if depth < 4 else 1)
+        if kind == 0:
+            return rng.choice(leaves)
+        if kind == 1:
+            return [draw(depth + 1) for _ in range(rng.randrange(4))]
+        if kind == 2:
+            return tuple(draw(depth + 1) for _ in range(rng.randrange(3)))
+        return {rng.choice(["a", "b", "Z", "é", "k\n", ""]) + str(i):
+                draw(depth + 1) for i in range(rng.randrange(4))}
+
+    for _ in range(300):
+        obj = draw(0)
+        assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_json_output_leaves_no_garbage():
+    # the standard library's indenting encoder leaves a reference cycle per
+    # call; JSON output must leave nothing for the cyclic collector
+    commands = (["xi", "eval", "--q", "2", "--coords", "1,2,4"],
+                ["xi", "linearize", "--q", "2", "--d", "3"],
+                ["fan", "sigma-upper", "--q", "2", "--d", "3", "--k", "2"])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0  # warm-up: parser, caches
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            assert out.getvalue().startswith("{\n"), argv
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_misspelt_option_reports_the_subcommand_usage():
+    out = run("xi", "eval", "--q", "2", "--coo", "1,2,4")
+    assert out.returncode == 2
+    assert "drinfan xi" in out.stderr and "--coords" in out.stderr
+    assert "unrecognized arguments: --coo 1,2,4" in out.stderr
+    assert out.stdout == ""
+    assert cli.main(["xi", "eval", "--q", "2", "--coo", "1,2,4"]) == 2

@@ -209,7 +209,7 @@ def test_invalid_weights_raise_on_every_call(monkeypatch):
             with pytest.raises(ValueError):
                 f(2, 1, bad, Fraction(5))
     # monotone positive weights never collapse, so force a stage to 0
-    monkeypatch.setattr(eps_mod, "_hat1", lambda q, r, s, x: Fraction(0))
+    monkeypatch.setattr(eps_mod, "_hat1", lambda q, r, u, v, a, b: (0, 1))
     collapse = (Fraction(11, 7), Fraction(13, 7))
     for _ in range(3):
         with pytest.raises(ArithmeticError):
@@ -248,3 +248,64 @@ def test_empty_weights_check_q_and_r():
     assert epsilon(2, 1, [], Fraction(3)) == 3
     assert epsilon_inv(2, 1, [], Fraction(3)) == 3
     assert delta(2, 1, []) == 0
+
+
+def test_integer_chain_matches_composed_fraction_formula():
+    rng = random.Random(4711)
+    for _ in range(1500):
+        q = rng.choice([2, 3, 4, 5])
+        r = rng.randint(1, 3)
+        stages = [Fraction(rng.randint(1, 10 ** rng.randint(1, 5)),
+                           rng.randint(1, 10 ** rng.randint(0, 3)))
+                  for _ in range(rng.randint(0, 4))]
+        x = Fraction(rng.randint(-10 ** 3, 10 ** 7), rng.randint(1, 997))
+        shift = Fraction(rng.randint(-50, 50), rng.randint(1, 13))
+        want = x
+        for j, t in enumerate(stages):
+            want = _ref_hat1(q, r + j, t, want)
+        got = eps_mod._chain(q, r, stages, x, shift)
+        assert got == want + shift
+        assert eps_mod._chain(q, r, stages, x) == want
+        back = want
+        for j in range(len(stages) - 1, -1, -1):
+            back = _ref_hat1_inv(q, r + j, stages[j], back)
+        assert eps_mod._chain_inv(q, r, stages, want) == back == x
+
+
+def test_weight_memo_never_serves_a_stale_chain():
+    x = Fraction(37, 3)
+
+    def fresh(q, r, w):
+        return epsilon_oracle(q, r, list(w), x)
+
+    # a list mutated in place between calls
+    w = [Fraction(1), Fraction(2), Fraction(5)]
+    for new in (Fraction(3), Fraction(4, 3), Fraction(5)):
+        assert epsilon_closed(2, 1, w, x) == fresh(2, 1, w)
+        w[1] = new
+    w[1] = Fraction(7)
+    with pytest.raises(ValueError):
+        epsilon_closed(2, 1, w, x)
+    # equal but distinct tuples, and one tuple at other (q, r)
+    t1 = (Fraction(1), Fraction(2), Fraction(5))
+    t2 = tuple(Fraction(v) for v in (1, 2, 5))
+    assert t1 == t2 and t1 is not t2
+    for q, r, t in ((2, 1, t1), (2, 1, t2), (3, 1, t1), (3, 2, t1),
+                    (2, 1, t1), (3, 2, t2)):
+        assert epsilon_closed(q, r, t, x) == fresh(q, r, t)
+        assert epsilon_hat(q, r, t, x) == epsilon_hat_oracle(q, r, t, x)
+        assert delta(q, r, t) == delta_oracle(q, r, t)
+    # a tuple of non-Fraction numbers is checked on every call
+    ints = (1, 2, 5)
+    for q in (2, 3, 2):
+        assert epsilon_closed(q, 1, ints, x) == fresh(q, 1, ints)
+    # a rejected vector is not remembered: it raises on every call
+    bad = (Fraction(2), Fraction(1))
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            epsilon_closed(2, 1, bad, x)
+    # the memo is keyed on q and r too: t1 is kept, another q is checked
+    for q, r in ((6, 1), (1, 1), (2.0, 1), (2, 0)):
+        assert epsilon_closed(2, 1, t1, x) == fresh(2, 1, t1)
+        with pytest.raises((ValueError, TypeError)):
+            epsilon_closed(q, r, t1, x)

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import drinfan.epsilon as eps_mod
+import drinfan.xi as xi_mod
 from drinfan.cones import Cone, Fan
+from drinfan.epsilon import epsilon_closed, epsilon_hat, epsilon_oracle
 from drinfan.linalg import frac_vec, mat_inv, mat_mul, mat_vec, solve
 from drinfan.points import ClassPoint
 from drinfan.xi import (LinearizationError, cone_Cd, contains_class_point,
@@ -335,3 +338,69 @@ def test_class_point_checks_survive_the_fraction_fast_path():
     p = ClassPoint.from_coords([1, F(3, 2)])
     assert p.values == (F(1), F(3, 2))
     assert all(type(v) is Fraction for v in p.values)
+
+
+def _seeded_class_points(seed, count):
+    """(q, k, point) with q in {2, 3}, d in {3, 4, 5}, strata r >= 1 and
+    stored powers 1 or 2 (a power-2 point has an even stratum)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice([2, 3])
+        k = rng.randint(1, 3)
+        d = rng.choice([3, 4, 5])
+        rho = rng.choice([1, 2])
+        r = (rng.choice([x for x in (2, 4) if x < d]) if rho == 2
+             else rng.randint(1, d - 1))
+        tail = sorted(F(rng.randint(1, 90), rng.randint(1, 7))
+                      for _ in range(d - r))
+        if rng.random() < 0.3:  # repeated values: weakly increasing
+            tail[-1] = tail[0]
+            tail.sort()
+        yield q, k, ClassPoint(d, (F(0),) * (r - 1) + tuple(tail), rho)
+
+
+def test_xi_and_pi_from_one_chain_match_per_coordinate_calls():
+    strata = set()
+    for q, k, point in _seeded_class_points(1313, 120):
+        d, r = point.d, point.stratum()
+        strata.add((r, point.pow_exponent))
+        p = point.power_values(r)
+        weights = list(p[r - 1:])  # a fresh list: no shared chain
+        scale = F(q) ** (-k * r)
+        want = [F(0)] * (r - 1) + [
+            epsilon_closed(q, r, weights, scale * p[i - 1])
+            for i in range(r, d)]
+        oracle = [F(0)] * (r - 1) + [
+            epsilon_oracle(q, r, weights, scale * p[i - 1])
+            for i in range(r, d)]
+        assert list(xi_eval(q, k, point).values) == want == oracle
+        theta = tuple(random.Random(f"{point}").randint(1, i)
+                      for i in range(1, d))
+        want = [F(0)] * (r - 1) + [
+            epsilon_hat(q, r, list(p[r - 1:max(theta[i - 1] - 1, r - 1)]),
+                        p[i - 1])
+            for i in range(r, d)]
+        assert list(pi_eval(q, k, cone_Cd(d), point, theta)) == want
+    assert {(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (4, 2)} <= strata
+
+
+def test_xi_eval_checks_weights_once_per_point(monkeypatch):
+    # the tracer's epsilon.closed metric needs one epsilon_closed call per
+    # coordinate; the weights behind them are checked once per point
+    closed, checked = [], []
+    real_closed, real_check = xi_mod.epsilon_closed, eps_mod._check_args
+    monkeypatch.setattr(xi_mod, "epsilon_closed",
+                        lambda *a: closed.append(1) or real_closed(*a))
+    monkeypatch.setattr(eps_mod, "_check_args",
+                        lambda *a: checked.append(1) or real_check(*a))
+    for r in range(1, 5):
+        point = ClassPoint.from_coords([0] * (r - 1) + [1, 2, 5, 7][r - 1:])
+        closed.clear(), checked.clear()
+        xi_eval(2, 1, point)
+        assert (len(closed), len(checked)) == (5 - r, 1), r
+    # pi and xi at one stratum-1 point share its chain
+    point = ClassPoint.from_coords([1, 3, 4, 11])
+    checked.clear()
+    pi_eval(2, 2, cone_Cd(5), point)
+    xi_eval(2, 2, point)
+    assert len(checked) == 1
