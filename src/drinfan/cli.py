@@ -450,7 +450,16 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # the top level takes no option but --help, so a misspelt option
+        # before the command is named here; argparse would take its value
+        # for the command name
+        for arg in argv:
+            if arg == "--" or not arg.startswith("-"):
+                break
+            if arg not in ("-h", "--help"):
+                _parser.error("unrecognized arguments: " + arg)
         args, extra = _parser.parse_known_args(argv)
         if extra:  # name the subcommand, whose usage shows the valid options
             _parser.commands[args.command].error(

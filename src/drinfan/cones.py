@@ -50,7 +50,8 @@ from math import gcd, lcm, prod
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from .linalg import det, primitive, quotient_lattice_maps, smith_normal_form
+from .linalg import (_combine, det, primitive, quotient_lattice_maps,
+                     smith_normal_form)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -75,13 +76,6 @@ def _idot(a, b):
 def _exact(v) -> tuple:
     """v with every entry an int or a Fraction."""
     return tuple(x if type(x) is int else Fraction(x) for x in v)
-
-
-def _combine(c1: int, v1, c2: int, v2) -> tuple[int, ...]:
-    """c1 v1 + c2 v2 divided by the gcd of its entries (zero stays zero)."""
-    w = [c1 * x + c2 * y for x, y in zip(v1, v2)]
-    g = gcd(*w)
-    return tuple(w) if g <= 1 else tuple(x // g for x in w)
 
 
 def _dd_convert(ineqs: Sequence[Sequence], eqs: Sequence[Sequence], n: int

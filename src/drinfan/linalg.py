@@ -1,17 +1,19 @@
 """Exact linear algebra over a field, over an integral domain, and over Z.
 
-Field elimination lives here, and only here.  The cone engine eliminates
-over Z with its own integer combination step (``cones._combine``), in its
-double description and its canonical form, on ints throughout once
-rational input is scaled to primitive integer vectors.
+Exact elimination lives here, and only here.  Its one integer row step is
+``_combine`` (an integer combination of two rows divided by its gcd):
+``rref`` runs on it for rational matrices, and the cone engine runs its
+double description and its canonical form on it.
 
 * Gauss-Jordan over an exact field: ``rref`` and the ``rank``,
   ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
   ``fractions.Fraction`` entries (ints are promoted) or on ``RatFunc``
-  entries of F_q(T).  The field is the one the entries live in.
-  ``solve`` takes one right-hand side or a matrix of them (one row per
-  equation, as ``numpy.linalg.solve`` does) and eliminates ``[A | B]``
-  once for all of its columns.
+  entries of F_q(T).  The field is the one the entries live in.  A
+  rational matrix is eliminated fraction-free, on ints, and only the
+  reduced rows are made ``Fraction``s; a ``RatFunc`` matrix is eliminated
+  over its field.  ``solve`` takes one right-hand side or a matrix of them
+  (one row per equation, as ``numpy.linalg.solve`` does) and eliminates
+  ``[A | B]`` once for all of its columns.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
@@ -26,7 +28,7 @@ rational input is scaled to primitive integer vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .gf import RatFunc
@@ -63,11 +65,38 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
                 for x, y in zip(a, b)), Fraction(0))
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def _combine(c1: int, v1, c2: int, v2) -> tuple[int, ...]:
+    """c1 v1 + c2 v2 divided by the gcd of its entries (zero stays zero)."""
+    w = [c1 * x + c2 * y for x, y in zip(v1, v2)]
+    g = gcd(*w)
+    return tuple(w) if g <= 1 else tuple(x // g for x in w)
+
+
+def _over_lcm(v: Sequence) -> tuple[list[int], int]:
+    """(w, den) with v = w / den exactly, for entries that are ints or
+    Fractions: den is the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _int_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]] | None:
+    """Each row times the lcm of its denominators, divided by its gcd.
+
+    None if some entry is neither an int nor a Fraction.
+    """
+    out = []
+    for row in rows:
+        if not all(type(x) is int or type(x) is Fraction for x in row):
+            return None
+        w = _over_lcm(row)[0]
+        g = gcd(*w)
+        out.append(tuple(w) if g <= 1 else tuple(x // g for x in w))
+    return out
+
+
+def _field_rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Gauss-Jordan over the field of the entries."""
     m = [[_entry(x) for x in row] for row in rows]
-    if not m:
-        return [], []
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -87,6 +116,49 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
         if r == nrows:
             break
     return m, pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The entries are Fractions (ints are promoted) or RatFuncs, and the
+    result is over their field.  A RatFunc matrix is reduced by
+    Gauss-Jordan over F_q(T).  A rational matrix is reduced fraction-free:
+    each row is scaled once to a primitive integer row, and Gauss-Jordan
+    runs on ints, each row update one ``_combine`` step.  Pivots are chosen
+    as over the field (scaling a row keeps its zero entries), so every row
+    stays a nonzero multiple of the row field elimination would give; the
+    reduced row echelon form is unique, and one division per entry by the
+    row's pivot gives exactly the field result, every entry a Fraction.
+    """
+    if not rows:
+        return [], []
+    m = _int_rows(rows)
+    if m is None:
+        return _field_rref(rows)
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row = m[r]
+        p = row[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _combine(p, m[i], -f, row)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    red = [[Fraction(x, row[c]) if x else zero for x in row]
+           for row, c in zip(m, pivots)]
+    red += [[zero] * ncols for _ in range(r, nrows)]
+    return red, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -204,22 +276,12 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     An all-int vector is divided by the gcd of its entries, with no
     ``Fraction`` made.
     """
-    if all(type(x) is int for x in v):
-        g = gcd(*v)
-        if g == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return tuple(v) if g == 1 else tuple(x // g for x in v)
-    fv = [Fraction(x) for x in v]
-    if all(x == 0 for x in fv):
+    if not all(type(x) is int for x in v):
+        v = _over_lcm([Fraction(x) for x in v])[0]
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("cannot normalize the zero vector")
-    den = 1
-    for x in fv:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fv]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _identity_int(n: int) -> list[list[int]]:

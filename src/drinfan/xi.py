@@ -21,12 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Fan
 from .epsilon import _chain, _stage_chain, delta, epsilon_closed, epsilon_hat
 from .gf import check_q
-from .linalg import frac_vec, mat_inv, mat_mul, mat_vec, primitive, solve
+from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
+                     primitive, solve)
 from .points import ClassPoint
 
 __all__ = [
@@ -246,9 +248,11 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
     Each of 2n+2 exact interior samples becomes one ClassPoint, at which pi
     and xi are both evaluated; one elimination of [pi values | xi values]
     gives every row of M.  M is certified on every generator of sigma plus
-    _CERTIFY_POINTS fresh interior points, by exact equality.  Raises
-    LinearizationError if no consistent matrix exists (naming the first
-    coordinate with none) or the certification fails.
+    _CERTIFY_POINTS fresh interior points, by exact equality checked on
+    ints: row i of M is scaled once to w_i / m_i and each point's pi value
+    to u / c, so (M pi)_i = xi_i reads w_i . u * den(xi_i) = num(xi_i) *
+    m_i * c.  Raises LinearizationError if no consistent matrix exists
+    (naming the first coordinate with none) or the certification fails.
     """
     _check_levels(base_k, target_k)
     n = sigma.n
@@ -268,11 +272,14 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
             f"no linear factorization for coordinate {i + 1} on {sigma!r}")
     M = tuple(zip(*X))  # row i of M is column i of X
     # certification: generators and fresh interior points
+    rows = [_over_lcm(row) for row in M]
     check_pts = [frac_vec(g) for g in sigma.rays()]
     check_pts += interior_samples(sigma, rng, _CERTIFY_POINTS)
     for p in check_pts:
         pi, xi = pi_xi(p)
-        if xi != mat_vec(M, pi):
+        u, c = _over_lcm(pi)
+        if any(sum(map(mul, w, u)) * x.denominator != x.numerator * m * c
+               for (w, m), x in zip(rows, xi)):
             raise LinearizationError(
                 f"linearization certificate failed at {p} on {sigma!r}")
     return M

@@ -6,11 +6,14 @@ combinatorics, piecewise-linearity certificates, Tate-quotient valuations,
 torsion consistency, atlas counts, and CLI determinism.
 """
 
+import hashlib
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from drinfan import cli
 from drinfan.atlas import (component_graph, slope_determinants,
@@ -341,3 +344,21 @@ def test_10_cli_determinism(tmp_path):
         (tmp_path / "two.dot").read_bytes()
     assert (tmp_path / "one.json").read_bytes() == \
         (tmp_path / "two.json").read_bytes()
+
+
+# the walk-through script prints exactly what it printed when its output
+# was first recorded
+
+WORKED_EXAMPLE_SHA256 = \
+    "ff290c4971bf81dd64f02411de5d877793a473601927192df3ab5e24fa121373"
+
+
+def test_worked_example_script_output_pinned():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "worked_example.py")],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == WORKED_EXAMPLE_SHA256

@@ -197,6 +197,7 @@ def test_bad_vectors_exit_2():
                  # option prefixes are no spellings of their options
                  ("verify", "identities", "--cou", "1", "--se", "2"),
                  ("xi", "eval", "--q", "2", "--coo", "1,2,4"),
+                 ("--coo", "1", "xi", "eval", "--q", "2", "--coords", "1,2"),
                  ("eps", "eval", "--q", "2", "--weights", "1", "--x", "2",
                   "--meth", "oracle"),
                  ("tate", "quotient", "--q", "2", "--ms", "1",
@@ -208,6 +209,12 @@ def test_bad_vectors_exit_2():
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args
+
+
+def test_misspelt_option_before_the_command_is_named(capsys):
+    argv = ["--coo", "1", "xi", "eval", "--q", "2", "--coords", "1,2"]
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments: --coo" in capsys.readouterr().err
 
 
 def test_precision_error_exits_3():

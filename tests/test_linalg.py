@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import (det, int_kernel_basis, mat_inv, mat_mul, mat_vec,
-                            nullspace, primitive, rank,
-                            smith_normal_form, solve)
+from drinfan.linalg import (_combine, _int_rows, det, int_kernel_basis,
+                            mat_inv, mat_mul, mat_vec, nullspace, primitive,
+                            rank, rref, smith_normal_form, solve)
 
 small_int = st.integers(-6, 6)
 
@@ -258,3 +258,98 @@ def test_solve_matrix_rhs_over_rational_functions(q):
         got = solve(a, b)
         assert got == _column_solves(a, b)
         assert mat_mul(a, got) == b
+
+
+# -- fraction-free rref against field Gauss-Jordan ----------------------------
+
+def _fraction_rref(rows):
+    """Oracle for ``rref`` on rational input: Gauss-Jordan on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _random_rational_matrix(rng, nrows, ncols, max_den):
+    """Rows of a random rank, with zero rows and zero columns mixed in."""
+    rank_ = rng.randint(0, min(nrows, ncols))
+    basis = [[Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+              for _ in range(ncols)] for _ in range(rank_)]
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        if not basis or rng.random() < 0.15:
+            row = [Fraction(0)] * ncols
+        else:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for _ in basis]
+            row = [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
+                   for j in range(ncols)]
+        row = [Fraction(0) if j in zero_cols else x for j, x in enumerate(row)]
+        # integral entries as ints, as callers pass them
+        rows.append([int(x) if x.denominator == 1 and rng.random() < 0.5
+                     else x for x in row])
+    return rows
+
+
+def test_rref_matches_field_oracle():
+    rng = random.Random(2024)
+    seen = {"wide": 0, "tall": 0, "deficient": 0, "zero row": 0,
+            "zero column": 0, "negative": 0, "big denominator": 0}
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
+        max_den = rng.choice((1, 3, 10 ** 6))
+        rows = _random_rational_matrix(rng, nrows, ncols, max_den)
+        red, pivots = rref(rows)
+        assert (red, pivots) == _fraction_rref(rows), trial
+        assert all(type(x) is Fraction for row in red for x in row), trial
+        assert len(red) == nrows and all(len(row) == ncols for row in red)
+        seen["wide"] += ncols > nrows
+        seen["tall"] += nrows > ncols
+        seen["deficient"] += len(pivots) < min(nrows, ncols)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(row[j] for row in rows)
+                                   for j in range(ncols))
+        seen["negative"] += any(x < 0 for row in rows for x in row)
+        seen["big denominator"] += any(
+            Fraction(x).denominator > 10 ** 4 for row in rows for x in row)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_rref_edge_shapes():
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == ([[], []], [])
+    assert rref([[0, 0], [0, 0]]) == _fraction_rref([[0, 0], [0, 0]])
+    rows = [[0, Fraction(-3, 10 ** 6), 5], [0, 1, Fraction(7, 2)]]
+    assert rref(rows) == _fraction_rref(rows)
+    assert rref(rows)[0] == [[0, 1, 0], [0, 0, 1]]
+    # the input is not modified
+    assert rows == [[0, Fraction(-3, 10 ** 6), 5], [0, 1, Fraction(7, 2)]]
+
+
+def test_integer_row_steps_stay_primitive():
+    assert _combine(2, (1, 1), 2, (1, 3)) == (1, 2)
+    assert _combine(1, (1, 2), -1, (1, 2)) == (0, 0)
+    assert _combine(3, (1, 0), -1, (0, 5)) == (3, -5)
+    assert _int_rows([[Fraction(2, 3), 4, Fraction(-2, 9)], [0, 0], []]) \
+        == [(3, 18, -1), (0, 0), ()]
+    assert _int_rows([[6, -4]]) == [(3, -2)]
+    assert _int_rows([[1, 2.5]]) is None  # left to the field path

@@ -311,6 +311,37 @@ def test_linearization_failures_match_per_coordinate_oracle():
         linearize_xi(2, cone_Cd(4), 2, 2, random.Random(0))
 
 
+def _solve_with_entry_raised(j, i):
+    """solve, but entry (j, i) of a matrix solution X is raised by one."""
+    def perturbed(a, b):
+        x = solve(a, b)
+        if x is None or not isinstance(b[0], (list, tuple)):
+            return x
+        x = [list(row) for row in x]
+        x[j][i] += 1
+        return tuple(tuple(row) for row in x)
+    return perturbed
+
+
+def test_certificate_rejects_a_perturbed_matrix(monkeypatch):
+    # the boundary ray s_1 = 0 of C_3: coordinate 1 of xi and of pi
+    # vanishes, so row 1 of M is all zero until X[1][0] is raised
+    ray = Cone.from_rays([(0, 1)], n=2)
+    M = linearize_xi(2, ray, 1, 2, random.Random(0))
+    assert M[0] == (0, 0) and any(M[1])
+    cases = [(ray, 1, 2, 1, 0)]
+    cases += [(sigma, 2, 1, j, i)
+              for sigma in sigma_upper_fan(2, 3, 2).maximal_cones()
+              for j in range(2) for i in range(2)]
+    for sigma, base_k, target_k, j, i in cases:
+        monkeypatch.setattr(xi_mod, "solve", _solve_with_entry_raised(j, i))
+        with pytest.raises(LinearizationError,
+                           match="linearization certificate failed at "):
+            linearize_xi(2, sigma, base_k, target_k, random.Random(0))
+        monkeypatch.undo()
+        linearize_xi(2, sigma, base_k, target_k, random.Random(0))
+
+
 def test_levels_below_one_rejected():
     sigma = cone_Cd(3)
     p = ClassPoint.from_coords([1, 2])
