@@ -154,9 +154,10 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
     """Weight cone sigma(S) of a set S of diagonal lattice classes.
 
     Generated by the vectors (q^{r a_i}) of canonical representatives.  An
-    independent H-description is assembled from the two-term comparisons
-    s_i <= q^{r h(i,j)} s_j with h(i,j) = max over representatives of
-    (a_i - a_j); the two descriptions are asserted to agree.
+    independent H-description, one ``Cone.from_ineqs``, is assembled from
+    s_i >= 0 and the two-term comparisons s_i <= q^{r h(i,j)} s_j with
+    h(i,j) = max over representatives of (a_i - a_j); the two descriptions
+    are asserted to agree.
     """
     check_q(q)
     if r < 1:
@@ -180,9 +181,8 @@ def simplex_cone(exponent_sets: Iterable[Sequence[int]], q: int,
             vec[j] = Fraction(q) ** (r * h)
             vec[i] -= 1
             ineqs.append(vec)
-    by_ineqs = Cone.from_ineqs(ineqs, n=n).intersect(
-        Cone.from_ineqs([[1 if j == i else 0 for j in range(n)]
-                         for i in range(n)], n=n))
+    ineqs += ([1 if j == i else 0 for j in range(n)] for i in range(1, n))
+    by_ineqs = Cone.from_ineqs(ineqs, n=n)
     if by_rays != by_ineqs:
         raise AssertionError(
             "generator and inequality descriptions of sigma(S) disagree")

@@ -451,6 +451,8 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--"]:  # the top level has no options for it to end
+        argv = argv[1:]
     try:
         # the top level takes no option but --help, so a misspelt option
         # before the command is named here; argparse would take its value

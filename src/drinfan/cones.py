@@ -11,8 +11,9 @@ ints.  Adjacency of rays is decided combinatorially from their tight sets.
 Canonical forms use primitive integer vectors, so cone equality and
 hashing are exact; rational input is accepted and scaled on entry.  The
 canonical form is fraction-free too: the lines are brought to reduced
-row echelon form by Gauss-Jordan steps made of the same integer
-combinations, and the rays are reduced modulo them (``_canonical``).
+row echelon form by the one Gauss-Jordan loop of ``linalg``, run on the
+same integer combinations, and the rays are reduced modulo them
+(``_canonical``).
 
 A cone's face lattice is computed once from the incidence of its rays and
 its facet inequalities: the ray sets of the faces are the intersections,
@@ -50,8 +51,8 @@ from math import gcd, lcm, prod
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from .linalg import (_combine, det, primitive, quotient_lattice_maps,
-                     smith_normal_form)
+from .linalg import (_combine, _gauss_jordan, det, primitive,
+                     quotient_lattice_maps, smith_normal_form)
 
 __all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
 
@@ -146,31 +147,20 @@ def _canonical(rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]]
 
     The inputs are primitive integer vectors, as ``_dd_convert`` returns
     them.  Lines become the primitive rows of the reduced row echelon form
-    of their span, sorted; each ray is reduced modulo that span (its pivot
-    coordinates zeroed) and stays primitive.  Rays are sorted and distinct.
+    of their span, pivots positive, sorted; each ray is reduced modulo that
+    span (its pivot coordinates zeroed) and stays primitive.  Rays are
+    sorted and distinct.
 
-    The echelon form is fraction-free Gauss-Jordan by ``_combine``: each
-    line is reduced modulo the rows so far, its pivot made positive, and
-    its pivot column cleared from the older rows.  Every row stays a
-    positive multiple of the row of the rational reduced echelon form, and
-    every reduced ray of the rational reduction, so after division by the
-    gcd both are the primitive vectors exact elimination would give.
+    The echelon form is ``linalg._gauss_jordan`` with the ``_combine`` step,
+    so every row is a primitive nonzero multiple of the rational one; its
+    pivot made positive, it is the vector exact elimination would give.  A
+    ray reduced by ``_combine`` against a positive pivot stays a positive
+    multiple of its rational reduction.
     """
-    rows: list[tuple[int, ...]] = []
-    pivots: list[int] = []
-    for l in lines:
-        for row, pc in zip(rows, pivots):
-            if l[pc]:
-                l = _combine(row[pc], l, -l[pc], row)
-        pc = next((j for j, x in enumerate(l) if x), None)
-        if pc is None:
-            continue
-        if l[pc] < 0:
-            l = _neg(l)
-        rows = [_combine(l[pc], row, -row[pc], l) if row[pc] else row
-                for row in rows]
-        rows.append(l)
-        pivots.append(pc)
+    rows = list(lines)
+    pivots = _gauss_jordan(rows, _combine) if rows else []
+    rows = [row if row[pc] > 0 else _neg(row)
+            for row, pc in zip(rows, pivots)]
     crays = set()
     for r in rays:
         v = r
@@ -493,10 +483,16 @@ class Fan:
         return problems
 
     def join(self, other: "Fan") -> "Fan":
-        """Common refinement: all pairwise intersections."""
+        """Common refinement: all pairwise intersections of cones.
+
+        Only maximal cones are intersected.  Every cone of a fan is a face
+        of a maximal cone, and if s' and t' are faces of s and t, then
+        s' & t' is a face of s & t, which ``add`` inserts with all its
+        faces; so the pairs of maximal cones give the same fan.
+        """
         out = Fan()
-        for c1 in self.cones.values():
-            for c2 in other.cones.values():
+        for c1 in self.maximal_cones():
+            for c2 in other.maximal_cones():
                 out.add(c1.intersect(c2))
         return out
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over a field, over an integral domain, and over Z.
 
-Exact elimination lives here, and only here.  Its one integer row step is
-``_combine`` (an integer combination of two rows divided by its gcd):
-``rref`` runs on it for rational matrices, and the cone engine runs its
-double description and its canonical form on it.
+Exact elimination lives here, and only here: one Gauss-Jordan loop,
+``_gauss_jordan``, for Z, Q and F_q(T), with the row step a parameter.
+The integer step ``_combine`` (a combination of two rows divided by its
+gcd) also runs the cone engine's canonical form and double description.
 
 * Gauss-Jordan over an exact field: ``rref`` and the ``rank``,
   ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
@@ -94,54 +94,31 @@ def _int_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]] | None:
     return out
 
 
-def _field_rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Gauss-Jordan over the field of the entries."""
-    m = [[_entry(x) for x in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def _field_combine(c1, v1, c2, v2) -> list:
+    """(c1 v1 + c2 v2) / c1 over a field: the row step of a RatFunc
+    elimination.  Dividing by c1 keeps the entries from growing in degree."""
+    t = c2 / c1
+    return [x + t * y for x, y in zip(v1, v2)]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
+def _gauss_jordan(m: list, step) -> list[int]:
+    """Gauss-Jordan on the rows of m, in place; returns the pivot columns.
 
-    The entries are Fractions (ints are promoted) or RatFuncs, and the
-    result is over their field.  A RatFunc matrix is reduced by
-    Gauss-Jordan over F_q(T).  A rational matrix is reduced fraction-free:
-    each row is scaled once to a primitive integer row, and Gauss-Jordan
-    runs on ints, each row update one ``_combine`` step.  Pivots are chosen
-    as over the field (scaling a row keeps its zero entries), so every row
-    stays a nonzero multiple of the row field elimination would give; the
-    reduced row echelon form is unique, and one division per entry by the
-    row's pivot gives exactly the field result, every entry a Fraction.
+    Pivots are chosen as over the field.  The pivot row is never scaled;
+    every other row with an entry f in the pivot column becomes
+    ``step(p, row, -f, pivot_row)``, p the pivot, a nonzero multiple of
+    ``p*row - f*pivot_row``.  So the first ``len(pivots)`` rows are the
+    reduced row echelon form up to one nonzero scalar each, and the rest
+    are zero.
     """
-    if not rows:
-        return [], []
-    m = _int_rows(rows)
-    if m is None:
-        return _field_rref(rows)
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
         m[r], m[piv] = m[piv], m[r]
         row = m[r]
@@ -149,15 +126,38 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
         for i in range(nrows):
             f = m[i][c]
             if f and i != r:
-                m[i] = _combine(p, m[i], -f, row)
+                m[i] = step(p, m[i], -f, row)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The entries are Fractions (ints are promoted) or RatFuncs, and the
+    result is over their field.  A rational matrix is reduced fraction-free:
+    its rows are scaled once to primitive integer rows and run through
+    ``_gauss_jordan`` with the ``_combine`` step.  A RatFunc matrix runs
+    through it with ``_field_combine``.  The reduced row echelon form is
+    unique, so dividing each row by its pivot at the end gives exactly the
+    field result (every entry a Fraction for a rational matrix).
+    """
+    if not rows:
+        return [], []
+    m = _int_rows(rows)
+    if m is None:
+        m = [[_entry(x) for x in row] for row in rows]
+        pivots = _gauss_jordan(m, _field_combine)
+        red = [[x / row[c] for x in row] for row, c in zip(m, pivots)]
+        return red + m[len(pivots):], pivots
+    pivots = _gauss_jordan(m, _combine)
     zero = Fraction(0)
     red = [[Fraction(x, row[c]) if x else zero for x in row]
            for row, c in zip(m, pivots)]
-    red += [[zero] * ncols for _ in range(r, nrows)]
+    red += [[zero] * len(m[0]) for _ in range(len(pivots), len(m))]
     return red, pivots
 
 

@@ -68,11 +68,3 @@ class ClassPoint:
         lhs = Fraction(q) ** (h * rho) * self.values[j - 1]
         rhs = self.values[i - 1]
         return (lhs > rhs) - (lhs < rhs)
-
-    def scale(self, c: Fraction) -> "ClassPoint":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scaling factor must be positive")
-        return ClassPoint(self.d, tuple(v * c ** self.pow_exponent
-                                        for v in self.values),
-                          self.pow_exponent)

@@ -38,9 +38,12 @@ def test_eps_inverse_roundtrip():
 
 
 def test_xi_eval_worked_example():
-    out = run("xi", "eval", "--q", "2", "--k", "1", "--coords", "1,2,4")
-    assert out.returncode == 0
-    assert json.loads(out.stdout) == {"image": ["1/2", "1", "3"]}
+    argv = ("xi", "eval", "--q", "2", "--k", "1", "--coords", "1,2,4")
+    # a leading -- ends no top-level option and changes nothing
+    for args in (argv, ("--",) + argv):
+        out = run(*args)
+        assert out.returncode == 0, args
+        assert json.loads(out.stdout) == {"image": ["1/2", "1", "3"]}
 
 
 def test_xi_linearize_json_shape():

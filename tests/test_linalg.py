@@ -260,11 +260,12 @@ def test_solve_matrix_rhs_over_rational_functions(q):
         assert mat_mul(a, got) == b
 
 
-# -- fraction-free rref against field Gauss-Jordan ----------------------------
+# -- rref against field Gauss-Jordan ------------------------------------------
 
-def _fraction_rref(rows):
-    """Oracle for ``rref`` on rational input: Gauss-Jordan on Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _field_rref(rows):
+    """Oracle for ``rref``: Gauss-Jordan over the field of the entries,
+    each pivot row divided by its pivot before it clears its column."""
+    m = [list(row) for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -286,6 +287,11 @@ def _fraction_rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def _fraction_rref(rows):
+    """Oracle for ``rref`` on rational input: Gauss-Jordan on Fractions."""
+    return _field_rref([[Fraction(x) for x in row] for row in rows])
 
 
 def _random_rational_matrix(rng, nrows, ncols, max_den):
@@ -353,3 +359,40 @@ def test_integer_row_steps_stay_primitive():
         == [(3, 18, -1), (0, 0), ()]
     assert _int_rows([[6, -4]]) == [(3, -2)]
     assert _int_rows([[1, 2.5]]) is None  # left to the field path
+
+
+# -- rref over F_q(T) against field Gauss-Jordan ------------------------------
+
+def _random_ratfunc_matrix(rng, field, nrows, ncols):
+    """Rows of a random rank over F_q(T), with zero rows mixed in."""
+    zero = RatFunc.zero(field)
+    rank_ = rng.randint(0, min(nrows, ncols))
+    basis = [[_random_ratfunc(rng, field) for _ in range(ncols)]
+             for _ in range(rank_)]
+    rows = []
+    for _ in range(nrows):
+        if not basis or rng.random() < 0.15:
+            rows.append([zero] * ncols)
+            continue
+        coeffs = [_random_ratfunc(rng, field) for _ in basis]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), zero)
+                     for j in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rref_over_rational_functions_matches_field_oracle(q):
+    field = gf(q)
+    rng = random.Random(400 + q)
+    seen = {"wide": 0, "tall": 0, "deficient": 0, "zero row": 0}
+    for trial in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _random_ratfunc_matrix(rng, field, nrows, ncols)
+        red, pivots = rref(rows)
+        assert (red, pivots) == _field_rref(rows), trial
+        assert all(type(x) is RatFunc for row in red for x in row), trial
+        seen["wide"] += ncols > nrows
+        seen["tall"] += nrows > ncols
+        seen["deficient"] += len(pivots) < min(nrows, ncols)
+        seen["zero row"] += any(not any(row) for row in rows)
+    assert min(seen.values()) >= 10, seen
