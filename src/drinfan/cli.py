@@ -5,7 +5,8 @@ eval|linearize (the rescaling maps and the transition maps xi_{k,k'}), fan
 sigma-upper|sigma-k|join|refine, hilbert, bt simplex|cone, tate
 quotient|torsion, atlas graph|charts, satake-check, and the TSV suites
 verify identities|tate|sigk3.  `verify identities` covers q = 2 and 3 and
-evaluates every law through the table epsilon.IDENTITIES.
+evaluates every law through the table epsilon.IDENTITIES; `verify tate`
+checks the torsion of Tate quotients against the comparison fans.
 
 All output is deterministic: JSON is emitted with sorted keys, rays and
 cones in canonical sorted order, and rationals as "a/b" strings.  Random
@@ -13,7 +14,8 @@ sampling is driven by a seed that is split per suite via
 random.Random(f"{seed}:{suite}").
 
 Exit codes: 0 success, 1 a verification or certificate failed, 2 bad
-input, 3 the working precision was too low (retry at another --precision).
+input or an output file that cannot be written, 3 the working precision
+was too low (retry at another --precision).
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .drinfeld import (class_point_of_steps, iterate_tate,
                        predicted_torsion_valuations, torsion_valuations)
 from .gf import Poly, gf
 from .series import PrecisionError
-from .xi import (LinearizationError, sigma_k_fan, sigma_kk_map,
-                 sigma_upper_fan, xi_eval_coords)
+from .xi import (LinearizationError, _image_cone, contains_class_point,
+                 sigma_k_fan, sigma_kk_map, sigma_upper_fan, xi_eval,
+                 xi_eval_coords)
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -192,6 +195,11 @@ def cmd_bt(args) -> int:
 
 def cmd_tate(args) -> int:
     ms = [int(x) for x in args.ms.split(",")]
+    if args.action == "torsion":
+        field = gf(args.q)
+        ncoeffs = [int(x) for x in args.N.split(",")]
+        if any(not 0 <= c < args.q for c in ncoeffs):
+            raise ValueError(f"--N coefficients must lie in 0..{args.q - 1}")
     module, steps = iterate_tate(args.q, args.r, ms, args.precision)
     cp = class_point_of_steps(args.q, args.r, ms)
     obj = {
@@ -202,8 +210,6 @@ def cmd_tate(args) -> int:
         "power_exponent": cp.pow_exponent,
     }
     if args.action == "torsion":
-        field = gf(args.q)
-        ncoeffs = [int(x) for x in args.N.split(",")]
         N = Poly.make(field, ncoeffs)
         actual = torsion_valuations(module, N)
         predicted = predicted_torsion_valuations(args.q, args.r, ms, N)
@@ -224,9 +230,9 @@ def cmd_atlas(args) -> int:
                    "point": sum(1 for c in comps if c[0] == "point"),
                    "line": sum(1 for c in comps if c[0] == "line"),
                    "flag": sum(1 for c in comps if c[0] == "flag")}}
-        _emit(obj, args.out)
         if args.dot:
             _write_dot(comps, edges, args.dot)
+        _emit(obj, args.out)
         return 0
     alphas = _parse_vec(args.alphas) if args.alphas else []  # charts
     charts = sorted(
@@ -328,14 +334,38 @@ def _verify_identities(args) -> int:
 
 
 def _verify_tate(args) -> int:
-    rows = []
-    for (q, r, ms) in [(2, 1, [1]), (2, 1, [2]), (3, 1, [1]), (2, 1, [1, 3])]:
+    """The Tate side against the fans.  For each instance: the torsion
+    multiset of phi(N) against its counting-function prediction at N = T
+    and N = T^2; at level k = 1, 2 the poles of the T^k-torsion against the
+    negated nonzero coordinates of xi_1, ..., xi_k at the class point; and
+    membership of the class point in each cone of Sigma^(k) against
+    membership of its image in the image cone.  The rows at N = T come
+    first."""
+    at_T, rows = [], []
+    for (q, r, ms) in [(2, 1, [1]), (2, 1, [2]), (3, 1, [1]), (2, 1, [1, 3]),
+                       (2, 2, [1])]:
+        name, case = f"q{q}-r{r}", ",".join(map(str, ms))
         module, _ = iterate_tate(q, r, ms, args.precision)
-        N = Poly.T(gf(q))
-        rows.append((f"tate-q{q}-r{r}", ",".join(map(str, ms)),
-                     predicted_torsion_valuations(q, r, ms, N),
-                     torsion_valuations(module, N)))
-    return _report(rows)
+        cp = class_point_of_steps(q, r, ms)
+        T = Poly.T(gf(q))
+        coords = set()
+        for k, N in ((1, T), (2, T * T)):
+            actual = torsion_valuations(module, N)
+            (at_T if k == 1 else rows).append((
+                f"tate-{name}", case if k == 1 else f"{case} N=T^{k}",
+                predicted_torsion_valuations(q, r, ms, N), actual))
+            image = xi_eval(q, k, cp)
+            coords |= {c for c in image.values if c != 0}
+            rows.append((f"poles-{name}", f"{case} k={k}",
+                         [_frac_str(-c) for c in sorted(coords, reverse=True)],
+                         [_frac_str(v) for v, _ in actual if v < 0]))
+            fan = sigma_upper_fan(q, r + len(ms), k)
+            rows.append((f"membership-{name}", f"{case} k={k}",
+                         [contains_class_point(q, k, sigma, cp)
+                          for sigma in fan],
+                         [contains_class_point(q, k, _image_cone(q, k, sigma),
+                                               image) for sigma in fan]))
+    return _report(at_T + rows)
 
 
 def _verify_sigk3(args) -> int:
@@ -476,7 +506,7 @@ def main(argv=None) -> int:
     except (LinearizationError, AssertionError) as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -22,7 +22,8 @@ Two independent evaluators are provided:
 
 delta(r, s) satisfies epsilon = epsilon_hat + delta and the recursion
 delta^{r,n} = delta^{r,n-1} + (q-1)/(q^{r+n}-1) * epsilon_hat^{r,n-1}(s_n).
-Exact inverses of epsilon_hat and epsilon are included.
+The exact inverse of epsilon is included; the inverse of epsilon_hat at y
+is epsilon_inv at y + delta.
 
 Evaluation core.  The one-weight map and its inverse (_hat1, _hat1_inv)
 work on ints only: with s = u/v and x = a/b (b > 0) the band h is found by
@@ -30,9 +31,9 @@ comparing a v with q^{hr} u b, which is homogeneous in (a, b), so a/b need
 not be in lowest terms, and the value comes back as an unreduced pair over
 the denominator b D v.  A stage chain (_chain, _chain_inv) carries that
 pair through all its stages and makes one Fraction at the end, adding
-delta in the same step for epsilon_closed.  The public epsilon_hat1 and
-epsilon_hat1_inv check their arguments and call this kernel; the chains
-call it directly, since stage weights are positive by construction.
+delta in the same step for epsilon_closed.  The public epsilon_hat1
+checks its arguments and calls this kernel; the chains call it directly,
+since stage weights are positive by construction.
 
 The stage chain of a weight vector (its stage weights and delta) is built
 once, by _stages, and kept in a small least-recently-used cache (64
@@ -52,8 +53,7 @@ other weight vector.
 Only successes are cached and memoized: an invalid weight vector raises on
 every call.  q and r are checked before the weights on every miss, so an
 empty weight vector (epsilon the identity, delta zero) is checked like any
-other.  The cache holds immutable tuples; hat_stage_weights returns a
-fresh list.
+other.  The cache holds immutable tuples.
 
 Identity table.  IDENTITIES maps each law that `drinfan verify identities`
 checks to f(q, r, w, x) -> (expected, got): closed form against the
@@ -73,9 +73,8 @@ from .gf import check_q
 
 __all__ = [
     "epsilon_oracle", "epsilon_closed", "epsilon", "epsilon_hat", "delta",
-    "epsilon_hat_inv", "epsilon_inv", "hat_stage_weights", "is_monotone",
-    "delta_oracle", "epsilon_hat_oracle", "epsilon_hat1", "epsilon_hat1_inv",
-    "IDENTITIES",
+    "epsilon_inv", "is_monotone", "delta_oracle", "epsilon_hat_oracle",
+    "epsilon_hat1", "IDENTITIES",
 ]
 
 
@@ -152,7 +151,7 @@ def _hat1(q: int, r: int, u: int, v: int, a: int, b: int) -> tuple[int, int]:
 
 def _hat1_inv(q: int, r: int, u: int, v: int, a: int, b: int
               ) -> tuple[int, int]:
-    """epsilon_hat1_inv on checked arguments, in integer arithmetic.
+    """Inverse of epsilon_hat1 on checked arguments, in integer arithmetic.
 
     The value at the right end of band h is P^h s (1 - c), P = q^{r+1},
     increasing in h; with s = u/v and y = a/b (b > 0) the band is the least
@@ -175,13 +174,6 @@ def epsilon_hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
     x = Fraction(x)
     return Fraction(*_hat1(q, r, s.numerator, s.denominator,
                            x.numerator, x.denominator))
-
-
-def epsilon_hat1_inv(q: int, r: int, s: Fraction, y: Fraction) -> Fraction:
-    s, = _check_args(q, r, (s,))
-    y = Fraction(y)
-    return Fraction(*_hat1_inv(q, r, s.numerator, s.denominator,
-                               y.numerator, y.denominator))
 
 
 _ZERO = Fraction(0)
@@ -252,24 +244,11 @@ def _stage_chain(q: int, r: int, weights: Sequence[Fraction]
     return chain
 
 
-def hat_stage_weights(q: int, r: int, weights: Sequence[Fraction]
-                      ) -> list[Fraction]:
-    """Chained one-weight parameters: stage i has rank r+i and weight
-    epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})."""
-    return list(_stage_chain(q, r, weights)[0])
-
-
 def epsilon_hat(q: int, r: int, weights: Sequence[Fraction],
                 x: Fraction) -> Fraction:
     """Reduced map epsilon - delta, via the one-weight chain."""
     stages, _ = _stage_chain(q, r, weights)
     return _chain(q, r, stages, Fraction(x))
-
-
-def epsilon_hat_inv(q: int, r: int, weights: Sequence[Fraction],
-                    y: Fraction) -> Fraction:
-    stages, _ = _stage_chain(q, r, weights)
-    return _chain_inv(q, r, stages, Fraction(y))
 
 
 def delta(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:

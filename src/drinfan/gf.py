@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
-__all__ = ["GF", "Poly", "RatFunc", "check_q", "is_prime_power"]
+__all__ = ["GF", "Poly", "RatFunc", "check_q"]
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -44,17 +44,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 def check_q(q: int) -> None:
     """Raise ValueError unless q is a prime power >= 2, the size of a finite
     field.  Any prime power passes (17, 25, ...), not only the q <= 16 that
-    GF builds and is_prime_power accepts."""
+    GF builds."""
     _prime_power(q)
-
-
-def is_prime_power(q: int) -> bool:
-    """True if q is a prime power that GF supports (q <= 16)."""
-    try:
-        _prime_power(q)
-    except ValueError:
-        return False
-    return q <= 16
 
 
 # Irreducible monic polynomials over F_p used as modulus for F_{p^e},

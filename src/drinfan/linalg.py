@@ -17,9 +17,8 @@ gcd) also runs the cone engine's canonical form and double description.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
-  with no ``Fraction``), Smith normal form with transformation matrices,
-  a basis of the saturated integer kernel (``int_kernel_basis``) and
-  quotient coordinates for Z^n modulo a saturated sublattice
+  with no ``Fraction``), Smith normal form with transformation matrices
+  and quotient coordinates for Z^n modulo a saturated sublattice
   (``quotient_lattice_maps``).  The cone engine uses the Smith form for
   parallelepiped points and the quotient coordinates for Hilbert bases.
   ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
@@ -39,7 +38,7 @@ Mat = list[list[Fraction]]
 __all__ = [
     "frac_vec", "dot", "rref", "rank", "nullspace", "solve", "mat_inv",
     "mat_mul", "mat_vec", "det", "primitive", "smith_normal_form",
-    "quotient_lattice_maps", "int_kernel_basis",
+    "quotient_lattice_maps",
 ]
 
 
@@ -383,16 +382,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
                     neg_row(i + 1)
                 changed = True
     return U, s, V
-
-
-def int_kernel_basis(a: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice {x in Z^n : A x = 0} (column kernel)."""
-    rows = [list(map(int, r)) for r in a]
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    U, S, V = smith_normal_form(rows)
-    r = sum(1 for i in range(min(len(rows), n)) if S[i][i] != 0)
-    return [tuple(V[i][j] for i in range(n)) for j in range(r, n)]
 
 
 def quotient_lattice_maps(lines: Sequence[Sequence[int]], n: int):

@@ -4,9 +4,10 @@ A WeightedNorm with positive rational weights s = (s_1, ..., s_n) measures
 mu(sum x_i e_i) = max_i s_i |x_i| with |x| = q^deg(x), |0| = 0.  The module
 computes successive-minima bases of full A-lattices by basis reduction
 (Lenstra, J. Comput. Syst. Sci. 30, 1985; Mulders and Storjohann,
-J. Symbolic Comput. 35, 2003), their norm profile, and the predicate for a
-change of basis to preserve the successive-minima property (degree bound
-on entries plus invertible tie blocks over F_q).
+J. Symbolic Comput. 35, 2003) and their norm profile, the successive
+minima.  The predicate for a change of basis to preserve the
+successive-minima property (degree bound on entries plus invertible tie
+blocks over F_q) is checked in the tests against this reduction.
 
 Reduction criterion: the leading vector of b is lc(b_i) at each position i
 with s_i |b_i| = mu(b), and 0 elsewhere.  If the leading vectors of a basis
@@ -29,8 +30,7 @@ from typing import Sequence
 from .gf import GF, Poly, RatFunc
 from .linalg import det, nullspace
 
-__all__ = ["WeightedNorm", "successive_minima", "is_norm_preserving_change",
-           "apply_change", "normalized_profile"]
+__all__ = ["WeightedNorm", "successive_minima"]
 
 Vector = tuple[Poly, ...]
 
@@ -103,57 +103,3 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector]
         basis[top] = tuple(new)
     order = sorted(range(n), key=mus.__getitem__)
     return [basis[j] for j in order], [mus[j] for j in order]
-
-
-def normalized_profile(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Profile up to a global positive scaling (first value scaled to 1)."""
-    vals = [Fraction(v) for v in values]
-    if not vals or vals[0] <= 0:
-        raise ValueError("profile values must be positive")
-    return tuple(v / vals[0] for v in vals)
-
-
-def apply_change(basis: Sequence[Vector], matrix: Sequence[Sequence[Poly]]
-                 ) -> list[Vector]:
-    """New basis lambda'_i = sum_j matrix[i][j] * basis[j]."""
-    n = len(basis)
-    out = []
-    for i in range(n):
-        v = tuple(
-            sum((basis[j][c] * matrix[i][j] for j in range(1, n)),
-                basis[0][c] * matrix[i][0])
-            for c in range(len(basis[0])))
-        out.append(v)
-    return out
-
-
-def is_norm_preserving_change(values: Sequence[Fraction],
-                              matrix: Sequence[Sequence[Poly]]) -> bool:
-    """Does the change of basis preserve the successive-minima property?
-
-    values are the norms mu(lambda_j) of the old basis (weakly increasing).
-    Conditions: every nonzero entry satisfies |a_ij| mu(lambda_j) <=
-    mu(lambda_i) (which forces a_ij = 0 whenever mu(lambda_j) > mu(lambda_i)),
-    and for each group of equal norm values the block of constant terms is
-    invertible over F_q.
-    """
-    vals = [Fraction(v) for v in values]
-    n = len(vals)
-    field = matrix[0][0].field
-    for i in range(n):
-        for j in range(n):
-            a = matrix[i][j]
-            if a.is_zero():
-                continue
-            if a.absolute_value() * vals[j] > vals[i]:
-                return False
-    # tie blocks
-    groups: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(vals):
-        groups.setdefault(v, []).append(i)
-    for idxs in groups.values():
-        block = [[Poly.constant(field, matrix[i][j].coeff(0)) for j in idxs]
-                 for i in idxs]
-        if not det(block):
-            return False
-    return True

@@ -23,9 +23,8 @@ from drinfan.cones import Cone, Fan
 from drinfan.drinfeld import (class_point_of_steps, iterate_tate,
                               lattice_profile_of_steps,
                               predicted_torsion_valuations, torsion_valuations)
-from drinfan.epsilon import (IDENTITIES, delta, delta_oracle, epsilon_hat,
-                             epsilon_hat1, epsilon_hat_oracle,
-                             hat_stage_weights)
+from drinfan.epsilon import (IDENTITIES, _stage_chain, delta, delta_oracle,
+                             epsilon_hat, epsilon_hat1, epsilon_hat_oracle)
 from drinfan.gf import Poly, gf
 from drinfan.points import ClassPoint
 from drinfan.xi import (_image_cone, cone_Cd, contains_class_point,
@@ -101,7 +100,7 @@ def _identity_failures(q, table):
     # one-weight chain: hat == composition of one-weight maps at the
     # stage weights
     for (qq, r, w, x) in _identity_points(q, 3, 200):
-        stages = hat_stage_weights(qq, r, w)
+        stages, _ = _stage_chain(qq, r, w)
         y = x
         for j, t in enumerate(stages):
             y = epsilon_hat1(qq, r + j, t, y)
@@ -280,6 +279,36 @@ def test_08_torsion_consistency():
                 rhs = contains_class_point(q, k, _image_cone(q, k, sigma),
                                            img_pt)
                 assert lhs == rhs
+
+
+def test_08_tate_fan_laws_feed_verify_tate(monkeypatch, capsys):
+    # `verify tate` checks the laws above; a broken side fails its rows only
+    def failing_suites():
+        capsys.readouterr()
+        assert cli.main(["verify", "tate"]) == 1
+        rows = [line.split("\t")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert all(row[0].startswith("tate-") for row in rows[:4])
+        return {row[0] + " " + row[1] for row in rows if row[-1] == "FAIL"}
+
+    # xi at level k + 1 in place of level k: every pole row fails
+    monkeypatch.setattr(cli, "xi_eval",
+                        lambda q, k, point: xi_eval(q, k + 1, point))
+    assert failing_suites() == {
+        f"poles-{name} {case} k={k}" for k in (1, 2)
+        for name, case in (("q2-r1", "1"), ("q2-r1", "2"), ("q3-r1", "1"),
+                           ("q2-r1", "1,3"), ("q2-r2", "1"))}
+    monkeypatch.undo()
+
+    # image cones with their coordinates swapped: membership fails where a
+    # point has two coordinates
+    def swapped(q, k, sigma):
+        image = _image_cone(q, k, sigma)
+        return Cone.from_rays([g[::-1] for g in image.rays()], n=image.n)
+
+    monkeypatch.setattr(cli, "_image_cone", swapped)
+    assert failing_suites() == {f"membership-{name} k={k}" for k in (1, 2)
+                                for name in ("q2-r1 1,3", "q2-r2 1")}
 
 
 # 9. atlas counts, edges, smoothness flags, symmetric identity

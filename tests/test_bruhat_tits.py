@@ -1,14 +1,126 @@
 """Lattice classes, chains, and apartment cones."""
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 import pytest
 
-from drinfan.bruhat_tits import (canonical_exponents, chain_test,
-                                 diagonal_class, intersection_of_diagonal_sets,
-                                 is_contained, lattice_norm_weights,
-                                 simplex_cone, standard_simplex_cone)
+from drinfan.bruhat_tits import (canonical_exponents, simplex_cone,
+                                 standard_simplex_cone)
 from drinfan.cones import Cone
+from drinfan.gf import Poly, RatFunc, gf
+from drinfan.linalg import mat_inv, mat_mul
+
+
+# ---------------------------------------------------------------------------
+# lattice classes and the chain test of the building (test-only reference)
+
+
+@dataclass(frozen=True)
+class _LatticeClass:
+    """A full lattice in E^n modulo pi-power scaling, given by a basis
+    matrix (columns are basis vectors) over F_q(T)."""
+
+    matrix: tuple[tuple[RatFunc, ...], ...]
+    pi: Poly
+
+    def scaled(self, k: int) -> "_LatticeClass":
+        """Representative pi^k L (same class)."""
+        f = RatFunc.make(_pi_power(self.pi, k), Poly.one(self.pi.field)) \
+            if k >= 0 else RatFunc.make(Poly.one(self.pi.field),
+                                        _pi_power(self.pi, -k))
+        return _LatticeClass(tuple(tuple(f * x for x in row)
+                                   for row in self.matrix), self.pi)
+
+
+def _pi_power(pi: Poly, k: int) -> Poly:
+    out = Poly.one(pi.field)
+    for _ in range(k):
+        out = out * pi
+    return out
+
+
+def _diagonal_class(exponents: Sequence[int], q: int = 2) -> _LatticeClass:
+    """The class of the lattice  sum_i T^{a_i} O e_i."""
+    field = gf(q)
+    pi = Poly.T(field)
+    n = len(exponents)
+    zero = RatFunc.zero(field)
+    rows = []
+    for i in range(n):
+        a = exponents[i]
+        if a >= 0:
+            f = RatFunc.of(_pi_power(pi, a))
+        else:
+            f = RatFunc.make(Poly.one(field), _pi_power(pi, -a))
+        rows.append(tuple(f if j == i else zero for j in range(n)))
+    return _LatticeClass(tuple(rows), pi)
+
+
+def _relative_matrix(inner: _LatticeClass, outer: _LatticeClass
+                     ) -> list[list[RatFunc]]:
+    """Coordinates of inner's basis in outer's basis (outer^-1 inner)."""
+    return mat_mul(mat_inv(outer.matrix), inner.matrix)
+
+
+def _min_valuation(m: list[list[RatFunc]], pi: Poly) -> int:
+    return min(x.valuation_at_poly(pi) for row in m for x in row
+               if not x.is_zero())
+
+
+def _is_contained(inner: _LatticeClass, outer: _LatticeClass) -> bool:
+    """Lattice inclusion of the given representatives (not classes)."""
+    return _min_valuation(_relative_matrix(inner, outer), inner.pi) >= 0
+
+
+def _chain_test(classes: Sequence[_LatticeClass]
+                ) -> tuple[bool, list[int] | None]:
+    """Do the classes form a simplex of the building?
+
+    Normalizes every class against the first one (maximal representative
+    contained in it), then checks that the representatives are pairwise
+    distinct, totally ordered by inclusion, and all contain pi times the
+    first.  Returns (ok, order) where order lists the input indices from
+    the largest representative down.
+    """
+    base = classes[0]
+    reps = [base]
+    for L in classes[1:]:
+        k = -_min_valuation(_relative_matrix(L, base), base.pi)
+        reps.append(L.scaled(k))
+    idx = list(range(len(reps)))
+    # total order by inclusion (larger lattice first)
+    rel = {(i, j): _is_contained(reps[j], reps[i])
+           for i in idx for j in idx if i != j}
+    for i in idx:
+        for j in idx:
+            if i < j:
+                if rel[(i, j)] and rel[(j, i)]:
+                    return False, None  # equal classes
+                if not rel[(i, j)] and not rel[(j, i)]:
+                    return False, None  # incomparable
+    order = sorted(idx, key=lambda i: -sum(rel[(i, j)] for j in idx if j != i))
+    bottom = reps[order[-1]]
+    if not _is_contained(base.scaled(1), bottom):
+        return False, None
+    return True, order
+
+
+def _intersection_of_diagonal_sets(s1: Iterable[Sequence[int]],
+                                   s2: Iterable[Sequence[int]]
+                                   ) -> list[tuple[int, ...]]:
+    """Common classes of two sets of diagonal classes (canonical reps)."""
+    return sorted({canonical_exponents(e) for e in s1}
+                  & {canonical_exponents(e) for e in s2})
+
+
+def _lattice_norm_weights(exponents: Sequence[int], q: int
+                          ) -> tuple[Fraction, ...]:
+    """Weights of the max norm attached to a diagonal lattice: the vector
+    (q^{a_i}) of its canonical representative."""
+    return tuple(Fraction(q) ** a for a in canonical_exponents(exponents))
 
 
 def test_canonical_exponents():
@@ -17,37 +129,37 @@ def test_canonical_exponents():
 
 
 def test_containment():
-    L0 = diagonal_class((0, 0))
-    L1 = diagonal_class((0, 1))
-    assert is_contained(L1, L0)
-    assert not is_contained(L0, L1)
+    L0 = _diagonal_class((0, 0))
+    L1 = _diagonal_class((0, 1))
+    assert _is_contained(L1, L0)
+    assert not _is_contained(L0, L1)
 
 
 def test_chain_simplex():
-    L0 = diagonal_class((0, 0))
-    L1 = diagonal_class((0, 1))
-    ok, order = chain_test([L0, L1])
+    L0 = _diagonal_class((0, 0))
+    L1 = _diagonal_class((0, 1))
+    ok, order = _chain_test([L0, L1])
     assert ok and order == [0, 1]
 
 
 def test_chain_rejects_incomparable():
-    ok, _ = chain_test([diagonal_class((0, 1)), diagonal_class((1, 0))])
+    ok, _ = _chain_test([_diagonal_class((0, 1)), _diagonal_class((1, 0))])
     assert not ok
 
 
 def test_chain_rejects_equal_classes():
-    ok, _ = chain_test([diagonal_class((0, 0)), diagonal_class((1, 1))])
+    ok, _ = _chain_test([_diagonal_class((0, 0)), _diagonal_class((1, 1))])
     assert not ok
 
 
 def test_chain_three_dim():
-    S = [diagonal_class((0, 0, 0)), diagonal_class((0, 0, 1)),
-         diagonal_class((0, 1, 1))]
-    ok, order = chain_test(S)
+    S = [_diagonal_class((0, 0, 0)), _diagonal_class((0, 0, 1)),
+         _diagonal_class((0, 1, 1))]
+    ok, order = _chain_test(S)
     assert ok
     # too deep: (0,0,2) not within one uniformizer step of (0,0,0)
-    ok2, _ = chain_test([diagonal_class((0, 0, 0)),
-                         diagonal_class((0, 0, 2))])
+    ok2, _ = _chain_test([_diagonal_class((0, 0, 0)),
+                          _diagonal_class((0, 0, 2))])
     assert not ok2
 
 
@@ -88,7 +200,7 @@ def test_intersection_property():
     """sigma(S intersect S') = sigma(S) intersect sigma(S') for simplices."""
     s1 = [(0, 0), (0, 1)]
     s2 = [(0, 1), (0, 2)]
-    common = intersection_of_diagonal_sets(s1, s2)
+    common = _intersection_of_diagonal_sets(s1, s2)
     assert common == [(0, 1)]
     left = simplex_cone(s1, 2).intersect(simplex_cone(s2, 2))
     right = simplex_cone(common, 2)
@@ -98,15 +210,15 @@ def test_intersection_property():
 def test_intersection_property_disjoint():
     s1 = [(0, 0)]
     s2 = [(0, 1)]
-    assert intersection_of_diagonal_sets(s1, s2) == []
+    assert _intersection_of_diagonal_sets(s1, s2) == []
     inter = simplex_cone(s1, 2).intersect(simplex_cone(s2, 2))
     # distinct vertices: cones share only the origin... or a common face
     assert inter.dim() <= 1
 
 
 def test_lattice_norm_weights():
-    assert lattice_norm_weights((1, 2), 2) == (1, 2)
-    assert lattice_norm_weights((3, 3), 2) == (1, 1)
+    assert _lattice_norm_weights((1, 2), 2) == (1, 2)
+    assert _lattice_norm_weights((3, 3), 2) == (1, 1)
 
 
 def test_apartment_edges_tile_weight_cone():

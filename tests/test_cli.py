@@ -123,6 +123,34 @@ def test_satake_check_all_pass():
     assert all(l.split("\t")[-1] == "pass" for l in lines[1:])
 
 
+def test_verify_tate_checks_every_law(capsys):
+    # the torsion rows at N = T of the first four instances come first,
+    # with their text unchanged
+    head = [
+        "suite\tcase\texpected\tgot\tstatus",
+        "tate-q2-r1\t1\t[(Fraction(-1, 2), 2), (Fraction(1, 1), 1)]\t"
+        "[(Fraction(-1, 2), 2), (Fraction(1, 1), 1)]\tpass",
+        "tate-q2-r1\t2\t[(Fraction(-1, 1), 2), (Fraction(1, 1), 1)]\t"
+        "[(Fraction(-1, 1), 2), (Fraction(1, 1), 1)]\tpass",
+        "tate-q3-r1\t1\t[(Fraction(-1, 3), 6), (Fraction(1, 2), 2)]\t"
+        "[(Fraction(-1, 3), 6), (Fraction(1, 2), 2)]\tpass",
+        "tate-q2-r1\t1,3\t[(Fraction(-1, 1), 4), (Fraction(-1, 2), 2), "
+        "(Fraction(1, 1), 1)]\t[(Fraction(-1, 1), 4), (Fraction(-1, 2), 2), "
+        "(Fraction(1, 1), 1)]\tpass",
+    ]
+    for precision in ("48", "64"):
+        capsys.readouterr()
+        assert cli.main(["verify", "tate", "--precision", precision]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == head
+        families = [line.split("\t")[0].split("-")[0] for line in lines[1:]]
+        # five instances: torsion at N = T and T^2, poles and membership
+        # at k = 1, 2
+        assert {f: families.count(f) for f in set(families)} == \
+            {"tate": 10, "poles": 10, "membership": 10}
+        assert all(line.endswith("\tpass") for line in lines[1:])
+
+
 def test_verify_identities_small():
     out = run("verify", "identities", "--q", "2", "--seed", "3",
               "--count", "10")
@@ -166,7 +194,8 @@ def test_bt_cone_odd_q():
     assert json.loads(out.stdout)["rays"] == [[1, 3]]
 
 
-def test_bad_vectors_exit_2():
+def test_bad_vectors_exit_2(tmp_path):
+    missing = tmp_path / "missing"  # a directory that does not exist
     for args in (("hilbert", "--cone", "1,0;0"),
                  ("bt", "cone", "--q", "2", "--sets", "0,1;0"),
                  ("bt", "simplex", "--q", "1", "--n", "2"),
@@ -208,7 +237,14 @@ def test_bad_vectors_exit_2():
                  # an empty cone or point is no default
                  ("fan", "refine"),
                  ("hilbert", "--cone", ""),
-                 ("xi", "eval", "--q", "2")):
+                 ("xi", "eval", "--q", "2"),
+                 # a file that cannot be written
+                 ("hilbert", "--cone", "1,0;0,1",
+                  "--out", str(missing / "x.json")),
+                 ("atlas", "graph", "--q", "2", "--dot", str(missing / "x.dot")),
+                 # a level coefficient outside F_q
+                 ("tate", "torsion", "--q", "4", "--ms", "1", "--N", "0,7"),
+                 ("tate", "torsion", "--q", "2", "--ms", "1", "--N", "0,5")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args

@@ -443,6 +443,20 @@ def test_validate_matches_all_pairs_oracle():
     assert rejected == 2  # the overlapping cones, the ray inside a quadrant
 
 
+def test_validate_reports_each_support_violation():
+    quadrant = Cone.from_rays([(1, 0), (0, 1)])
+    for cones, message in (
+            ([[(1, 0), (-1, 1)]], "not contained in the support"),
+            ([[(1, 1)]], "has dim 1 != 2"),
+            # a gap between (2, 1) and (1, 2): both walls are interior
+            ([[(1, 0), (2, 1)], [(1, 2), (0, 1)]],
+             "shared by 0 other cones")):
+        fan = Fan([Cone.from_rays(rays) for rays in cones])
+        assert fan.validate() == [], cones
+        problems = fan.validate(quadrant)
+        assert problems and all(message in p for p in problems), problems
+
+
 def _maximal_all_pairs(fan):
     """Oracle: the cones of the fan contained in no other, in fan order."""
     all_cones = list(fan)

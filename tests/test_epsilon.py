@@ -8,11 +8,30 @@ from hypothesis import given, settings, strategies as st
 
 import drinfan.epsilon as eps_mod
 from drinfan.epsilon import (delta, delta_oracle, epsilon, epsilon_closed,
-                             epsilon_hat, epsilon_hat1, epsilon_hat1_inv,
-                             epsilon_hat_inv, epsilon_hat_oracle,
-                             epsilon_inv, epsilon_oracle, hat_stage_weights)
+                             epsilon_hat, epsilon_hat1, epsilon_hat_oracle,
+                             epsilon_inv, epsilon_oracle)
 from drinfan.points import ClassPoint
 from drinfan.xi import xi_eval
+
+
+def _epsilon_hat_inv(q, r, w, y):
+    """The inverse of epsilon_hat: epsilon_hat = epsilon - delta."""
+    return epsilon_inv(q, r, w, y + delta(q, r, w))
+
+
+def _epsilon_hat1_inv(q, r, s, y):
+    """The inverse of epsilon_hat1, through the checked integer kernel."""
+    s, = eps_mod._check_args(q, r, (s,))
+    y = Fraction(y)
+    return Fraction(*eps_mod._hat1_inv(q, r, s.numerator, s.denominator,
+                                       y.numerator, y.denominator))
+
+
+def _hat_stage_weights(q, r, w):
+    """The stage weights of w as a fresh list: stage i has rank r+i and
+    weight epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})."""
+    return list(eps_mod._stage_chain(q, r, w)[0])
+
 
 fracs = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(32),
                      max_denominator=8)
@@ -65,7 +84,7 @@ def test_delta_equals_delta_oracle(args):
 def test_inverses(args):
     q, r, w, x = args
     y = epsilon_hat(q, r, w, x)
-    assert epsilon_hat_inv(q, r, w, y) == x
+    assert _epsilon_hat_inv(q, r, w, y) == x
     z = epsilon_closed(q, r, w, x)
     assert epsilon_inv(q, r, w, z) == x
 
@@ -89,7 +108,7 @@ def test_hat1_inverse_roundtrip():
         s = Fraction(rng.randint(1, 16), rng.randint(1, 4))
         x = Fraction(rng.randint(1, 64), rng.randint(1, 4))
         y = epsilon_hat1(q, r, s, x)
-        assert epsilon_hat1_inv(q, r, s, y) == x
+        assert _epsilon_hat1_inv(q, r, s, y) == x
 
 
 def test_monotonicity():
@@ -132,7 +151,7 @@ def _ref_hat1(q, r, s, x):
 
 
 def _ref_hat1_inv(q, r, s, y):
-    """epsilon_hat1_inv as a Fraction formula (test-only reference)."""
+    """The inverse of epsilon_hat1 as a Fraction formula (test reference)."""
     s, y = Fraction(s), Fraction(y)
     c = Fraction(q - 1, q ** (r + 1) - 1)
     h = 0
@@ -158,7 +177,7 @@ def _kernel_points(seed, count):
 def test_hat1_kernel_matches_fraction_formula_random():
     for q, r, s, x in _kernel_points(20240501, 3000):
         assert epsilon_hat1(q, r, s, x) == _ref_hat1(q, r, s, x)
-        assert epsilon_hat1_inv(q, r, s, x) == _ref_hat1_inv(q, r, s, x)
+        assert _epsilon_hat1_inv(q, r, s, x) == _ref_hat1_inv(q, r, s, x)
 
 
 def test_hat1_kernel_matches_fraction_formula_at_band_edges():
@@ -178,15 +197,17 @@ def test_hat1_kernel_matches_fraction_formula_at_band_edges():
                 for x in xs:
                     assert epsilon_hat1(q, r, s, x) == _ref_hat1(q, r, s, x)
                 for y in ys:
-                    assert (epsilon_hat1_inv(q, r, s, y)
+                    assert (_epsilon_hat1_inv(q, r, s, y)
                             == _ref_hat1_inv(q, r, s, y))
                     assert epsilon_hat1(
-                        q, r, s, epsilon_hat1_inv(q, r, s, y)) == y
+                        q, r, s, _epsilon_hat1_inv(q, r, s, y)) == y
 
 
 def test_hat_stage_weights_returns_a_fresh_list():
     w = (Fraction(1), Fraction(5, 2), Fraction(9))
-    stages = hat_stage_weights(2, 1, w)
+    # the cached chain is a tuple; no caller can change it in place
+    assert type(eps_mod._stage_chain(2, 1, w)[0]) is tuple
+    stages = _hat_stage_weights(2, 1, w)
     want = list(stages)
     x = Fraction(40)
     before = (epsilon_closed(2, 1, w, x), delta(2, 1, w),
@@ -194,7 +215,7 @@ def test_hat_stage_weights_returns_a_fresh_list():
     stages[0] = Fraction(10 ** 6)
     stages.append(Fraction(1))
     del stages[1]
-    assert hat_stage_weights(2, 1, w) == want
+    assert _hat_stage_weights(2, 1, w) == want
     assert (epsilon_closed(2, 1, w, x), delta(2, 1, w),
             epsilon_hat(2, 1, w, x)) == before
 
@@ -202,10 +223,10 @@ def test_hat_stage_weights_returns_a_fresh_list():
 def test_invalid_weights_raise_on_every_call(monkeypatch):
     bad = (Fraction(3), Fraction(1), Fraction(4))
     for _ in range(3):
-        for f in (hat_stage_weights, delta):
+        for f in (_hat_stage_weights, delta):
             with pytest.raises(ValueError):
                 f(2, 1, bad)
-        for f in (epsilon_closed, epsilon_hat, epsilon_hat_inv, epsilon_inv):
+        for f in (epsilon_closed, epsilon_hat, _epsilon_hat_inv, epsilon_inv):
             with pytest.raises(ValueError):
                 f(2, 1, bad, Fraction(5))
     # monotone positive weights never collapse, so force a stage to 0
@@ -213,11 +234,11 @@ def test_invalid_weights_raise_on_every_call(monkeypatch):
     collapse = (Fraction(11, 7), Fraction(13, 7))
     for _ in range(3):
         with pytest.raises(ArithmeticError):
-            hat_stage_weights(3, 2, collapse)
+            _hat_stage_weights(3, 2, collapse)
         with pytest.raises(ArithmeticError):
             epsilon_closed(3, 2, collapse, Fraction(1))
     monkeypatch.undo()
-    assert hat_stage_weights(3, 2, collapse)[1] > 0
+    assert _hat_stage_weights(3, 2, collapse)[1] > 0
 
 
 def test_xi_eval_equals_defining_sum():

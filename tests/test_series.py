@@ -294,3 +294,14 @@ def test_lower_hull_and_root_valuations():
     assert total == 4 - 1
     hull = lower_hull([(1, Fraction(0)), (2, Fraction(1)), (4, Fraction(3))])
     assert hull == [(1, Fraction(0)), (4, Fraction(3))]
+
+
+def test_root_valuations_refuses_a_coefficient_below_the_hull():
+    # the hull from (1, 0) to (4, 4) has height 4/3 at z^2; a coefficient
+    # there known to vanish only to precision 1 could dip below it
+    points = [(1, 0, None), (2, None, 1), (4, 4, None)]
+    with pytest.raises(PrecisionError, match=r"z\^2"):
+        root_valuations(points)
+    # to precision 2 it clears the hull: one segment of slope 4/3
+    points[1] = (2, None, 2)
+    assert root_valuations(points) == [(Fraction(-4, 3), 3)]
