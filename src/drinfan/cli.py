@@ -15,13 +15,15 @@ random.Random(f"{seed}:{suite}").
 
 Exit codes: 0 success, 1 a verification or certificate failed, 2 bad
 input or an output file that cannot be written, 3 the working precision
-was too low (retry at another --precision).
+was too low (retry at another --precision), 141 (128 + SIGPIPE) stdout
+was closed before the output was written (say, piped into head).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -44,6 +46,7 @@ from .xi import (LinearizationError, _image_cone, contains_class_point,
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 PRECISION_TOO_LOW = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 
 def _frac_str(x) -> str:
@@ -499,7 +502,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # stdout is gone, so there is nobody to tell; point it at devnull
+        # so that the flush at shutdown does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except PrecisionError as exc:
         print(f"error: {exc}; retry at another --precision", file=sys.stderr)
         return PRECISION_TOO_LOW

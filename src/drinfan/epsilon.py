@@ -27,19 +27,29 @@ is epsilon_inv at y + delta.
 
 Evaluation core.  The one-weight map and its inverse (_hat1, _hat1_inv)
 work on ints only: with s = u/v and x = a/b (b > 0) the band h is found by
-comparing a v with q^{hr} u b, which is homogeneous in (a, b), so a/b need
-not be in lowest terms, and the value comes back as an unreduced pair over
-the denominator b D v.  A stage chain (_chain, _chain_inv) carries that
+comparing a v with q^{hr} u b, which is homogeneous in (a, b) and in
+(u, v), so neither pair need be in lowest terms, and the value comes back
+as an unreduced pair over the denominator b D v.  A stage chain (_chain
+and _chain_inv on Fraction stages, _run on integer pairs) carries that
 pair through all its stages and makes one Fraction at the end, adding
 delta in the same step for epsilon_closed.  The public epsilon_hat1
 checks its arguments and calls this kernel; the chains call it directly,
 since stage weights are positive by construction.
 
-The stage chain of a weight vector (its stage weights and delta) is built
-once, by _stages, and kept in a small least-recently-used cache (64
-entries) keyed on (q, r, checked weight tuple).  Stage i depends only on
-s_1..s_{i+1}, so the chain of a vector extends the cached chain of its
-prefix by one stage, and the chain of a prefix is a prefix of the chain.
+The stages are built by one loop, _stage_pairs, on integer pairs: stage i
+is the chain of stages 0..i-1 at s_{i+1}, reduced by one gcd, and delta
+gathers (q-1)/(q^{r+i+1}-1) times stage i as an unreduced pair.  The band
+test is scale-invariant and each band's value is linear in (x, s), so
+epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
+weights): scaling x and every weight by L > 0 scales the stages, delta
+and the value by L.  The linearization in xi uses this to run the loop
+on integer weights and make one Fraction per output coordinate.
+
+The stage chain of a weight vector (its stage weights and delta, as
+Fractions) is built once, by _stages from _stage_pairs, and kept in a
+small least-recently-used cache (64 entries) keyed on (q, r, checked
+weight tuple).  Stage i depends only on s_1..s_{i+1}, so the chain of a
+prefix is a prefix of the chain.
 Every public function that needs a chain gets it from _stage_chain, which
 checks the weights and keeps the last successful (weights, q, r) in a
 one-entry memo keyed on identity.  The memo keeps only a tuple of exact
@@ -67,6 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Sequence
 
 from .gf import check_q
@@ -134,11 +145,11 @@ def epsilon_oracle(q: int, r: int, weights: Sequence[Fraction],
 def _hat1(q: int, r: int, u: int, v: int, a: int, b: int) -> tuple[int, int]:
     """epsilon_hat1 on checked arguments, in integer arithmetic.
 
-    With s = u/v, x = a/b (b > 0, not necessarily in lowest terms) and
-    Q = q^r, the band h is the least h >= 0 with a v <= Q^h u b (homogeneous
-    in (a, b)), and the value q^h x - q^h Q^h c s, c = (q-1)/D,
-    D = q^{r+1} - 1, is returned as the unreduced pair
-    (q^h (a v D - Q^h (q-1) u b), b D v)."""
+    With s = u/v and x = a/b (v, b > 0; neither pair need be in lowest
+    terms) and Q = q^r, the band h is the least h >= 0 with a v <= Q^h u b
+    (homogeneous in (a, b) and in (u, v)), and the value
+    q^h x - q^h Q^h c s, c = (q-1)/D, D = q^{r+1} - 1, is returned as the
+    unreduced pair (q^h (a v D - Q^h (q-1) u b), b D v)."""
     Q = q ** r
     av, ub = a * v, u * b
     qh = Qh = 1
@@ -201,24 +212,47 @@ def _chain_inv(q: int, r: int, stages: Sequence[Fraction], y: Fraction
     return Fraction(a, b)
 
 
+def _run(q: int, r: int, stages: Sequence[tuple[int, int]], a: int, b: int
+         ) -> tuple[int, int]:
+    """The stage chain on ints: stages are (u, v) pairs and x = a/b, and
+    the value comes back as an unreduced pair."""
+    for j, (u, v) in enumerate(stages):
+        a, b = _hat1(q, r + j, u, v, a, b)
+    return a, b
+
+
+def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]]
+                 ) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """(stage weights, delta) of positive, weakly increasing weights given
+    as integer pairs (u, v), v > 0; both come back as integer pairs.
+
+    Stage i is the chain of stages 0..i-1 at weight i, reduced by one
+    gcd (so the integers of the later chains stay small), and delta adds
+    (q-1)/(q^{r+i+1}-1) times stage i, unreduced."""
+    stages: list[tuple[int, int]] = []
+    dn, dm = 0, 1
+    for u, v in weights:
+        a, b = _run(q, r, stages, u, v)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a <= 0:
+            raise ArithmeticError("stage weight collapsed to <= 0")
+        D = q ** (r + len(stages) + 1) - 1
+        dn, dm = dn * D * b + (q - 1) * a * dm, dm * D * b
+        stages.append((a, b))
+    return stages, (dn, dm)
+
+
 @lru_cache(maxsize=64)
 def _stages(q: int, r: int, w: tuple[Fraction, ...]
             ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """(stage weights, delta) of a checked weight tuple.
+    """(stage weights, delta) of a checked weight tuple, from _stage_pairs.
 
-    Stage i depends on w[:i+1] only, so the chain of w extends the cached
-    chain of w[:-1] by one stage, and delta by one term.  Every adjacent
-    pair is compared before any stage is built."""
-    if not w:
-        return (), _ZERO
-    if len(w) > 1 and w[-2] > w[-1]:
+    Every adjacent pair is compared before any stage is built."""
+    if any(a > b for a, b in zip(w, w[1:])):
         raise ValueError("closed evaluation requires weakly increasing weights")
-    head, d = _stages(q, r, w[:-1])
-    v = _chain(q, r, head, w[-1])
-    if v <= 0:
-        raise ArithmeticError("stage weight collapsed to <= 0")
-    n = len(head)
-    return head + (v,), d + Fraction(q - 1, q ** (r + n + 1) - 1) * v
+    stages, d = _stage_pairs(q, r, [(t.numerator, t.denominator) for t in w])
+    return tuple(Fraction(a, b) for a, b in stages), Fraction(*d)
 
 
 # the last weight vector _stage_chain checked: (weights, q, r, chain)

@@ -15,6 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def _check_in_cone(values) -> None:
+    """Raise ValueError unless values are nonnegative and weakly
+    increasing, i.e. a point of C_d: one comparison per value."""
+    prev = 0
+    for v in values:
+        if v < prev:
+            if any(x < 0 for x in values):
+                raise ValueError("stored powers must be nonnegative")
+            raise ValueError("coordinates must be weakly increasing")
+        prev = v
+
+
 @dataclass(frozen=True)
 class ClassPoint:
     d: int
@@ -28,10 +40,7 @@ class ClassPoint:
             raise ValueError("pow_exponent must be >= 1")
         vals = tuple(v if type(v) is Fraction else Fraction(v)
                      for v in self.values)
-        if any(v < 0 for v in vals):
-            raise ValueError("stored powers must be nonnegative")
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            raise ValueError("coordinates must be weakly increasing")
+        _check_in_cone(vals)
         object.__setattr__(self, "values", vals)
 
     @staticmethod

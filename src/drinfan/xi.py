@@ -10,8 +10,9 @@ Contents:
   coordinates, always landing in rational coordinates),
 * exact linearization: on each cone sigma of Sigma^(k), xi_{k'} factors as
   a single linear map applied to pi; the matrix comes from one exact
-  elimination over interior samples, each evaluated once (pi and xi from
-  one ClassPoint), and is certified on generators plus interior points,
+  elimination over interior samples, each evaluated once (pi and every
+  needed xi_t from one integer stage chain), and is certified on
+  generators plus interior points,
 * the image fans Sigma_k = {xi_k(sigma)} and the piecewise-linear
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces.
 """
@@ -21,15 +22,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .epsilon import _chain, _stage_chain, delta, epsilon_closed, epsilon_hat
+from .epsilon import (_chain, _run, _stage_chain, _stage_pairs, delta,
+                      epsilon_closed, epsilon_hat)
 from .gf import check_q
 from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
                      primitive, solve)
-from .points import ClassPoint
+from .points import ClassPoint, _check_in_cone
 
 __all__ = [
     "cone_Cd", "sigma_upper_fan", "theta_vector", "pi_eval",
@@ -241,48 +244,99 @@ class PiecewiseLinearMap:
         raise ValueError(f"point {coords} not in the domain of the map")
 
 
+def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
+           coords: Sequence[Fraction]
+           ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+    """pi (for the index map theta) and xi_t for each t in levels at a
+    rational point, from one integer stage chain.
+
+    The values are those of pi_eval and xi_eval at
+    ClassPoint.from_coords(coords), whose checks (and ValueError) this
+    keeps.  With r the stratum and p = s^r, p is scaled to one integer
+    vector P = L p over the lcm L of its denominators.  epsilon_hat, delta,
+    pi and xi are homogeneous of degree 1 in (x, weights), since the band
+    test a v <= Q^h u b of _hat1 is scale-invariant; so the stages and delta
+    of P, and their chains at P_i and at P_i / q^(t r), are L times those of
+    p, and one Fraction per coordinate divides L out."""
+    n = len(coords)
+    L = lcm(*[c.denominator for c in coords])
+    C = [c.numerator * (L // c.denominator) for c in coords]
+    _check_in_cone(C)
+    r = next((i for i, c in enumerate(C, 1) if c), n + 1)
+    if r > n:  # the origin
+        zero = (Fraction(0),) * n
+        return zero, [zero] * len(levels)
+    # p = s^r = C^r / L^r, and L^r is the lcm of the denominators of p
+    P = [c ** r for c in C[r - 1:]]
+    L **= r
+    stages, (dn, dm) = _stage_pairs(q, r, [(x, 1) for x in P])
+    head = [Fraction(0)] * (r - 1)
+    pi = []
+    for i, x in enumerate(P, r):
+        a, b = _run(q, r, stages[:max(theta[i - 1] - r, 0)], x, 1)
+        pi.append(Fraction(a, b * L))
+    xis = []
+    for t in levels:
+        qtr = q ** (t * r)
+        xi = []
+        for x in P:
+            a, b = _run(q, r, stages, x, qtr)
+            xi.append(Fraction(a * dm + dn * b, b * dm * L))
+        _check_in_cone(xi)
+        xis.append(tuple(head + xi))
+    return tuple(head + pi), xis
+
+
+def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
+               rng: random.Random) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """linearize_xi for every target level in levels, from one sample set:
+    pi and every xi_t come from one _pi_xi call per point, and each matrix
+    is solved and certified on its own."""
+    _check_levels(base_k, *levels)
+    check_q(q)
+    n = sigma.n
+    theta = theta_vector(q, base_k, sigma)
+    A, B = zip(*[_pi_xi(q, theta, levels, p)
+                 for p in interior_samples(sigma, rng, 2 * n + 2)])
+    mats = []
+    for Bt in zip(*B):  # the level-t xi values of every sample
+        X = solve(A, Bt)
+        if X is None:
+            i = next(i for i in range(n)
+                     if solve(A, [b[i] for b in Bt]) is None)
+            raise LinearizationError(
+                f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+        mats.append(tuple(zip(*X)))  # row i of M is column i of X
+    # certification: generators and fresh interior points
+    rows = [[_over_lcm(row) for row in M] for M in mats]
+    check_pts = [frac_vec(g) for g in sigma.rays()]
+    check_pts += interior_samples(sigma, rng, _CERTIFY_POINTS)
+    for p in check_pts:
+        pi, xis = _pi_xi(q, theta, levels, p)
+        u, c = _over_lcm(pi)
+        for rows_t, xi in zip(rows, xis):
+            if any(sum(map(mul, w, u)) * x.denominator != x.numerator * m * c
+                   for (w, m), x in zip(rows_t, xi)):
+                raise LinearizationError(
+                    f"linearization certificate failed at {p} on {sigma!r}")
+    return mats
+
+
 def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
                  rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
-    Each of 2n+2 exact interior samples becomes one ClassPoint, at which pi
-    and xi are both evaluated; one elimination of [pi values | xi values]
-    gives every row of M.  M is certified on every generator of sigma plus
-    _CERTIFY_POINTS fresh interior points, by exact equality checked on
-    ints: row i of M is scaled once to w_i / m_i and each point's pi value
-    to u / c, so (M pi)_i = xi_i reads w_i . u * den(xi_i) = num(xi_i) *
-    m_i * c.  Raises LinearizationError if no consistent matrix exists
-    (naming the first coordinate with none) or the certification fails.
+    pi and xi are evaluated at each of 2n+2 exact interior samples by one
+    integer stage chain (_pi_xi); one elimination of [pi values | xi
+    values] gives every row of M.  M is certified on every generator of
+    sigma plus _CERTIFY_POINTS fresh interior points, by exact equality
+    checked on ints: row i of M is scaled once to w_i / m_i and each
+    point's pi value to u / c, so (M pi)_i = xi_i reads w_i . u * den(xi_i)
+    = num(xi_i) * m_i * c.  Raises LinearizationError if no consistent
+    matrix exists (naming the first coordinate with none) or the
+    certification fails.
     """
-    _check_levels(base_k, target_k)
-    n = sigma.n
-    theta = theta_vector(q, base_k, sigma)
-
-    def pi_xi(coords):
-        cp = ClassPoint.from_coords(coords)
-        return (pi_eval(q, base_k, sigma, cp, theta),
-                xi_eval(q, target_k, cp).values)
-
-    A, B = zip(*map(pi_xi, interior_samples(sigma, rng, 2 * n + 2)))
-    X = solve(A, B)
-    if X is None:
-        i = next(i for i in range(n)
-                 if solve(A, [b[i] for b in B]) is None)
-        raise LinearizationError(
-            f"no linear factorization for coordinate {i + 1} on {sigma!r}")
-    M = tuple(zip(*X))  # row i of M is column i of X
-    # certification: generators and fresh interior points
-    rows = [_over_lcm(row) for row in M]
-    check_pts = [frac_vec(g) for g in sigma.rays()]
-    check_pts += interior_samples(sigma, rng, _CERTIFY_POINTS)
-    for p in check_pts:
-        pi, xi = pi_xi(p)
-        u, c = _over_lcm(pi)
-        if any(sum(map(mul, w, u)) * x.denominator != x.numerator * m * c
-               for (w, m), x in zip(rows, xi)):
-            raise LinearizationError(
-                f"linearization certificate failed at {p} on {sigma!r}")
-    return M
+    return _linearize(q, sigma, base_k, (target_k,), rng)[0]
 
 
 def _image_cone(q: int, k: int, sigma: Cone) -> Cone:
@@ -316,15 +370,17 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
                  ) -> PiecewiseLinearMap:
     """The transition map xi_{k,k'} = xi_{k'} o xi_k^{-1} as exact linear
     pieces on the cones xi_k(sigma), sigma running over the maximal cones
-    of Sigma^(K) with K = max(k, k')."""
+    of Sigma^(K) with K = max(k, k').
+
+    Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
+    one sample set: one pi and one stage chain per point."""
     _check_levels(k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
     upper = sigma_upper_fan(q, d, K)
     pieces = []
     for sigma in upper.maximal_cones():
-        Mk = linearize_xi(q, sigma, K, k, rng)
-        Mkp = linearize_xi(q, sigma, K, kprime, rng)
+        Mk, Mkp = _linearize(q, sigma, K, (k, kprime), rng)
         trans = mat_mul(Mkp, mat_inv(Mk))
         image = _image_cone(q, k, sigma)
         pieces.append((image, tuple(tuple(row) for row in trans)))

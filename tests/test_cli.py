@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -179,6 +180,21 @@ def test_exit_code_on_bad_input():
     assert run("no-such-command").returncode == 2
 
 
+def test_closed_stdout_exits_141_silently():
+    # the read end of the stdout pipe is closed before the command writes:
+    # 5 bytes fail at the final flush, 35 kB inside the write itself
+    for args in (("eps", "delta", "--q", "2", "--r", "1", "--weights", "1,2"),
+                 ("fan", "sigma-upper", "--q", "2", "--d", "5", "--k", "2")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(CLI + list(args), stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (141, ""), args
+
+
 def test_out_file_matches_stdout(tmp_path):
     path = tmp_path / "fan.json"
     a = run("fan", "sigma-upper", "--q", "2", "--d", "3", "--k", "1")
@@ -343,6 +359,12 @@ def test_fan_output_bytes_pinned(capsys):
             "dd454b9d139ae735a6351a4654911425753434960dccfccd7730fb4b6e267461",
         "verify sigk3 --q 3":
             "61d3e8e7926bdd06402efa1ff5b3b408b6f5d9b28ec1ecbab1ea5913c87830de",
+        # recorded before linearize_xi evaluated its samples by one integer
+        # stage chain and sigma_kk_map shared its samples between levels
+        "xi linearize --q 2 --d 4 --k 1 --kprime 2":
+            "48ea13b5ce3e0b0fb735830e82ad8be8dfc0505d38cb77e808f72559c1e5accb",
+        "fan sigma-k --q 3 --d 4 --k 2":
+            "249f8f02cc1d0ee0a3f55ca088b3b0452548a27ad3eb7b5860c168eb60e10989",
     }
     for command, digest in pinned.items():
         assert cli.main(command.split()) == 0, command

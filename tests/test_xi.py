@@ -145,6 +145,18 @@ def test_irrational_point_membership():
     assert not contains_class_point(2, 2, inner, p)
 
 
+def test_two_term_sign_uses_the_stored_power():
+    # (1, sqrt(3)) stored as squares (1, 3): 2 * 1 - sqrt(3) > 0 is read as
+    # 2^2 * 1 > 3, while 2 * 1 < 3 would put the point above s_2 = 2 s_1
+    p = ClassPoint(3, (F(1), F(3)), pow_exponent=2)
+    assert p.sign_two_term(2, 1, 1, 2) == 1
+    assert p.sign_two_term(2, 0, 1, 2) == -1
+    below = Cone.from_rays([(1, 1), (1, 2)])  # s_1 <= s_2 <= 2 s_1
+    above = Cone.from_rays([(0, 1), (1, 2)])  # 2 s_1 <= s_2
+    assert contains_class_point(2, 2, below, p)
+    assert not contains_class_point(2, 2, above, p)
+
+
 # -- Sigma^(k) by refinement against the sign-assignment enumeration ---------
 
 def _sign_sequences(k):
@@ -435,3 +447,76 @@ def test_xi_eval_checks_weights_once_per_point(monkeypatch):
     pi_eval(2, 2, cone_Cd(5), point)
     xi_eval(2, 2, point)
     assert len(checked) == 1
+
+
+# -- the integer point kernel of the linearization against its references ----
+
+def _kernel_cases(seed, count):
+    """(q, coords, theta, levels): q in {2, 3, 4}, d from 2 to 9, every
+    stratum r (r = d is the origin), repeated and non-integer coordinates,
+    a random index map and one to three levels from 1..3."""
+    rng = random.Random(seed)
+    shapes = [(q, d, r) for q in (2, 3, 4) for d in range(2, 10)
+              for r in range(1, d + 1)]
+    for m in range(count):
+        q, d, r = shapes[m % len(shapes)]
+        tail = [F(rng.randint(1, 60), rng.choice((1, 1, 2, 3, 7)))
+                for _ in range(d - r)]
+        if rng.random() < 0.4 and len(tail) > 1:  # a repeated value
+            i = rng.randrange(len(tail) - 1)
+            tail[i + 1] = tail[i]
+        coords = (F(0),) * (r - 1) + tuple(sorted(tail))
+        theta = tuple(rng.randint(1, i) for i in range(1, d))
+        levels = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        yield q, coords, theta, levels
+
+
+def test_point_kernel_matches_pi_eval_and_xi_eval():
+    seen = set()
+    for q, coords, theta, levels in _kernel_cases(2718, 600):
+        point = ClassPoint.from_coords(coords)
+        pi, xis = xi_mod._pi_xi(q, theta, levels, coords)
+        assert pi == pi_eval(q, 1, cone_Cd(point.d), point, theta), coords
+        assert xis == [xi_eval(q, t, point).values for t in levels], coords
+        assert all(type(v) is Fraction for v in pi + sum(xis, ()))
+        seen.add((q, point.d, point.stratum()))
+        seen.add(("non-integer", any(c.denominator > 1 for c in coords)))
+        seen.add(("repeated", len(set(coords[point.stratum() - 1:]))
+                  < point.d - point.stratum()))
+        seen.add(("levels", len(set(levels))))
+    assert {(q, d, r) for q in (2, 3, 4) for d in range(2, 10)
+            for r in range(1, d + 1)} <= seen
+    assert {("non-integer", True), ("repeated", True), ("levels", 3)} <= seen
+
+
+def test_point_kernel_rejects_points_outside_the_cone():
+    for coords in ([F(-1), F(2)], [F(0), F(-1, 2), F(3)], [F(3), F(2)],
+                   [F(0), F(5, 2), F(2)]):
+        with pytest.raises(ValueError) as want:
+            ClassPoint.from_coords(coords)
+        with pytest.raises(ValueError) as got:
+            xi_mod._pi_xi(2, tuple(range(1, len(coords) + 1)), (1,), coords)
+        assert str(got.value) == str(want.value), coords
+
+
+def test_linearize_xi_checks_q():
+    # the point kernel does not check q; linearize_xi does, as xi_eval did
+    for q, message in ((6, "not a prime power"), (1, "at least 2")):
+        with pytest.raises(ValueError, match=message):
+            linearize_xi(q, cone_Cd(3), 1, 1, random.Random(0))
+
+
+def test_sigma_kk_map_evaluates_one_sample_set_per_cone(monkeypatch):
+    # both levels of xi_{k,k'} come from one kernel call per point:
+    # (2n+2) samples + every ray + 5 fresh points per maximal cone
+    calls = []
+    real = xi_mod._pi_xi
+    monkeypatch.setattr(xi_mod, "_pi_xi",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    for q, d, k, kp in ((2, 4, 1, 2), (3, 3, 2, 1)):
+        calls.clear()
+        sigma_kk_map(q, d, k, kp)
+        maximal = sigma_upper_fan(q, d, max(k, kp)).maximal_cones()
+        assert len(calls) == sum(2 * c.n + 2 + len(c.rays()) + 5
+                                 for c in maximal)
+        assert set(calls) == {(k, kp)}
