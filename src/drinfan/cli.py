@@ -55,17 +55,32 @@ def _frac_str(x) -> str:
         else str(f.numerator)
 
 
-def _parse_vec(s: str) -> list[Fraction]:
-    return [Fraction(p) for p in s.split(",") if p != ""]
+def _number(option: str, token: str, kind=Fraction):
+    """One number of an option's value, as kind (Fraction or int); a bad
+    token is a ValueError naming the option and the token."""
+    try:
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option}: bad number {token!r}") from None
 
 
-def _parse_rows(s: str) -> list[list[int]]:
+def _parse_vec(option: str, s: str) -> list[Fraction]:
+    """Rationals written 'a,b/c,...'; empty entries are skipped."""
+    return [_number(option, p) for p in s.split(",") if p != ""]
+
+
+def _parse_ints(option: str, s: str) -> list[int]:
+    """Integers written 'a,b,...'; every entry must be one."""
+    return [_number(option, x, int) for x in s.split(",")]
+
+
+def _parse_rows(option: str, s: str) -> list[list[int]]:
     """Integer rows written 'a,b;c,d;...': cone rays or exponent vectors."""
-    return [[int(x) for x in part.split(",")] for part in s.split(";") if part]
+    return [_parse_ints(option, part) for part in s.split(";") if part]
 
 
 def _parse_cone(s: str) -> Cone:
-    rays = _parse_rows(s)
+    rays = _parse_rows("--cone", s)
     if not rays:
         raise ValueError("--cone needs at least one ray 'a,b;c,d;...'")
     return Cone.from_rays(rays, n=len(rays[0]))
@@ -125,9 +140,9 @@ def _matrix_json(mat) -> list[list[str]]:
 
 
 def cmd_eps(args) -> int:
-    w = _parse_vec(args.weights) if args.weights else []
+    w = _parse_vec("--weights", args.weights)
     if args.action == "eval":
-        x = Fraction(args.x)
+        x = _number("--x", args.x)
         if args.method == "closed":
             v = eps_mod.epsilon_closed(args.q, args.r, w, x)
         elif args.method == "oracle":
@@ -139,13 +154,14 @@ def cmd_eps(args) -> int:
         print(_frac_str(eps_mod.delta(args.q, args.r, w)))
     else:  # inv
         print(_frac_str(eps_mod.epsilon_inv(args.q, args.r, w,
-                                            Fraction(args.x))))
+                                            _number("--x", args.x))))
     return 0
 
 
 def cmd_xi(args) -> int:
     if args.action == "eval":
-        out = xi_eval_coords(args.q, args.k, _parse_vec(args.coords))
+        out = xi_eval_coords(args.q, args.k,
+                             _parse_vec("--coords", args.coords))
         obj = {"image": [_frac_str(x) for x in out]}
     else:  # linearize: the transition map xi_{k,k'}
         m = sigma_kk_map(args.q, args.d, args.k, args.kprime, seed=args.seed)
@@ -191,16 +207,16 @@ def cmd_bt(args) -> int:
     if args.action == "simplex":
         c = standard_simplex_cone(args.q, args.n, r=args.r)
     else:  # cone
-        c = simplex_cone(_parse_rows(args.sets), args.q, r=args.r)
+        c = simplex_cone(_parse_rows("--sets", args.sets), args.q, r=args.r)
     _emit(_cone_json(c), args.out)
     return 0
 
 
 def cmd_tate(args) -> int:
-    ms = [int(x) for x in args.ms.split(",")]
+    ms = _parse_ints("--ms", args.ms)
     if args.action == "torsion":
         field = gf(args.q)
-        ncoeffs = [int(x) for x in args.N.split(",")]
+        ncoeffs = _parse_ints("--N", args.N)
         if any(not 0 <= c < args.q for c in ncoeffs):
             raise ValueError(f"--N coefficients must lie in 0..{args.q - 1}")
     module, steps = iterate_tate(args.q, args.r, ms, args.precision)
@@ -237,7 +253,7 @@ def cmd_atlas(args) -> int:
             _write_dot(comps, edges, args.dot)
         _emit(obj, args.out)
         return 0
-    alphas = _parse_vec(args.alphas) if args.alphas else []  # charts
+    alphas = _parse_vec("--alphas", args.alphas)  # charts
     charts = sorted(
         ({"rays": sorted(list(r) for r in c.rays()),
           "monomials": chart_monomials(c)}

@@ -405,7 +405,8 @@ class Fan:
 
         Checks, in order: every facet of every cone is in the fan; every
         cone is a face of some maximal cone; any two maximal cones meet in
-        a common face; and, if a support is given, the wall condition.
+        a common face; and, if a support is given, that the fan is not
+        empty, and the wall condition.
 
         Testing the intersection condition on maximal cones only is sound
         once the second check passes.  Let f1, f2 be faces of maximal
@@ -437,6 +438,8 @@ class Fan:
         return problems
 
     def _check_support(self, support: Cone, maximal: list[Cone]) -> list[str]:
+        if not maximal:  # it covers not even the origin
+            return ["empty fan does not cover the support"]
         problems: list[str] = []
         sdim = support.dim()
         for c in maximal:

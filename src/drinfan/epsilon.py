@@ -29,41 +29,33 @@ Evaluation core.  The one-weight map and its inverse (_hat1, _hat1_inv)
 work on ints only: with s = u/v and x = a/b (b > 0) the band h is found by
 comparing a v with q^{hr} u b, which is homogeneous in (a, b) and in
 (u, v), so neither pair need be in lowest terms, and the value comes back
-as an unreduced pair over the denominator b D v.  A stage chain (_chain
-and _chain_inv on Fraction stages, _run on integer pairs) carries that
-pair through all its stages and makes one Fraction at the end, adding
-delta in the same step for epsilon_closed.  The public epsilon_hat1
-checks its arguments and calls this kernel; the chains call it directly,
-since stage weights are positive by construction.
+as an unreduced pair over the denominator b D v.  A stage chain has one
+form, a tuple of integer pairs (u, v); _run and _run_inv carry the value
+through it as an unreduced pair, and each caller makes one Fraction at
+the end (epsilon_closed adds delta in that step).  Stage weights are
+positive by construction, so the runners skip epsilon_hat1's checks.
 
-The stages are built by one loop, _stage_pairs, on integer pairs: stage i
-is the chain of stages 0..i-1 at s_{i+1}, reduced by one gcd, and delta
-gathers (q-1)/(q^{r+i+1}-1) times stage i as an unreduced pair.  The band
-test is scale-invariant and each band's value is linear in (x, s), so
-epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
+The stages are built by one loop, _stage_pairs: stage i is the chain of
+stages 0..i-1 at s_{i+1}, reduced by one gcd, and delta gathers
+(q-1)/(q^{r+i+1}-1) times stage i as an unreduced pair.  Stage i depends
+only on s_1..s_{i+1}, so the chain of a prefix is a prefix of the chain.
+The band test is scale-invariant and each band's value is linear in (x,
+s), so epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
 weights): scaling x and every weight by L > 0 scales the stages, delta
 and the value by L.  The linearization in xi uses this to run the loop
 on integer weights and make one Fraction per output coordinate.
 
-The stage chain of a weight vector (its stage weights and delta, as
-Fractions) is built once, by _stages from _stage_pairs, and kept in a
-small least-recently-used cache (64 entries) keyed on (q, r, checked
-weight tuple).  Stage i depends only on s_1..s_{i+1}, so the chain of a
-prefix is a prefix of the chain.
 Every public function that needs a chain gets it from _stage_chain, which
-checks the weights and keeps the last successful (weights, q, r) in a
-one-entry memo keyed on identity.  The memo keeps only a tuple of exact
-Fractions, which cannot change, and holds it, so its id cannot be reused.
-xi_eval passes one such tuple, p_r..p_{d-1}, to epsilon_closed for each of
-the d-r coordinates of a point, so the point's weights are checked and its
-chain looked up once; pi_eval takes the prefix chains it needs as
-prefixes of that same chain.  xi_eval skips the epsilon dispatcher: the
-values of a ClassPoint are weakly increasing, and _stages rejects any
-other weight vector.
-Only successes are cached and memoized: an invalid weight vector raises on
-every call.  q and r are checked before the weights on every miss, so an
-empty weight vector (epsilon the identity, delta zero) is checked like any
-other.  The cache holds immutable tuples.
+checks q and r, then the weights, on every miss (so an empty vector is
+checked too), and keeps the last successful (weights, q, r) in a
+one-entry memo keyed on identity; an invalid vector raises on every call.
+xi_eval passes one weight tuple, p_r..p_{d-1}, to epsilon_closed for each
+coordinate of a point, so the point's chain is checked and built once,
+and pi_eval takes its prefix chains from that same chain.  There is no
+cache behind the memo: over one steady benchmark pass (seed 1) a 64-entry
+LRU of chains answered 70 of 220 requests on `tate` and 32 of 82 on
+`fans` (the memo the rest), each saving a 2-5 stage rebuild that costs
+1.5-2 times a hit, and on `cli-mix` it thrashed: 239 hits, 582 misses.
 
 Identity table.  IDENTITIES maps each law that `drinfan verify identities`
 checks to f(q, r, w, x) -> (expected, got): closed form against the
@@ -76,7 +68,6 @@ The CLI and the acceptance tests sample their own points.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Callable, Sequence
 
@@ -187,42 +178,27 @@ def epsilon_hat1(q: int, r: int, s: Fraction, x: Fraction) -> Fraction:
                            x.numerator, x.denominator))
 
 
-_ZERO = Fraction(0)
-
-
-def _chain(q: int, r: int, stages: Sequence[Fraction], x: Fraction,
-           shift: Fraction = _ZERO) -> Fraction:
-    """epsilon_hat(x) + shift: stage j is the one-weight map of rank r+j.
-
-    The value goes through the stages as an unreduced integer pair, and
-    one Fraction is made at the end."""
-    a, b = x.numerator, x.denominator
-    for j, t in enumerate(stages):
-        a, b = _hat1(q, r + j, t.numerator, t.denominator, a, b)
-    n, m = shift.numerator, shift.denominator
-    return Fraction(a * m + n * b, b * m)
-
-
-def _chain_inv(q: int, r: int, stages: Sequence[Fraction], y: Fraction
-               ) -> Fraction:
-    a, b = y.numerator, y.denominator
-    for j in range(len(stages) - 1, -1, -1):
-        t = stages[j]
-        a, b = _hat1_inv(q, r + j, t.numerator, t.denominator, a, b)
-    return Fraction(a, b)
-
-
 def _run(q: int, r: int, stages: Sequence[tuple[int, int]], a: int, b: int
          ) -> tuple[int, int]:
-    """The stage chain on ints: stages are (u, v) pairs and x = a/b, and
-    the value comes back as an unreduced pair."""
+    """The chain at x = a/b (b > 0): stage j, a pair (u, v), is the
+    one-weight map of rank r+j at weight u/v.  The value comes back as an
+    unreduced pair."""
     for j, (u, v) in enumerate(stages):
         a, b = _hat1(q, r + j, u, v, a, b)
     return a, b
 
 
+def _run_inv(q: int, r: int, stages: Sequence[tuple[int, int]], a: int,
+             b: int) -> tuple[int, int]:
+    """The inverse of _run: the stages from the last to the first."""
+    for j in range(len(stages) - 1, -1, -1):
+        u, v = stages[j]
+        a, b = _hat1_inv(q, r + j, u, v, a, b)
+    return a, b
+
+
 def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]]
-                 ) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+                 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
     """(stage weights, delta) of positive, weakly increasing weights given
     as integer pairs (u, v), v > 0; both come back as integer pairs.
 
@@ -240,19 +216,7 @@ def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]]
         D = q ** (r + len(stages) + 1) - 1
         dn, dm = dn * D * b + (q - 1) * a * dm, dm * D * b
         stages.append((a, b))
-    return stages, (dn, dm)
-
-
-@lru_cache(maxsize=64)
-def _stages(q: int, r: int, w: tuple[Fraction, ...]
-            ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """(stage weights, delta) of a checked weight tuple, from _stage_pairs.
-
-    Every adjacent pair is compared before any stage is built."""
-    if any(a > b for a, b in zip(w, w[1:])):
-        raise ValueError("closed evaluation requires weakly increasing weights")
-    stages, d = _stage_pairs(q, r, [(t.numerator, t.denominator) for t in w])
-    return tuple(Fraction(a, b) for a, b in stages), Fraction(*d)
+    return tuple(stages), (dn, dm)
 
 
 # the last weight vector _stage_chain checked: (weights, q, r, chain)
@@ -260,19 +224,23 @@ _last: tuple = (None, None, None, None)
 
 
 def _stage_chain(q: int, r: int, weights: Sequence[Fraction]
-                 ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """(stage weights, delta) of a weight vector, checked once per vector.
+                 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """(stage weights, delta) of a weight vector as integer pairs: the
+    stages reduced with u, v > 0, delta unreduced.
 
-    A one-entry memo is keyed on the identity of (weights, q, r), so the
-    calls that share one weight tuple (the coordinates of one point) check
-    it and look its chain up once.  Only a tuple of exact Fractions is
-    kept, which cannot change, and the memo holds it, so its id is not
-    reused while it is the key.  Only successes are kept."""
+    q, r and the weights (positive) are checked, then every adjacent pair
+    is compared before any stage is built.  The one-entry memo is keyed
+    on the identity of (weights, q, r) and keeps only successes on a
+    tuple of exact Fractions, which cannot change; the memo holds it, so
+    its id is not reused while it is the key."""
     global _last
     last = _last
     if weights is last[0] and q is last[1] and r is last[2]:
         return last[3]
-    chain = _stages(q, r, _check_args(q, r, weights))
+    w = _check_args(q, r, weights)
+    if any(a > b for a, b in zip(w, w[1:])):
+        raise ValueError("closed evaluation requires weakly increasing weights")
+    chain = _stage_pairs(q, r, [(t.numerator, t.denominator) for t in w])
     if type(weights) is tuple and all(type(x) is Fraction for x in weights):
         _last = (weights, q, r, chain)
     return chain
@@ -282,19 +250,23 @@ def epsilon_hat(q: int, r: int, weights: Sequence[Fraction],
                 x: Fraction) -> Fraction:
     """Reduced map epsilon - delta, via the one-weight chain."""
     stages, _ = _stage_chain(q, r, weights)
-    return _chain(q, r, stages, Fraction(x))
+    x = Fraction(x)
+    return Fraction(*_run(q, r, stages, x.numerator, x.denominator))
 
 
 def delta(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:
     """Normalization constant; 0 for no weights."""
-    return _stage_chain(q, r, weights)[1]
+    return Fraction(*_stage_chain(q, r, weights)[1])
 
 
 def epsilon_closed(q: int, r: int, weights: Sequence[Fraction],
                    x: Fraction) -> Fraction:
     """Closed-form epsilon (requires weakly increasing weights)."""
-    stages, d = _stage_chain(q, r, weights)
-    return _chain(q, r, stages, x if type(x) is Fraction else Fraction(x), d)
+    stages, (n, m) = _stage_chain(q, r, weights)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    a, b = _run(q, r, stages, x.numerator, x.denominator)
+    return Fraction(a * m + n * b, b * m)
 
 
 def epsilon(q: int, r: int, weights: Sequence[Fraction],
@@ -308,8 +280,10 @@ def epsilon(q: int, r: int, weights: Sequence[Fraction],
 def epsilon_inv(q: int, r: int, weights: Sequence[Fraction],
                 y: Fraction) -> Fraction:
     """Inverse of the (strictly increasing) closed-form epsilon."""
-    stages, d = _stage_chain(q, r, weights)
-    return _chain_inv(q, r, stages, Fraction(y) - d)
+    stages, (n, m) = _stage_chain(q, r, weights)
+    y = Fraction(y)
+    b = y.denominator
+    return Fraction(*_run_inv(q, r, stages, y.numerator * m - n * b, b * m))
 
 
 def delta_oracle(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:

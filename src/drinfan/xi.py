@@ -27,7 +27,7 @@ from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .epsilon import (_chain, _run, _stage_chain, _stage_pairs, delta,
+from .epsilon import (_run, _stage_chain, _stage_pairs, delta,
                       epsilon_closed, epsilon_hat)
 from .gf import check_q
 from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
@@ -161,6 +161,8 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
     j of a chain depends only on its first j+1 weights, so every prefix
     chain is a prefix of the point's one chain over p_r..p_{d-1}, the
     chain xi_eval uses (the values of a ClassPoint are weakly increasing).
+    Each coordinate runs its prefix on integer pairs (epsilon._run) and
+    makes one Fraction.
     """
     d = point.d
     if theta is None:
@@ -168,8 +170,10 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
     r, p = _point_powers(point)
     stages, _ = _stage_chain(q, r, p[r - 1:])
     out = [Fraction(0)] * (r - 1)
-    out += [_chain(q, r, stages[:max(theta[i - 1] - r, 0)], p[i - 1])
-            for i in range(r, d)]
+    for i in range(r, d):
+        x = p[i - 1]
+        out.append(Fraction(*_run(q, r, stages[:max(theta[i - 1] - r, 0)],
+                                  x.numerator, x.denominator)))
     return tuple(out)
 
 
@@ -196,8 +200,10 @@ def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     Coordinate i >= r is epsilon^{r, d-r}_{p_r..p_{d-1}}(q^{-k r} p_i), by
     the closed form: the values of a ClassPoint are weakly increasing.
     Every coordinate passes the one tuple p_r..p_{d-1} to epsilon_closed,
-    so the weights are checked and the stage chain is looked up once per
-    point; pi_eval takes its prefix chains from the same chain."""
+    so the weights are checked and the integer stage chain is built once
+    per point, by the one-entry memo of epsilon._stage_chain; pi_eval
+    takes its prefix chains from the same chain.  This path and pi_eval
+    are the references of the linearization kernel _pi_xi."""
     check_q(q)
     _check_levels(k)
     d = point.d

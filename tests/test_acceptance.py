@@ -102,8 +102,8 @@ def _identity_failures(q, table):
     for (qq, r, w, x) in _identity_points(q, 3, 200):
         stages, _ = _stage_chain(qq, r, w)
         y = x
-        for j, t in enumerate(stages):
-            y = epsilon_hat1(qq, r + j, t, y)
+        for j, (u, v) in enumerate(stages):
+            y = epsilon_hat1(qq, r + j, F(u, v), y)
         failures += y != epsilon_hat_oracle(qq, r, w, x)
 
     # delta split: first weight peels off with the remaining weights

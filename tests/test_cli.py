@@ -264,6 +264,18 @@ def test_bad_vectors_exit_2(tmp_path):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args
+    # a number that does not parse is named with its option
+    for option, args in (
+            ("--x", ("eps", "eval", "--q", "2", "--x", "1/0")),
+            ("--coords", ("xi", "eval", "--q", "2", "--coords", "1/0,2")),
+            ("--cone", ("hilbert", "--cone", "1,a")),
+            ("--N", ("tate", "torsion", "--q", "2", "--ms", "1",
+                     "--N", "0,x")),
+            ("--ms", ("tate", "quotient", "--q", "2", "--ms", "1,"))):
+        out = run(*args)
+        assert out.returncode == 2, args
+        assert out.stderr.startswith(f"error: {option}: "), out.stderr
+        assert "Traceback" not in out.stderr, args
 
 
 def test_misspelt_option_before_the_command_is_named(capsys):

@@ -446,6 +446,7 @@ def test_validate_matches_all_pairs_oracle():
 def test_validate_reports_each_support_violation():
     quadrant = Cone.from_rays([(1, 0), (0, 1)])
     for cones, message in (
+            ([], "empty fan does not cover the support"),
             ([[(1, 0), (-1, 1)]], "not contained in the support"),
             ([[(1, 1)]], "has dim 1 != 2"),
             # a gap between (2, 1) and (1, 2): both walls are interior

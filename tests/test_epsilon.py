@@ -28,8 +28,9 @@ def _epsilon_hat1_inv(q, r, s, y):
 
 
 def _hat_stage_weights(q, r, w):
-    """The stage weights of w as a fresh list: stage i has rank r+i and
-    weight epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})."""
+    """The stage weights of w as a fresh list of integer pairs (u, v):
+    stage i has rank r+i and weight epsilon_hat^{r,i}_{s_1..s_i}(s_{i+1})
+    = u/v."""
     return list(eps_mod._stage_chain(q, r, w)[0])
 
 
@@ -205,15 +206,15 @@ def test_hat1_kernel_matches_fraction_formula_at_band_edges():
 
 def test_hat_stage_weights_returns_a_fresh_list():
     w = (Fraction(1), Fraction(5, 2), Fraction(9))
-    # the cached chain is a tuple; no caller can change it in place
+    # the memoized chain is a tuple; no caller can change it in place
     assert type(eps_mod._stage_chain(2, 1, w)[0]) is tuple
     stages = _hat_stage_weights(2, 1, w)
     want = list(stages)
     x = Fraction(40)
     before = (epsilon_closed(2, 1, w, x), delta(2, 1, w),
               epsilon_hat(2, 1, w, x))
-    stages[0] = Fraction(10 ** 6)
-    stages.append(Fraction(1))
+    stages[0] = (10 ** 6, 1)
+    stages.append((1, 1))
     del stages[1]
     assert _hat_stage_weights(2, 1, w) == want
     assert (epsilon_closed(2, 1, w, x), delta(2, 1, w),
@@ -238,7 +239,7 @@ def test_invalid_weights_raise_on_every_call(monkeypatch):
         with pytest.raises(ArithmeticError):
             epsilon_closed(3, 2, collapse, Fraction(1))
     monkeypatch.undo()
-    assert _hat_stage_weights(3, 2, collapse)[1] > 0
+    assert _hat_stage_weights(3, 2, collapse)[1][0] > 0
 
 
 def test_xi_eval_equals_defining_sum():
@@ -276,21 +277,39 @@ def test_integer_chain_matches_composed_fraction_formula():
     for _ in range(1500):
         q = rng.choice([2, 3, 4, 5])
         r = rng.randint(1, 3)
-        stages = [Fraction(rng.randint(1, 10 ** rng.randint(1, 5)),
-                           rng.randint(1, 10 ** rng.randint(0, 3)))
+        stages = [(rng.randint(1, 10 ** rng.randint(1, 5)),
+                   rng.randint(1, 10 ** rng.randint(0, 3)))
                   for _ in range(rng.randint(0, 4))]
         x = Fraction(rng.randint(-10 ** 3, 10 ** 7), rng.randint(1, 997))
-        shift = Fraction(rng.randint(-50, 50), rng.randint(1, 13))
         want = x
-        for j, t in enumerate(stages):
-            want = _ref_hat1(q, r + j, t, want)
-        got = eps_mod._chain(q, r, stages, x, shift)
-        assert got == want + shift
-        assert eps_mod._chain(q, r, stages, x) == want
+        for j, (u, v) in enumerate(stages):
+            want = _ref_hat1(q, r + j, Fraction(u, v), want)
+        got = eps_mod._run(q, r, stages, x.numerator, x.denominator)
+        assert Fraction(*got) == want
         back = want
         for j in range(len(stages) - 1, -1, -1):
-            back = _ref_hat1_inv(q, r + j, stages[j], back)
-        assert eps_mod._chain_inv(q, r, stages, want) == back == x
+            back = _ref_hat1_inv(q, r + j, Fraction(*stages[j]), back)
+        assert Fraction(*eps_mod._run_inv(q, r, stages, want.numerator,
+                                          want.denominator)) == back == x
+
+
+def test_stage_chain_is_reduced_integer_pairs():
+    rng = random.Random(4712)
+    for _ in range(300):
+        q = rng.choice([2, 3, 4, 5])
+        r = rng.randint(1, 3)
+        w = sorted(Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 99))
+                   for _ in range(rng.randint(0, 5)))
+        # stage i is the chain of stages 0..i-1 at w[i]
+        want = []
+        for s in w:
+            for j, t in enumerate(want):
+                s = _ref_hat1(q, r + j, t, s)
+            want.append(s)
+        stages, _ = eps_mod._stage_chain(q, r, tuple(w))
+        assert all(type(u) is int and type(v) is int for u, v in stages)
+        assert list(stages) == [(t.numerator, t.denominator) for t in want]
+        assert all(t > 0 for t in want)
 
 
 def test_weight_memo_never_serves_a_stale_chain():
