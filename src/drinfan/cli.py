@@ -65,8 +65,9 @@ def _number(option: str, token: str, kind=Fraction):
 
 
 def _parse_vec(option: str, s: str) -> list[Fraction]:
-    """Rationals written 'a,b/c,...'; empty entries are skipped."""
-    return [_number(option, p) for p in s.split(",") if p != ""]
+    """Rationals written 'a,b/c,...'; an empty value has no entries, and
+    every entry of any other value must be one."""
+    return [_number(option, p) for p in s.split(",")] if s else []
 
 
 def _parse_ints(option: str, s: str) -> list[int]:

@@ -1,19 +1,27 @@
 """Exact rational polyhedral cones and fans.
 
 Cones are represented both by generators (extreme rays plus a lineality
-basis) and by a halfspace description (inequalities plus equations).  The
-two are converted by the incremental double description method of Motzkin
-et al. (see Fukuda & Prodon, "Double description method revisited", 1996),
-run fraction-free: every input vector is first scaled to a primitive
-integer vector, every new line or ray is an integer combination of two
-old ones divided by the gcd of its entries, and all arithmetic is on plain
-ints.  Adjacency of rays is decided combinatorially from their tight sets.
-Canonical forms use primitive integer vectors, so cone equality and
-hashing are exact; rational input is accepted and scaled on entry.  The
-canonical form is fraction-free too: the lines are brought to reduced
-row echelon form by the one Gauss-Jordan loop of ``linalg``, run on the
-same integer combinations, and the rays are reduced modulo them
-(``_canonical``).
+basis; V) and by a halfspace description (inequalities plus equations; H).
+The two are converted by the incremental double description method of
+Motzkin et al. (see Fukuda & Prodon, "Double description method
+revisited", 1996), run fraction-free: every input vector is first scaled
+to a primitive integer vector, every new line or ray is an integer
+combination of two old ones divided by the gcd of its entries, and all
+arithmetic is on plain ints.  Adjacency of rays is decided combinatorially
+from their tight sets.  Canonical forms use primitive integer vectors, so
+cone equality and hashing are exact; rational input is accepted and
+scaled on entry.  The canonical form is fraction-free too: the lines are
+brought to reduced row echelon form by the one Gauss-Jordan loop of
+``linalg``, run on the same integer combinations, and the rays are reduced
+modulo them (``_canonical``).
+
+V and H are each computed on first use and then kept, so a cone pays only
+for what is read: ``rays``, ``lines``, ``key``, equality and hashing read
+V; ``ineqs``, ``eqs``, ``contains`` and ``faces`` read H.  A cone given by
+inequalities gets V by one conversion and H, if asked, from V.  A cone
+given by generators gets H by one conversion (H is the V-rep of the dual
+cone) and V, if asked, from H, which makes it canonical.  A face built by
+``faces`` is born with its canonical V, so its key converts nothing.
 
 A cone's face lattice is computed once from the incidence of its rays and
 its facet inequalities: the ray sets of the faces are the intersections,
@@ -24,6 +32,9 @@ tracks its maximal cones as cones are added (``Fan.add``).
 Fans are validated over their maximal cones: face closure, every cone a
 face of a maximal cone, the pairwise intersection condition on maximal
 cones, and support coverage by the wall condition (see ``Fan.validate``).
+A pair of maximal cones is proved to meet in a common face by a separating
+form evaluated on ray-facet incidence bitmasks (``_unseparated_pairs``);
+only a pair it leaves open is intersected by double description.
 Also provided: common refinements, Hilbert bases of dual
 monoids, and regularity testing with refinement by determinant-descent
 stellar subdivisions.  The last two rest on one lattice routine: the
@@ -49,7 +60,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import le, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (_combine, _gauss_jordan, det, primitive,
                      quotient_lattice_maps, smith_normal_form)
@@ -227,36 +238,40 @@ class Cone:
 
     # -- representation -----------------------------------------------------
 
-    def _compute(self) -> None:
+    def _v(self):
+        """The canonical (rays, lines), converted on first use: from the
+        given inequalities, or from H for a cone given by generators."""
         if self._V is None:
             if self._in_ineqs is not None:
-                self._V = _canonical(*_dd_convert(self._in_ineqs, self._in_eqs, self.n))
+                self._V = _canonical(*_dd_convert(self._in_ineqs, self._in_eqs,
+                                                  self.n))
             else:
-                # generators given: H-rep = V-rep of the dual cone
-                self._H = _canonical(*_dd_convert(self._gen_rays, self._gen_lines, self.n))
-                self._V = _canonical(*_dd_convert(*self._H, self.n))
+                self._V = _canonical(*_dd_convert(*self._h(), self.n))
+        return self._V
+
+    def _h(self):
+        """The canonical (ineqs, eqs), converted on first use: from the
+        given generators (H is the V-rep of the dual cone), or from V."""
         if self._H is None:
-            self._H = _canonical(*_dd_convert(*self._V, self.n))
+            gens = ((self._gen_rays, self._gen_lines)
+                    if self._gen_rays is not None else self._v())
+            self._H = _canonical(*_dd_convert(*gens, self.n))
+        return self._H
 
     def rays(self) -> tuple[tuple[int, ...], ...]:
-        self._compute()
-        return self._V[0]
+        return self._v()[0]
 
     def lines(self) -> tuple[tuple[int, ...], ...]:
-        self._compute()
-        return self._V[1]
+        return self._v()[1]
 
     def ineqs(self) -> tuple[tuple[int, ...], ...]:
-        self._compute()
-        return self._H[0]
+        return self._h()[0]
 
     def eqs(self) -> tuple[tuple[int, ...], ...]:
-        self._compute()
-        return self._H[1]
+        return self._h()[1]
 
     def key(self):
-        self._compute()
-        return (self._V[0], self._V[1])
+        return self._v()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cone) and self.n == other.n and self.key() == other.key()
@@ -281,9 +296,14 @@ class Cone:
                 and all(_idot(a, x) >= 0 for a in self.ineqs()))
 
     def contains_cone(self, other: "Cone") -> bool:
-        return (all(self.contains(r) for r in other.rays())
-                and all(self.contains(l) and self.contains(_neg(l))
-                        for l in other.lines()))
+        """other <= self, tested on other's integer rays and lines: every
+        generator satisfies the equations, every ray the inequalities,
+        and every line the inequalities with equality."""
+        eqs, ineqs = self.eqs(), self.ineqs()
+        rays, lines = other.rays(), other.lines()
+        return (all(_idot(a, r) >= 0 for r in rays for a in ineqs)
+                and all(not _idot(e, r) for r in rays for e in eqs)
+                and all(not _idot(c, l) for l in lines for c in ineqs + eqs))
 
     def dual(self) -> "Cone":
         return Cone.from_ineqs(self.rays(), n=self.n, eqs=self.lines())
@@ -366,6 +386,60 @@ class Cone:
         return idx == 1
 
 
+def _unseparated_pairs(cones: Sequence[Cone]
+                       ) -> Iterator[tuple[Cone, Cone]]:
+    """The pairs of cones, in ``combinations`` order, that the separating
+    form of ``Fan.validate`` does not prove to meet in a common face.
+
+    The form a is never built.  On each of c1 and c2 all terms of a have
+    one sign, so a.r = 0 at a ray r of either cone iff every term vanishes
+    at r.  So each facet normal gets two bitmasks over the distinct rays
+    of all the cones, the rays where it is > 0 and where it is 0.  A
+    normal of c1 is a term iff its first mask misses c2's rays (and
+    likewise for c2), and the rays where a vanishes are the intersection
+    of the terms' second masks; the ray sets are compared as masks, since
+    canonical rays are equal iff their tuples are.
+
+    A yielded pair is only not proved: the cones may overlap, or a fails
+    to show that they do not, or a cone has lineality (its rays are
+    reduced modulo its own lines, so ray sets do not compare).
+    """
+    index: dict[tuple[int, ...], int] = {}
+    for c in cones:
+        for r in c.rays():
+            index.setdefault(r, len(index))
+    masks = []  # per cone: (its rays, [(positive, zero) per facet normal])
+    for c in cones:
+        if c.lines():
+            masks.append(None)
+            continue
+        forms = []
+        for u in c.ineqs():
+            positive = zero = 0
+            for r, bit in index.items():
+                v = _idot(u, r)
+                if v > 0:
+                    positive |= 1 << bit
+                elif not v:
+                    zero |= 1 << bit
+            forms.append((positive, zero))
+        masks.append((sum(1 << index[r] for r in c.rays()), forms))
+    for (c1, m1), (c2, m2) in itertools.combinations(zip(cones, masks), 2):
+        if m1 is None or m2 is None:
+            yield c1, c2
+            continue
+        (own1, forms1), (own2, forms2) = m1, m2
+        vanish = -1  # every bit: the zero form vanishes everywhere
+        for positive, zero in forms1:
+            if not own2 & positive:
+                vanish &= zero
+        for positive, zero in forms2:
+            if not own1 & positive:
+                vanish &= zero
+        if vanish & own1 != vanish & own2:
+            yield c1, c2
+
+
 class Fan:
     """A finite collection of cones closed under faces."""
 
@@ -403,10 +477,13 @@ class Fan:
     def validate(self, support: Cone | None = None) -> list[str]:
         """Return a list of violations (empty means the fan is valid).
 
-        Checks, in order: every facet of every cone is in the fan; every
+        Checks, in order: every face of every cone is in the fan; every
         cone is a face of some maximal cone; any two maximal cones meet in
         a common face; and, if a support is given, that the fan is not
-        empty, and the wall condition.
+        empty, and the wall condition.  The first check reads each cone's
+        face lattice, which ``add`` has already built, so it converts
+        nothing; testing every face is at least as strong as testing the
+        facets.
 
         Testing the intersection condition on maximal cones only is sound
         once the second check passes.  Let f1, f2 be faces of maximal
@@ -417,11 +494,26 @@ class Fan:
         face of each.  Without the second check a cone lying inside a
         maximal cone without being its face (a quadrant plus its diagonal
         ray) would go unreported.
+
+        A pair of maximal cones is first closed by a separating form, which
+        is a proof.  For pointed c1 and c2, let a be the sum of the facet
+        normals of c1 that are <= 0 on every ray of c2, minus the facet
+        normals of c2 that are <= 0 on every ray of c1.  Each term of a is
+        >= 0 on c1 and <= 0 on c2, so the hyperplane H = {a = 0} separates
+        them, and c1 & c2 = (c1 & H) & (c2 & H).  As a >= 0 on c1, c1 & H
+        is the face of c1 generated by its rays r with a.r = 0, and likewise
+        c2 & H.  If those two ray sets are equal, c1 & H = c2 & H, so
+        c1 & c2 is that cone, a face of both.  This is the separation lemma
+        (Cox, Little & Schenck, "Toric Varieties", 2011, Lemma 1.2.13).  It
+        is evaluated on incidence bitmasks (``_unseparated_pairs``).  A
+        pair it does not close, and every pair with lineality, is decided
+        by a double-description ``intersect`` and ``is_face_of``, which
+        names the pair when the condition fails.
         """
         problems: list[str] = []
         cones = list(self.cones.values())
         for c in cones:
-            for f in c.facets():
+            for f in c.faces():
                 if f.key() not in self.cones:
                     problems.append(f"missing face of {c!r}")
         maximal = self.maximal_cones()
@@ -429,7 +521,7 @@ class Fan:
         for c in cones:
             if c.key() not in faces_of_maximal:
                 problems.append(f"{c!r} is not a face of a maximal cone")
-        for c1, c2 in itertools.combinations(maximal, 2):
+        for c1, c2 in _unseparated_pairs(maximal):
             i = c1.intersect(c2)
             if not (i.is_face_of(c1) and i.is_face_of(c2)):
                 problems.append(f"intersection of {c1!r} and {c2!r} is not a common face")
@@ -504,8 +596,9 @@ class Fan:
         out = Fan()
         for c in self.maximal_cones():
             if c.contains(w):
-                for f in c.facets():
-                    if not f.contains(w):
+                # w in c lies on the facet a = 0 iff a.w = 0
+                for a, f in zip(c.ineqs(), c.facets()):
+                    if _idot(a, w):
                         out.add(Cone.from_rays(list(f.rays()) + [w], n=c.n,
                                                lines=f.lines()))
             else:
@@ -591,8 +684,8 @@ def _triangulate(cone: Cone) -> list[list[tuple[int, ...]]]:
         return [rays]
     r0 = rays[0]
     out = []
-    for f in cone.facets():
-        if not f.contains(r0):
+    for a, f in zip(cone.ineqs(), cone.facets()):
+        if _idot(a, r0):  # r0 is not on the facet a = 0
             for simplex in _triangulate(f):
                 out.append(simplex + [r0])
     return out

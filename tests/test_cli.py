@@ -260,7 +260,10 @@ def test_bad_vectors_exit_2(tmp_path):
                  ("atlas", "graph", "--q", "2", "--dot", str(missing / "x.dot")),
                  # a level coefficient outside F_q
                  ("tate", "torsion", "--q", "4", "--ms", "1", "--N", "0,7"),
-                 ("tate", "torsion", "--q", "2", "--ms", "1", "--N", "0,5")):
+                 ("tate", "torsion", "--q", "2", "--ms", "1", "--N", "0,5"),
+                 # a stray comma is no empty entry to skip
+                 ("eps", "eval", "--q", "2", "--weights", "1,,3", "--x", "5"),
+                 ("xi", "eval", "--q", "2", "--coords", ",1,,2,")):
         out = run(*args)
         assert out.returncode == 2, args
         assert out.stderr.strip() and "Traceback" not in out.stderr, args

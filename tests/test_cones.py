@@ -458,6 +458,122 @@ def test_validate_reports_each_support_violation():
         assert problems and all(message in p for p in problems), problems
 
 
+def _dot(a, r):
+    return sum(x * y for x, y in zip(a, r))
+
+
+def _separating_form(c1, c2):
+    """The form of the certificate written out: c1's facet normals that
+    are <= 0 on c2's rays, minus c2's that are <= 0 on c1's rays."""
+    a = [0] * c1.n
+    for sign, own, other in ((1, c1, c2), (-1, c2, c1)):
+        for u in own.ineqs():
+            if all(_dot(u, r) <= 0 for r in other.rays()):
+                a = [x + sign * y for x, y in zip(a, u)]
+    return a
+
+
+def test_separating_form_closes_only_common_faces():
+    fans = [fan for fan, _ in _validation_cases()] + [sigma_upper_fan(2, 5, 3)]
+    closed = 0
+    for fan in fans:
+        maximal = fan.maximal_cones()
+        refused = {(c1.key(), c2.key())
+                   for c1, c2 in cones._unseparated_pairs(maximal)}
+        for c1, c2 in itertools.combinations(maximal, 2):
+            if (c1.key(), c2.key()) in refused:
+                continue
+            closed += 1
+            # the DD oracle agrees that the pair meets in a common face
+            i = c1.intersect(c2)
+            assert _dd_is_face_of(i, c1) and _dd_is_face_of(i, c2), (c1, c2)
+            # and the written-out form separates them and cuts out i
+            a = _separating_form(c1, c2)
+            assert all(_dot(a, r) >= 0 for r in c1.rays())
+            assert all(_dot(a, r) <= 0 for r in c2.rays())
+            assert [r for r in c1.rays() if not _dot(a, r)] == \
+                [r for r in c2.rays() if not _dot(a, r)] == list(i.rays())
+    assert closed > 1000
+
+
+def test_separating_form_refuses_overlap_and_fallback_names_it():
+    c1 = Cone.from_rays([(1, 0), (1, 2)])
+    c2 = Cone.from_rays([(1, 1), (0, 1)])
+    assert list(cones._unseparated_pairs([c1, c2])) == [(c1, c2)]
+    a = _separating_form(c1, c2)
+    assert [r for r in c1.rays() if not _dot(a, r)] != \
+        [r for r in c2.rays() if not _dot(a, r)]
+    assert Fan([c1, c2]).validate() == [
+        f"intersection of {c1!r} and {c2!r} is not a common face"]
+
+
+def test_validate_closes_every_pair_by_separation(monkeypatch):
+    fan = sigma_upper_fan(2, 6, 2)
+    calls = []
+    intersect = Cone.intersect
+
+    def counted(self, other):
+        calls.append(1)
+        return intersect(self, other)
+
+    monkeypatch.setattr(Cone, "intersect", counted)
+    assert len(fan.maximal_cones()) == 42
+    assert fan.validate(cone_Cd(6)) == []
+    assert calls == []
+
+
+def test_contains_cone_matches_pointwise_containment():
+    cases = _face_lattice_cases()
+    for c1, c2 in itertools.product(cases[:40], repeat=2):
+        if c1.n == c2.n:
+            expected = (all(c1.contains(r) for r in c2.rays())
+                        and all(c1.contains(l) and c1.contains([-x for x in l])
+                                for l in c2.lines()))
+            assert c1.contains_cone(c2) == expected, (c1, c2)
+
+
+# -- representations computed on demand -------------------------------------
+
+def _counting_dd(monkeypatch):
+    calls = []
+    convert = cones._dd_convert
+
+    def counted(*args):
+        calls.append(1)
+        return convert(*args)
+
+    monkeypatch.setattr(cones, "_dd_convert", counted)
+    return calls
+
+
+def test_key_of_a_cone_from_ineqs_converts_once(monkeypatch):
+    calls = _counting_dd(monkeypatch)
+    c = Cone.from_ineqs([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    c.key()
+    assert len(calls) == 1
+    assert c.rays() == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
+    assert c.lines() == ()
+    hash(c)
+    assert len(calls) == 1
+
+
+def test_key_of_a_face_converts_nothing(monkeypatch):
+    c = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    faces = c.faces()
+    calls = _counting_dd(monkeypatch)
+    assert len({f.key() for f in faces}) == len(set(faces)) == 10
+    assert calls == []
+
+
+def test_ineqs_of_a_cone_from_rays_converts_once(monkeypatch):
+    calls = _counting_dd(monkeypatch)
+    c = Cone.from_rays([(1, 0), (1, 2)])
+    assert c.ineqs() == ((0, 1), (2, -1)) and c.eqs() == ()
+    assert c.contains((1, 1)) and not c.contains((0, 1))
+    assert len(calls) == 1
+    assert c.rays() == ((1, 0), (1, 2)) and len(calls) == 2
+
+
 def _maximal_all_pairs(fan):
     """Oracle: the cones of the fan contained in no other, in fan order."""
     all_cones = list(fan)
