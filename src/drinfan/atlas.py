@@ -35,7 +35,7 @@ from .gf import GF, gf
 __all__ = ["slope_fan", "slope_fan_is_smooth", "slope_determinants",
            "slope_fan_is_interior_smooth", "chart_monomials",
            "projective_points", "projective_lines", "incident",
-           "component_inventory", "component_graph", "MPoly",
+           "component_graph", "MPoly",
            "symmetric_identity_holds", "division_polynomial_exponents",
            "division_polynomial_is_symmetric"]
 
@@ -134,38 +134,29 @@ def incident(q: int, a: tuple[int, ...], line: tuple[int, ...]) -> bool:
 Component = tuple  # ("point", a) | ("line", l) | ("flag", a, l, i)
 
 
-def component_inventory(q: int, m: int) -> list[Component]:
+def component_graph(q: int, m: int
+                    ) -> tuple[list[Component], list[tuple[Component, Component]]]:
+    """Components and their incidence edges (each unordered pair once).
+
+    The components are the points, the lines, then the flags of each
+    incident pair (a, l) in turn; each incident pair, tested once, adds
+    its flags and the edges of its chain D(l) - D(a,l,1) - ... - D(a),
+    or the edge (D(a), D(l)) when m = 0.
+    """
     if m < 0:
         raise ValueError("flag level count m must be >= 0")
     pts = projective_points(q)
     lines = projective_lines(q)
     comps: list[Component] = [("point", a) for a in pts]
     comps += [("line", l) for l in lines]
+    edges = []
     for a in pts:
         for l in lines:
             if incident(q, a, l):
-                for i in range(1, m + 1):
-                    comps.append(("flag", a, l, i))
-    return comps
-
-
-def component_graph(q: int, m: int
-                    ) -> tuple[list[Component], list[tuple[Component, Component]]]:
-    """Components and their incidence edges (each unordered pair once)."""
-    comps = component_inventory(q, m)
-    edges = []
-    pts = projective_points(q)
-    lines = projective_lines(q)
-    for a in pts:
-        for l in lines:
-            if not incident(q, a, l):
-                continue
-            if m == 0:
-                edges.append((("point", a), ("line", l)))
-            else:
-                chain = [("line", l)] + \
-                    [("flag", a, l, i) for i in range(1, m + 1)] + \
-                    [("point", a)]
+                flags = [("flag", a, l, i) for i in range(1, m + 1)]
+                comps += flags
+                chain = ([("line", l), *flags, ("point", a)] if m
+                         else [("point", a), ("line", l)])
                 edges.extend(zip(chain, chain[1:]))
     return comps, edges
 

@@ -20,14 +20,16 @@ for what is read: ``rays``, ``lines``, ``key``, equality and hashing read
 V; ``ineqs``, ``eqs``, ``contains`` and ``faces`` read H.  A cone given by
 inequalities gets V by one conversion and H, if asked, from V.  A cone
 given by generators gets H by one conversion (H is the V-rep of the dual
-cone) and V, if asked, from H, which makes it canonical.  A face built by
-``faces`` is born with its canonical V, so its key converts nothing.
+cone) and V, if asked, from H, which makes it canonical.
 
-A cone's face lattice is computed once from the incidence of its rays and
-its facet inequalities: the ray sets of the faces are the intersections,
-as bitmasks, of the ray sets of the facets (see ``Cone.faces``), so no
-face is built by conversion and ``is_face_of`` is a key lookup.  A fan
-tracks its maximal cones as cones are added (``Fan.add``).
+A cone's face lattice is computed on first read from the incidence of its
+rays and facet inequalities: the ray sets of the faces are the
+intersections, as bitmasks, of the ray sets of the facets (see
+``Cone.faces``), so no face is built by conversion and ``is_face_of`` is
+a key lookup.  A face is an ordinary cone born with its canonical V, so
+its key converts nothing and its own lattice, if read, costs at most its
+H.  A fan tracks its maximal cones as cones are added (``Fan.add``), and
+``Fan.validate`` reads only their lattices.
 
 Fans are validated over their maximal cones: face closure, every cone a
 face of a maximal cone, the pairwise intersection condition on maximal
@@ -202,7 +204,8 @@ class Cone:
             self._in_eqs = self._vectors(eqs, "equation")
         self._V: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
         self._H: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
-        self._faces_cache: list["Cone"] | None = None  # proper faces only
+        # (proper faces, facets in ineqs() order), built by faces()
+        self._faces_cache: tuple[list["Cone"], list["Cone"]] | None = None
 
     def _vectors(self, vs, what: str) -> list[tuple]:
         out = [tuple(v) for v in (vs or ())]
@@ -315,11 +318,10 @@ class Cone:
     # -- faces ------------------------------------------------------------------
 
     def facets(self) -> list["Cone"]:
-        """The facets, one per inequality, in ``ineqs()`` order."""
-        by_rays = {f.rays(): f for f in self.faces()}
-        rays = self.rays()
-        return [by_rays[tuple(r for r in rays if not _idot(a, r))]
-                for a in self.ineqs()]
+        """The facets, one per inequality, in ``ineqs()`` order: the faces
+        of the facet masks that ``faces`` computed, the same objects."""
+        self.faces()
+        return list(self._faces_cache[1])
 
     def faces(self) -> list["Cone"]:
         """All faces: self first, then the proper faces by ray count.
@@ -330,9 +332,10 @@ class Cone:
         incidences", 2002); these are closed under ``&`` as bitmasks.  A
         face's rays are a subsequence of self's rays, which are sorted,
         primitive and reduced modulo the same lines, so the face's V-rep
-        is canonical as it stands.  Each face caches the faces built
-        before it that it contains, so every face is one object; self is
-        not cached in its own list, so the references form no cycle.
+        is canonical as it stands.  A face is an ordinary cone: its own
+        faces come from the same closure over its own facets the first
+        time they are read.  Self is not cached in its own list, and no
+        face refers back to self, so the references form no cycle.
         """
         if self._faces_cache is None:
             rays, lines = self.rays(), self.lines()
@@ -348,12 +351,11 @@ class Cone:
             built: dict[int, Cone] = {}
             for m in sorted(masks, key=int.bit_count)[:-1]:
                 face_rays = tuple(r for i, r in enumerate(rays) if m >> i & 1)
-                face = Cone(self.n, rays=face_rays, lines=lines)
+                face = built[m] = Cone(self.n, rays=face_rays, lines=lines)
                 face._V = (face_rays, lines)
-                face._faces_cache = [g for k, g in built.items() if k & m == k]
-                built[m] = face
-            self._faces_cache = list(built.values())
-        return [self] + self._faces_cache
+            self._faces_cache = (list(built.values()),
+                                 [built[m] for m in facet_masks])
+        return [self] + self._faces_cache[0]
 
     def is_face_of(self, other: "Cone") -> bool:
         key = self.key()
@@ -477,13 +479,19 @@ class Fan:
     def validate(self, support: Cone | None = None) -> list[str]:
         """Return a list of violations (empty means the fan is valid).
 
-        Checks, in order: every face of every cone is in the fan; every
+        Checks, in order: every face of a maximal cone is in the fan; every
         cone is a face of some maximal cone; any two maximal cones meet in
         a common face; and, if a support is given, that the fan is not
-        empty, and the wall condition.  The first check reads each cone's
-        face lattice, which ``add`` has already built, so it converts
-        nothing; testing every face is at least as strong as testing the
-        facets.
+        empty, and the wall condition.  Only the face lattices of the
+        maximal cones are read, which ``add`` has already built.
+
+        The first two checks hold iff the second does and every face of
+        every cone is in the fan, since maximal cones are cones of the fan
+        and a face f of a cone c, which the second check makes a face of a
+        maximal cone m, is a face of m.  A face of a face is a face: if
+        c = m & {u = 0} and f = c & {v = 0}, with u >= 0 on m and v >= 0
+        on c, take t so large that v + t u > 0 on the rays of m outside c;
+        then v + t u >= 0 on m and f = m & {v + t u = 0}.
 
         Testing the intersection condition on maximal cones only is sound
         once the second check passes.  Let f1, f2 be faces of maximal
@@ -510,17 +518,14 @@ class Fan:
         by a double-description ``intersect`` and ``is_face_of``, which
         names the pair when the condition fails.
         """
-        problems: list[str] = []
-        cones = list(self.cones.values())
-        for c in cones:
-            for f in c.faces():
-                if f.key() not in self.cones:
-                    problems.append(f"missing face of {c!r}")
         maximal = self.maximal_cones()
-        faces_of_maximal = {f.key() for m in maximal for f in m.faces()}
-        for c in cones:
-            if c.key() not in faces_of_maximal:
-                problems.append(f"{c!r} is not a face of a maximal cone")
+        faces_of_maximal = {f.key(): m for m in maximal for f in m.faces()}
+        problems = [f"missing face of {m!r}"
+                    for key, m in faces_of_maximal.items()
+                    if key not in self.cones]
+        problems += [f"{c!r} is not a face of a maximal cone"
+                     for key, c in self.cones.items()
+                     if key not in faces_of_maximal]
         for c1, c2 in _unseparated_pairs(maximal):
             i = c1.intersect(c2)
             if not (i.is_face_of(c1) and i.is_face_of(c2)):

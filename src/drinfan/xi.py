@@ -69,16 +69,18 @@ def _check_levels(*ks: int) -> None:
 
 
 def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
-    """The full-dimensional pieces of a full-dimensional pointed cone cut
-    by the hyperplane form = 0: the cone itself if the form has one sign on
-    its rays, otherwise its intersections with the two closed halfspaces."""
+    """The pieces of a full-dimensional pointed cone cut by the hyperplane
+    form = 0: the cone itself if the form has one sign on its rays,
+    otherwise its intersections with the two closed halfspaces.  Both are
+    full-dimensional: the form is > 0 at some ray r, so p + t r, for p
+    interior and t large, is an interior point where the form is > 0, and
+    a neighbourhood of it lies in the half form >= 0; likewise for < 0."""
     values = [sum(a * x for a, x in zip(form, g)) for g in cone.rays()]
     if all(v >= 0 for v in values) or all(v <= 0 for v in values):
         return [cone]
-    halves = [Cone.from_ineqs(list(cone.ineqs()) + [side], n=cone.n,
-                              eqs=cone.eqs())
-              for side in (form, [-x for x in form])]
-    return [c for c in halves if c.dim() == cone.n]
+    return [Cone.from_ineqs(list(cone.ineqs()) + [side], n=cone.n,
+                            eqs=cone.eqs())
+            for side in (form, [-x for x in form])]
 
 
 def sigma_upper_fan(q: int, d: int, k: int) -> Fan:

@@ -380,6 +380,21 @@ def test_incidence_faces_match_dd_oracle():
             assert f.is_face_of(g) == _dd_is_face_of(f, g), (f, g)
 
 
+def test_faces_carry_no_sub_face_list_until_read():
+    c = Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1),
+                        (0, -1, 0, 1), (0, 0, 1, 1)])
+    faces = c.faces()
+    assert len(faces) == 20
+    for f in faces[1:]:
+        assert f._faces_cache is None
+    for f in faces[1:]:
+        rays = set(f.rays())
+        inside = {g.key() for g in faces if set(g.rays()) <= rays}
+        own = f.faces()
+        assert own[0] is f and f._faces_cache is not None
+        assert len(own) == len(inside) and {g.key() for g in own} == inside
+
+
 def test_is_face_of_matches_dd_oracle_on_non_faces():
     quadrant = Cone.from_rays([(1, 0), (0, 1)])
     diagonal = Cone.from_rays([(1, 1)])
@@ -456,6 +471,31 @@ def test_validate_reports_each_support_violation():
         assert fan.validate() == [], cones
         problems = fan.validate(quadrant)
         assert problems and all(message in p for p in problems), problems
+
+
+def test_validate_reports_a_missing_face():
+    fan = Fan([Cone.from_rays([(1, 0), (1, 1)]),
+               Cone.from_rays([(1, 1), (0, 1)])])
+    assert fan.validate() == []
+    del fan.cones[Cone.from_rays([(1, 1)]).key()]
+    problems = fan.validate()
+    assert problems and all("missing face of" in p for p in problems)
+
+
+def test_validate_reads_faces_of_maximal_cones_only(monkeypatch):
+    fan = sigma_upper_fan(2, 5, 2)
+    maximal = {id(m) for m in fan.maximal_cones()}
+    assert len(fan) > 2 * len(maximal)
+    read = []
+    faces = Cone.faces
+
+    def recorded(self):
+        read.append(id(self))
+        return faces(self)
+
+    monkeypatch.setattr(Cone, "faces", recorded)
+    assert fan.validate(cone_Cd(5)) == []
+    assert read and set(read) <= maximal
 
 
 def _dot(a, r):
