@@ -42,20 +42,21 @@ only on s_1..s_{i+1}, so the chain of a prefix is a prefix of the chain.
 The band test is scale-invariant and each band's value is linear in (x,
 s), so epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
 weights): scaling x and every weight by L > 0 scales the stages, delta
-and the value by L.  The linearization in xi uses this to run the loop
-on integer weights and make one Fraction per output coordinate.
+and the value by L.  The pi/xi kernel of xi (_chain_values) uses this to
+run the loop on integer weights and make one Fraction per coordinate.
 
-Every public function that needs a chain gets it from _stage_chain, which
-checks q and r, then the weights, on every miss (so an empty vector is
-checked too), and keeps the last successful (weights, q, r) in a
+Every public function here that needs a chain gets it from _stage_chain,
+which checks q and r, then the weights, on every miss (so an empty vector
+is checked too), and keeps the last successful (weights, q, r) in a
 one-entry memo keyed on identity; an invalid vector raises on every call.
 xi_eval passes one weight tuple, p_r..p_{d-1}, to epsilon_closed for each
-coordinate of a point, so the point's chain is checked and built once,
-and pi_eval takes its prefix chains from that same chain.  There is no
-cache behind the memo: over one steady benchmark pass (seed 1) a 64-entry
-LRU of chains answered 70 of 220 requests on `tate` and 32 of 82 on
-`fans` (the memo the rest), each saving a 2-5 stage rebuild that costs
-1.5-2 times a hit, and on `cli-mix` it thrashed: 239 hits, 582 misses.
+coordinate of a point, so the point's chain is checked and built once;
+pi_eval runs the kernel on powers its ClassPoint has checked.  There is
+no cache behind the memo: over one steady benchmark pass (seed 1) a
+64-entry LRU of chains answered 70 of 220 requests on `tate` and 32 of
+82 on `fans` (the memo the rest), each saving a 2-5 stage rebuild that
+costs 1.5-2 times a hit, and on `cli-mix` it thrashed: 239 hits, 582
+misses.
 
 Identity table.  IDENTITIES maps each law that `drinfan verify identities`
 checks to f(q, r, w, x) -> (expected, got): closed form against the

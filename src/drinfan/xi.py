@@ -13,6 +13,9 @@ Contents:
   elimination over interior samples, each evaluated once (pi and every
   needed xi_t from one integer stage chain), and is certified on
   generators plus interior points,
+* one integer kernel for pi and xi (_chain_values), run by pi_eval on
+  stored powers and by the linearization on its samples; xi_eval, one
+  epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)} and the piecewise-linear
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces.
 """
@@ -22,13 +25,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Fan
-from .epsilon import (_run, _stage_chain, _stage_pairs, delta,
-                      epsilon_closed, epsilon_hat)
+from .epsilon import _run, _stage_pairs, delta, epsilon_closed, epsilon_hat
 from .gf import check_q
 from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
                      primitive, solve)
@@ -63,9 +64,16 @@ def cone_Cd(d: int) -> Cone:
     return Cone.from_ineqs(ineqs, n=n)
 
 
-def _check_levels(*ks: int) -> None:
+def _check_q_levels(q: int, *ks: int) -> None:
+    check_q(q)
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
+
+
+def _check_indices(d: int, **indices: int) -> None:
+    for name, i in indices.items():
+        if not 1 <= i <= d - 1:
+            raise ValueError(f"{name} = {i} is outside 1..{d - 1}")
 
 
 def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
@@ -94,8 +102,7 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
     the comparisons (weak signs included) is a face of a chamber, so this
     is the fan those cells form, and the cost grows with the output.
     """
-    check_q(q)
-    _check_levels(k)
+    _check_q_levels(q, k)
     n = d - 1
     maximal = [cone_Cd(d)]
     for i in range(2, n + 1):
@@ -110,6 +117,7 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
 
 def theta_vector(q: int, k: int, sigma: Cone) -> tuple[int, ...]:
     """theta(i) = min{j <= i : q^(k-1) s_j >= s_i holds on all of sigma}."""
+    _check_q_levels(q, k)
     n = sigma.n
     rays = sigma.rays()
     out = []
@@ -127,6 +135,7 @@ def contains_class_point(q: int, k: int, sigma: Cone,
     Sigma^(k): the cone equals C_d intersected with the two-term sign
     constraints it satisfies on all its generators, and each two-term sign
     is decidable on the stored coordinate powers."""
+    _check_q_levels(q, k)
     n = sigma.n
     if point.d != n + 1:
         raise ValueError("dimension mismatch")
@@ -157,31 +166,22 @@ def _point_powers(point: ClassPoint) -> tuple[int, tuple[Fraction, ...]]:
 
 def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
             theta: tuple[int, ...] | None = None) -> tuple[Fraction, ...]:
-    """The flattening map attached to (k, sigma), in power coordinates.
-
-    Coordinate i >= r is epsilon_hat^{r}_{p_r..p_{theta(i)-1}}(p_i).  Stage
-    j of a chain depends only on its first j+1 weights, so every prefix
-    chain is a prefix of the point's one chain over p_r..p_{d-1}, the
-    chain xi_eval uses (the values of a ClassPoint are weakly increasing).
-    Each coordinate runs its prefix on integer pairs (epsilon._run) and
-    makes one Fraction.
-    """
-    d = point.d
+    """The flattening map attached to (k, sigma), in power coordinates:
+    coordinate i >= r is epsilon_hat^{r}_{p_r..p_{theta(i)-1}}(p_i), from
+    _chain_values on the stored powers p_r..p_{d-1} over their lcm (the
+    ClassPoint has checked them, so they are not checked again)."""
+    _check_q_levels(q, k)
     if theta is None:
         theta = theta_vector(q, k, sigma)
     r, p = _point_powers(point)
-    stages, _ = _stage_chain(q, r, p[r - 1:])
-    out = [Fraction(0)] * (r - 1)
-    for i in range(r, d):
-        x = p[i - 1]
-        out.append(Fraction(*_run(q, r, stages[:max(theta[i - 1] - r, 0)],
-                                  x.numerator, x.denominator)))
-    return tuple(out)
+    return _chain_values(q, theta, (), r, *_over_lcm(p[r - 1:]))[0]
 
 
 def pi_family_eval(q: int, kprime: int, i: int, iprime: int,
                    point: ClassPoint) -> Fraction:
-    """epsilon_hat^{r, i'+1-r}_{p_r..p_{i'}} (q^{-k' r} p_i)."""
+    """epsilon_hat^{r, i'+1-r}_{p_r..p_{i'}} (q^{-k' r} p_i); i, i' < d."""
+    _check_q_levels(q, kprime)
+    _check_indices(point.d, i=i, iprime=iprime)
     r, p = _point_powers(point)
     weights = p[r - 1:iprime] if iprime >= r else ()
     arg = Fraction(q) ** (-kprime * r) * p[i - 1]
@@ -189,7 +189,8 @@ def pi_family_eval(q: int, kprime: int, i: int, iprime: int,
 
 
 def delta_tilde(q: int, point: ClassPoint, i: int) -> Fraction:
-    """delta^{r, i+1-r}(p_r .. p_i); zero for i below the stratum."""
+    """delta^{r, i+1-r}(p_r .. p_i), i < d; zero for i below the stratum."""
+    _check_indices(point.d, i=i)
     r, p = _point_powers(point)
     if i < r:
         return Fraction(0)
@@ -203,11 +204,9 @@ def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     the closed form: the values of a ClassPoint are weakly increasing.
     Every coordinate passes the one tuple p_r..p_{d-1} to epsilon_closed,
     so the weights are checked and the integer stage chain is built once
-    per point, by the one-entry memo of epsilon._stage_chain; pi_eval
-    takes its prefix chains from the same chain.  This path and pi_eval
-    are the references of the linearization kernel _pi_xi."""
-    check_q(q)
-    _check_levels(k)
+    per point, by the one-entry memo of epsilon._stage_chain.  This path
+    is the reference for the xi of the kernel _chain_values."""
+    _check_q_levels(q, k)
     d = point.d
     if d < 2:
         raise ValueError("d must be >= 2: a point needs a coordinate")
@@ -225,15 +224,15 @@ def xi_eval_coords(q: int, k: int, coords: Sequence[Fraction]) -> tuple[Fraction
 
 
 def interior_samples(sigma: Cone, rng: random.Random, count: int
-                     ) -> list[tuple[Fraction, ...]]:
-    """Rational points in the relative interior (positive ray combinations)."""
+                     ) -> list[tuple[int, ...]]:
+    """Integer points in the relative interior (positive ray combinations)."""
     rays = sigma.rays()
     if not rays:
-        return [tuple(Fraction(0) for _ in range(sigma.n))] * count
+        return [(0,) * sigma.n] * count
     out = []
     for _ in range(count):
         cs = [rng.randint(1, 9) for _ in rays]
-        out.append(tuple(Fraction(sum(c * g[i] for c, g in zip(cs, rays)))
+        out.append(tuple(sum(c * g[i] for c, g in zip(cs, rays))
                          for i in range(sigma.n)))
     return out
 
@@ -252,31 +251,17 @@ class PiecewiseLinearMap:
         raise ValueError(f"point {coords} not in the domain of the map")
 
 
-def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
-           coords: Sequence[Fraction]
-           ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
-    """pi (for the index map theta) and xi_t for each t in levels at a
-    rational point, from one integer stage chain.
-
-    The values are those of pi_eval and xi_eval at
-    ClassPoint.from_coords(coords), whose checks (and ValueError) this
-    keeps.  With r the stratum and p = s^r, p is scaled to one integer
-    vector P = L p over the lcm L of its denominators.  epsilon_hat, delta,
-    pi and xi are homogeneous of degree 1 in (x, weights), since the band
-    test a v <= Q^h u b of _hat1 is scale-invariant; so the stages and delta
-    of P, and their chains at P_i and at P_i / q^(t r), are L times those of
-    p, and one Fraction per coordinate divides L out."""
-    n = len(coords)
-    L = lcm(*[c.denominator for c in coords])
-    C = [c.numerator * (L // c.denominator) for c in coords]
-    _check_in_cone(C)
-    r = next((i for i, c in enumerate(C, 1) if c), n + 1)
-    if r > n:  # the origin
-        zero = (Fraction(0),) * n
-        return zero, [zero] * len(levels)
-    # p = s^r = C^r / L^r, and L^r is the lcm of the denominators of p
-    P = [c ** r for c in C[r - 1:]]
-    L **= r
+def _chain_values(q: int, theta: Sequence[int], levels: Sequence[int],
+                  r: int, P: Sequence[int], L: int
+                  ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+    """pi (for the index map theta) and xi_t for each t in levels at the
+    point of stratum r with power coordinates p_r..p_{d-1} = P / L, P
+    positive and weakly increasing ints checked by the caller (empty at the
+    origin), from one stage chain over P.  epsilon_hat, delta, pi and xi
+    are homogeneous of degree 1 in (x, weights), as the band test of _hat1
+    is scale-invariant: so the chains of P are L times those of p, and one
+    Fraction per coordinate divides L out.  Stage j depends only on the
+    first j+1 weights, so pi's coordinates run prefixes of the chain."""
     stages, (dn, dm) = _stage_pairs(q, r, [(x, 1) for x in P])
     head = [Fraction(0)] * (r - 1)
     pi = []
@@ -295,13 +280,25 @@ def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
     return tuple(head + pi), xis
 
 
+def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
+           coords: Sequence[int | Fraction]
+           ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+    """pi_eval and xi_eval (each t in levels) at the rational point coords,
+    checked as by ClassPoint.from_coords: with coords = C / L over the lcm
+    of their denominators and r the stratum, _chain_values at C^r / L^r."""
+    _check_in_cone(coords)
+    C, L = _over_lcm(coords)
+    r = next((i for i, c in enumerate(C, 1) if c), len(C) + 1)
+    return _chain_values(q, theta, levels, r, [c ** r for c in C[r - 1:]],
+                         L ** r)
+
+
 def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
                rng: random.Random) -> list[tuple[tuple[Fraction, ...], ...]]:
     """linearize_xi for every target level in levels, from one sample set:
     pi and every xi_t come from one _pi_xi call per point, and each matrix
     is solved and certified on its own."""
-    _check_levels(base_k, *levels)
-    check_q(q)
+    _check_q_levels(q, base_k, *levels)
     n = sigma.n
     theta = theta_vector(q, base_k, sigma)
     A, B = zip(*[_pi_xi(q, theta, levels, p)
@@ -382,7 +379,7 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
 
     Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
     one sample set: one pi and one stage chain per point."""
-    _check_levels(k, kprime)
+    _check_q_levels(q, k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
     upper = sigma_upper_fan(q, d, K)

@@ -230,14 +230,26 @@ def test_sigma_upper_d6_k2_size_and_validation():
 
 # -- one-pass linearization against the per-coordinate procedure -------------
 
+def _pi_per_coordinate(q, theta, point):
+    """pi without the kernel: coordinate i >= r is epsilon_hat over the
+    prefix p_r..p_{theta(i)-1} at p_i, each from a fresh weight list."""
+    d, r = point.d, point.stratum()
+    p = point.values if r == d else point.power_values(r)
+    return tuple([F(0)] * (r - 1) + [
+        epsilon_hat(q, r, list(p[r - 1:max(theta[i - 1] - 1, r - 1)]),
+                    p[i - 1])
+        for i in range(r, d)])
+
+
 def _linearize_per_coordinate(q, sigma, base_k, target_k, rng,
                               certify_points=5):
     """Oracle: one ClassPoint per evaluation and one solve per coordinate,
-    drawing the same samples from rng in the same order."""
+    drawing the same samples from rng in the same order; pi comes from
+    the per-coordinate formula, xi from xi_eval, neither from the kernel."""
     n = sigma.n
     theta = theta_vector(q, base_k, sigma)
     pts = interior_samples(sigma, rng, 2 * n + 2)
-    A = [list(pi_eval(q, base_k, sigma, ClassPoint.from_coords(p), theta))
+    A = [list(_pi_per_coordinate(q, theta, ClassPoint.from_coords(p)))
          for p in pts]
     B = [list(xi_eval(q, target_k, ClassPoint.from_coords(p)).values)
          for p in pts]
@@ -254,7 +266,7 @@ def _linearize_per_coordinate(q, sigma, base_k, target_k, rng,
     for p in check_pts:
         cp = ClassPoint.from_coords(p)
         lhs = xi_eval(q, target_k, cp).values
-        rhs = mat_vec(M, pi_eval(q, base_k, sigma, cp, theta))
+        rhs = mat_vec(M, _pi_per_coordinate(q, theta, cp))
         if tuple(lhs) != tuple(rhs):
             raise LinearizationError(
                 f"linearization certificate failed at {p} on {sigma!r}")
@@ -354,6 +366,23 @@ def test_certificate_rejects_a_perturbed_matrix(monkeypatch):
         linearize_xi(2, sigma, base_k, target_k, random.Random(0))
 
 
+def _level_cases(q, k):
+    """Every xi entry point that takes q and a level, at (q, k), on the
+    first maximal cone of Sigma^(2) for d = 4 and a point inside it."""
+    sigma = sigma_upper_fan(2, 4, 2).maximal_cones()[0]
+    p = ClassPoint.from_coords([1, 100, 1000])
+    return (lambda: xi_eval(q, k, p),
+            lambda: xi_eval_coords(q, k, [0, 0]),
+            lambda: sigma_kk_map(q, 3, k, 1),
+            lambda: sigma_kk_map(q, 3, 1, k),
+            lambda: linearize_xi(q, sigma, k, 1, random.Random(0)),
+            lambda: linearize_xi(q, sigma, 1, k, random.Random(0)),
+            lambda: contains_class_point(q, k, sigma, p),
+            lambda: theta_vector(q, k, sigma),
+            lambda: pi_eval(q, k, sigma, p),
+            lambda: pi_family_eval(q, k, 1, 1, p))
+
+
 def test_levels_below_one_rejected():
     sigma = cone_Cd(3)
     p = ClassPoint.from_coords([1, 2])
@@ -363,9 +392,36 @@ def test_levels_below_one_rejected():
                  lambda: sigma_kk_map(2, 3, 0, 1),
                  lambda: sigma_kk_map(2, 3, 1, 0),
                  lambda: linearize_xi(2, sigma, 0, 1, random.Random(0)),
-                 lambda: linearize_xi(2, sigma, 1, 0, random.Random(0))):
+                 lambda: linearize_xi(2, sigma, 1, 0, random.Random(0)),
+                 *_level_cases(2, 0), *_level_cases(2, -1)):
         with pytest.raises(ValueError, match="k must be >= 1"):
             call()
+    # contains_class_point put the point inside at k = 0; at k = 2 it is not
+    assert not _level_cases(2, 2)[6]()
+
+
+def test_q_not_a_prime_power_rejected():
+    for call in _level_cases(6, 1):
+        with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+            call()
+
+
+def test_coordinate_indices_outside_the_point_rejected():
+    # i = 0 used to read s_3 through p[-1], i = 7 the value at i = 3 (a
+    # slice past the end) and i = 4 raised IndexError
+    p = ClassPoint.from_coords([1, 2, 4])
+    for call, name, i in ((lambda: pi_family_eval(2, 1, 0, 0, p), "i", 0),
+                          (lambda: pi_family_eval(2, 1, 1, 7, p), "iprime", 7),
+                          (lambda: pi_family_eval(2, 1, 4, 4, p), "i", 4),
+                          (lambda: pi_family_eval(2, 1, 3, 0, p), "iprime", 0),
+                          (lambda: delta_tilde(2, p, 7), "i", 7),
+                          (lambda: delta_tilde(2, p, 0), "i", 0),
+                          (lambda: delta_tilde(2, p, -1), "i", -1)):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} = {i} is outside 1\.\.3$"):
+            call()
+    assert pi_family_eval(2, 1, 1, 3, p) == F(-43, 30)
+    assert delta_tilde(2, p, 3) == F(29, 15)
 
 
 def test_class_point_checks_survive_the_fraction_fast_path():
@@ -385,15 +441,18 @@ def test_class_point_checks_survive_the_fraction_fast_path():
 
 def _seeded_class_points(seed, count):
     """(q, k, point) with q in {2, 3}, d in {3, 4, 5}, strata r >= 1 and
-    stored powers 1 or 2 (a power-2 point has an even stratum)."""
+    stored powers 1, 2 or 3 (the stratum is a multiple of the stored
+    power, so a power-2 point has stratum 2 or 4, a power-3 point 3)."""
     rng = random.Random(seed)
     for _ in range(count):
         q = rng.choice([2, 3])
         k = rng.randint(1, 3)
         d = rng.choice([3, 4, 5])
-        rho = rng.choice([1, 2])
-        r = (rng.choice([x for x in (2, 4) if x < d]) if rho == 2
-             else rng.randint(1, d - 1))
+        rho = rng.choice([1, 2, 3] if d > 3 else [1, 2])
+        if rho == 1:
+            r = rng.randint(1, d - 1)
+        else:
+            r = rng.choice([x for x in (rho, 2 * rho) if x < d])
         tail = sorted(F(rng.randint(1, 90), rng.randint(1, 7))
                       for _ in range(d - r))
         if rng.random() < 0.3:  # repeated values: weakly increasing
@@ -427,6 +486,12 @@ def test_xi_and_pi_from_one_chain_match_per_coordinate_calls():
     assert {(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (4, 2)} <= strata
 
 
+def test_seeded_class_points_draw_every_stored_power():
+    drawn = {(p.stratum(), p.pow_exponent)
+             for _, _, p in _seeded_class_points(1313, 120)}
+    assert {(2, 2), (4, 2), (3, 3)} <= drawn
+
+
 def test_xi_eval_checks_weights_once_per_point(monkeypatch):
     # the tracer's epsilon.closed metric needs one epsilon_closed call per
     # coordinate; the weights behind them are checked once per point
@@ -441,7 +506,8 @@ def test_xi_eval_checks_weights_once_per_point(monkeypatch):
         closed.clear(), checked.clear()
         xi_eval(2, 1, point)
         assert (len(closed), len(checked)) == (5 - r, 1), r
-    # pi and xi at one stratum-1 point share its chain
+    # pi_eval runs the kernel on the point's checked powers, with no
+    # _check_args call; xi_eval checks them once
     point = ClassPoint.from_coords([1, 3, 4, 11])
     checked.clear()
     pi_eval(2, 2, cone_Cd(5), point)
@@ -472,10 +538,13 @@ def _kernel_cases(seed, count):
 
 
 def test_point_kernel_matches_pi_eval_and_xi_eval():
+    # pi_eval runs the kernel too, so pi is also checked against the
+    # per-coordinate epsilon_hat formula
     seen = set()
     for q, coords, theta, levels in _kernel_cases(2718, 600):
         point = ClassPoint.from_coords(coords)
         pi, xis = xi_mod._pi_xi(q, theta, levels, coords)
+        assert pi == _pi_per_coordinate(q, theta, point), coords
         assert pi == pi_eval(q, 1, cone_Cd(point.d), point, theta), coords
         assert xis == [xi_eval(q, t, point).values for t in levels], coords
         assert all(type(v) is Fraction for v in pi + sum(xis, ()))
@@ -497,6 +566,18 @@ def test_point_kernel_rejects_points_outside_the_cone():
         with pytest.raises(ValueError) as got:
             xi_mod._pi_xi(2, tuple(range(1, len(coords) + 1)), (1,), coords)
         assert str(got.value) == str(want.value), coords
+
+
+def test_interior_samples_are_integer_points_of_the_cone():
+    # the kernel scales them over a denominator of 1
+    rng = random.Random(0)
+    for sigma in sigma_upper_fan(3, 4, 2).maximal_cones():
+        theta = theta_vector(3, 2, sigma)
+        for p in interior_samples(sigma, rng, 4):
+            assert all(type(x) is int for x in p) and sigma.contains(p)
+            assert (xi_mod._pi_xi(3, theta, (1,), p)
+                    == xi_mod._pi_xi(3, theta, (1,), frac_vec(p)))
+    assert interior_samples(Cone.from_rays([], n=2), rng, 2) == [(0, 0)] * 2
 
 
 def test_linearize_xi_checks_q():
