@@ -17,9 +17,9 @@ module psi(T) = t z + z^{q^r}, the module provides:
   the tail of the relation is checked to vanish to working precision,
 * iterated quotients (each step raises the rank by one),
 * Newton-polygon valuations of torsion points phi[N], and the predicted
-  valuation multiset coming from the lattice combinatorics (the weighted
-  counting function epsilon on the lattice profile, plus the torsion of
-  the original module carried through the exponential),
+  valuation multiset from the lattice combinatorics: epsilon on the
+  lattice profile at the n deg N sizes q^(rm) p_i, each weighted by a
+  count of (A/N)^n, plus the base torsion carried through the exponential,
 * the weight-cone class point of a quotient module and of its torsion.
 
 Everything is exact arithmetic on truncated Laurent series; a
@@ -29,13 +29,12 @@ insufficient, never a silently wrong answer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .epsilon import epsilon, epsilon_inv
-from .gf import GF, Poly, gf, polys_of_degree_at_most
+from .gf import GF, Poly, gf
 from .points import ClassPoint
 from .series import AdditiveSeries, LaurentSeries, PrecisionError, \
     root_valuations
@@ -274,13 +273,19 @@ def predicted_torsion_valuations(q: int, r: int, ms: Sequence[int],
 
     Two parts: the image under the exponential of the N-torsion of the
     standard rank-r module (valuations preserved: torsion valuations are
-    positive, lattice valuations negative), and one point per nonzero
-    a in (A/N)^n at -v = epsilon(|N|^{-r} * max_i |a_i|^r p_i) on the
-    lattice profile p.
+    positive, lattice valuations negative), and, for each nonzero a in
+    (A/N)^n, q^(rk) points at -v = epsilon(|N|^{-r} max_i |a_i|^r p_i) on
+    the lattice profile p, with k = deg N.
+
+    The second part is counted.  With a_i of degree < k, the a_i that are
+    0 or have q^(r deg a_i) p_i <= X are the q^(e_i(X)) polynomials of
+    degree < e_i(X), e_i(X) the number of m < k with q^(rm) p_i <= X.  So
+    q^(number of sizes q^(rm) p_i <= X) tuples, the zero tuple included,
+    have max <= X; between consecutive distinct sizes X the count grows by
+    the tuples with max exactly X: n k epsilon values in place of q^(kn).
     """
-    field = gf(q)
+    gf(q)  # q is checked first, as the field of the base module
     ps = lattice_profile_of_steps(q, r, ms)
-    n = len(ps)
     k = N.degree
     if k < 1:
         raise ValueError("N must be nonconstant")
@@ -290,12 +295,11 @@ def predicted_torsion_valuations(q: int, r: int, ms: Sequence[int],
     # valuation unchanged (base torsion is integral, lattice points are not)
     for val, mult in torsion_valuations(base, N):
         counts[Fraction(val)] = counts.get(Fraction(val), 0) + mult
-    reps = list(polys_of_degree_at_most(field, k - 1))
-    for tup in itertools.product(reps, repeat=n):
-        if all(a.is_zero() for a in tup):
-            continue
-        arg = max(Fraction(a.absolute_value()) ** r * p
-                  for a, p in zip(tup, ps))
-        val = -epsilon(q, r, ps, Fraction(q) ** (-k * r) * arg)
-        counts[val] = counts.get(val, 0) + q ** (r * k)
+    sizes = [q ** (r * m) * p for p in ps for m in range(k)]
+    at_most = 1  # tuples with max <= the previous size: the zero tuple
+    for X in sorted(set(sizes)):
+        upto = q ** sum(s <= X for s in sizes)
+        val = -epsilon(q, r, ps, Fraction(q) ** (-k * r) * X)
+        counts[val] = counts.get(val, 0) + (upto - at_most) * q ** (r * k)
+        at_most = upto
     return sorted(counts.items())

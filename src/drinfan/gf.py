@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = ["GF", "Poly", "RatFunc", "check_q"]
 
@@ -337,18 +337,6 @@ class Poly:
                 else:
                     terms.append(f"{c}*T^{i}" if c != 1 else f"T^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def polys_of_degree_at_most(field: GF, d: int) -> Iterator[Poly]:
-    """All polynomials of degree <= d (including 0); q^(d+1) of them."""
-    q = field.q
-    for n in range(q ** (d + 1)):
-        cs = []
-        m = n
-        for _ in range(d + 1):
-            cs.append(m % q)
-            m //= q
-        yield Poly.make(field, cs)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,9 @@ def contains_class_point(q: int, k: int, sigma: Cone,
     """Exact membership of a (possibly irrational) class point in a cone of
     Sigma^(k): the cone equals C_d intersected with the two-term sign
     constraints it satisfies on all its generators, and each two-term sign
-    is decidable on the stored coordinate powers."""
+    is decidable on the stored coordinate powers.  Valid only for sigma in
+    Sigma^(k), whose facets are such walls with h < k (an image cone has
+    others); a rational point in any cone goes to Cone.contains."""
     _check_q_levels(q, k)
     n = sigma.n
     if point.d != n + 1:
@@ -171,8 +173,13 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
     _chain_values on the stored powers p_r..p_{d-1} over their lcm (the
     ClassPoint has checked them, so they are not checked again)."""
     _check_q_levels(q, k)
+    if point.d != sigma.n + 1:
+        raise ValueError("dimension mismatch")
     if theta is None:
         theta = theta_vector(q, k, sigma)
+    elif len(theta) != sigma.n or any(not 1 <= t <= i
+                                      for i, t in enumerate(theta, 1)):
+        raise ValueError(f"theta needs {sigma.n} entries, theta(i) in 1..i")
     r, p = _point_powers(point)
     return _chain_values(q, theta, (), r, *_over_lcm(p[r - 1:]))[0]
 
@@ -190,6 +197,7 @@ def pi_family_eval(q: int, kprime: int, i: int, iprime: int,
 
 def delta_tilde(q: int, point: ClassPoint, i: int) -> Fraction:
     """delta^{r, i+1-r}(p_r .. p_i), i < d; zero for i below the stratum."""
+    check_q(q)
     _check_indices(point.d, i=i)
     r, p = _point_powers(point)
     if i < r:

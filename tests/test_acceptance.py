@@ -311,6 +311,32 @@ def test_08_tate_fan_laws_feed_verify_tate(monkeypatch, capsys):
                                 for name in ("q2-r1 1,3", "q2-r2 1")}
 
 
+def test_08_membership_law_where_image_cones_are_not_comparison_cones():
+    # at d = 4 some image cones have a facet with three or more terms, on
+    # which contains_class_point is not valid; the image point is rational,
+    # so its membership is decided by the image cone's own inequalities
+    q, r, ms = 2, 2, [1, 3]
+    module, _ = iterate_tate(q, r, ms, 48)
+    cp = class_point_of_steps(q, r, ms)
+    T = Poly.T(gf(q))
+    N = T
+    for k in (1, 2, 3):
+        actual = torsion_valuations(module, N)
+        assert actual == predicted_torsion_valuations(q, r, ms, N)
+        coords = {c for j in range(1, k + 1)
+                  for c in xi_eval(q, j, cp).values if c != 0}
+        assert {v for v, _ in actual if v < 0} == {-c for c in coords}
+        img_pt = xi_eval(q, k, cp)
+        fan = sigma_upper_fan(q, r + len(ms), k)
+        images = [_image_cone(q, k, sigma) for sigma in fan]
+        assert [contains_class_point(q, k, sigma, cp) for sigma in fan] == \
+            [image.contains(img_pt.values) for image in images]
+        if k > 1:
+            assert any(sum(map(bool, a)) > 2
+                       for image in images for a in image.ineqs())
+        N = N * T
+
+
 # 9. atlas counts, edges, smoothness flags, symmetric identity
 
 def test_09_atlas():

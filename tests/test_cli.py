@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 from drinfan import cli
+from drinfan.xi import sigma_upper_fan
 
 CLI = [sys.executable, "-m", "drinfan.cli"]
 
@@ -150,6 +151,26 @@ def test_verify_tate_checks_every_law(capsys):
         assert {f: families.count(f) for f in set(families)} == \
             {"tate": 10, "poles": 10, "membership": 10}
         assert all(line.endswith("\tpass") for line in lines[1:])
+
+
+def test_verify_tate_checks_class_points_only_on_sigma_k_cones(monkeypatch):
+    # contains_class_point decides membership on cones of Sigma^(k); the
+    # image side, a rational point in an image cone, goes to Cone.contains
+    seen = []
+    real = cli.contains_class_point
+    monkeypatch.setattr(cli, "contains_class_point",
+                        lambda q, k, sigma, point: seen.append((q, k, sigma))
+                        or real(q, k, sigma, point))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "tate"]) == 0
+    fans = {(q, d, k): sigma_upper_fan(q, d, k)
+            for q, d in ((2, 2), (3, 2), (2, 3)) for k in (1, 2)}
+    for q, k, sigma in seen:
+        assert sigma in fans[q, sigma.n + 1, k], (q, k, sigma.rays())
+    # one call per cone of Sigma^(k) for each instance (the class point's
+    # (q, d) are (2, 2) twice, (3, 2), and (2, 3) twice) and level
+    assert len(seen) == sum(len(fans[q, d, k]) for q, d in (
+        (2, 2), (2, 2), (3, 2), (2, 3), (2, 3)) for k in (1, 2))
 
 
 def test_verify_identities_small():

@@ -1,5 +1,6 @@
 """Tate quotients: exponentials, quotient modules, torsion valuations."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from drinfan.drinfeld import (admissibility_margin, class_point_of_steps,
                               iterate_tate, lattice_profile_of_steps,
                               predicted_torsion_valuations, standard_module,
                               tate_step, torsion_valuations)
-from drinfan.epsilon import delta
+from drinfan.epsilon import delta, epsilon
 from drinfan.gf import Poly, gf
 from drinfan.series import AdditiveSeries, PrecisionError
 
@@ -236,3 +237,68 @@ def test_top_valuation_law_at_precision_512():
     assert [s.top_valuation for s in steps] == \
         [(2 ** (1 + j) - 1) * delta(2, 1, profile[:j]) for j in (1, 2)]
     assert time.monotonic() - start < 5.0
+
+
+def _predicted_by_enumeration(q, r, ms, N):
+    """predicted_torsion_valuations by listing (A/N)^n: the base torsion,
+    then q^(rk) points at -epsilon(|N|^{-r} max_i |a_i|^r p_i) for each
+    nonzero tuple of representatives of degree < k = deg N (the oracle for
+    the count)."""
+    field = gf(q)
+    ps = lattice_profile_of_steps(q, r, ms)
+    k = N.degree
+    counts = {}
+    for val, mult in torsion_valuations(standard_module(q, r), N):
+        counts[F(val)] = counts.get(F(val), 0) + mult
+    reps = [Poly.make(field, cs)
+            for cs in itertools.product(field.elements(), repeat=k)]
+    for tup in itertools.product(reps, repeat=len(ps)):
+        if all(a.is_zero() for a in tup):
+            continue
+        arg = max(F(a.absolute_value()) ** r * p for a, p in zip(tup, ps))
+        val = -epsilon(q, r, ps, F(q) ** (-k * r) * arg)
+        counts[val] = counts.get(val, 0) + q ** (r * k)
+    return sorted(counts.items())
+
+
+def _levels(q, degrees):
+    """T^k and 1 + T + ... + T^k (nonzero lower coefficients) over F_q."""
+    field = gf(q)
+    return [N for k in degrees
+            for N in (Poly.make(field, [0] * k + [1]),
+                      Poly.make(field, [1] * (k + 1)))]
+
+
+COUNTING_INSTANCES = TORSION_INSTANCES + [
+    (2, 1, [1, 2, 3]), (2, 1, [1, 2, 4]), (2, 1, [1, 3, 6]), (4, 1, [1, 2])]
+
+
+@pytest.mark.parametrize("q, r, ms", COUNTING_INSTANCES)
+def test_torsion_count_matches_enumeration(q, r, ms):
+    for N in _levels(q, (1, 2, 3)):
+        assert predicted_torsion_valuations(q, r, ms, N) == \
+            _predicted_by_enumeration(q, r, ms, N), N
+
+
+def test_torsion_count_evaluates_epsilon_once_per_size(monkeypatch):
+    # n k = 9 sizes q^(rm) p_i at (2, 1, [1, 3, 6], T^3); listing
+    # (A/N)^3 made 2^9 - 1 = 511 calls
+    calls = []
+    monkeypatch.setattr(drinfeld, "epsilon",
+                        lambda *a: calls.append(a) or epsilon(*a))
+    predicted_torsion_valuations(2, 1, [1, 3, 6], _levels(2, (3,))[0])
+    assert 0 < len(calls) <= 9
+
+
+@pytest.mark.parametrize("q, r, ms, degrees", [
+    *[(q, r, ms, (1, 2, 3)) for q, r, ms in COUNTING_INSTANCES],
+    (2, 1, [1, 3, 6], (4, 5, 8)), (5, 1, [1, 3], (1, 2, 3)),
+    (3, 2, [1, 2], (1, 2, 3))])
+def test_torsion_multiplicities_count_every_nonzero_point(q, r, ms, degrees):
+    # phi[N] has q^(k (r + n)) points, k = deg N; every nonzero one is
+    # counted once: q^(rk) - 1 from the base, q^(rk) over each nonzero a
+    # in (A/N)^n
+    for N in _levels(q, degrees):
+        got = predicted_torsion_valuations(q, r, ms, N)
+        assert sum(m for _, m in got) == \
+            q ** (N.degree * (r + len(ms))) - 1, N

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.gf import Poly, RatFunc, _prime_power, check_q, gf, \
-    polys_of_degree_at_most
+from drinfan.gf import Poly, RatFunc, _prime_power, check_q, gf
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -104,13 +103,6 @@ def test_absolute_value():
     assert Poly.one(F).absolute_value() == 1
     assert Poly.T(F).absolute_value() == 3
     assert (Poly.T(F) * Poly.T(F)).absolute_value() == 9
-
-
-def test_polys_of_degree_at_most():
-    F = gf(2)
-    polys = list(polys_of_degree_at_most(F, 2))
-    assert len(polys) == 8
-    assert len({p.coeffs for p in polys}) == 8
 
 
 @given(poly_pairs())

@@ -7,11 +7,18 @@ from fractions import Fraction
 import pytest
 
 from drinfan import norms
-from drinfan.gf import Poly, RatFunc, gf, polys_of_degree_at_most
+from drinfan.gf import Poly, RatFunc, gf
 from drinfan.linalg import det, nullspace, solve
 from drinfan.norms import WeightedNorm, successive_minima
 
 F = Fraction
+
+
+def _polys_of_degree_at_most(field, d):
+    """Every polynomial of degree <= d, 0 included, the constant
+    coefficient running fastest."""
+    return [Poly.make(field, cs[::-1])
+            for cs in itertools.product(field.elements(), repeat=d + 1)]
 
 
 def _identity(field, n):
@@ -57,8 +64,8 @@ def _oracle_minima(norm, gens, cap):
     if (q ** (deg_a + 1)) ** n > cap:
         return None
     candidates = []
-    for coeffs in itertools.product(
-            list(polys_of_degree_at_most(field, deg_a)), repeat=n):
+    for coeffs in itertools.product(_polys_of_degree_at_most(field, deg_a),
+                                    repeat=n):
         if all(c.is_zero() for c in coeffs):
             continue
         v = tuple(sum((gens[j][i] * coeffs[j] for j in range(1, n)),
@@ -218,7 +225,7 @@ def test_change_predicate_matches_brute_force():
     T, one, zero = Poly.T(K), Poly.one(K), Poly.zero(K)
     nm = WeightedNorm(K, (F(1), F(2)))
     basis, vals = successive_minima(nm, _identity(K, 2))
-    pool = list(polys_of_degree_at_most(K, 1))
+    pool = _polys_of_degree_at_most(K, 1)
     grid = list(itertools.product(pool, repeat=4))
     rng = random.Random("change-grid")
     sample = rng.sample(grid, 80)

@@ -401,7 +401,9 @@ def test_levels_below_one_rejected():
 
 
 def test_q_not_a_prime_power_rejected():
-    for call in _level_cases(6, 1):
+    # delta_tilde returned 0 below the stratum without looking at q
+    below = ClassPoint.from_coords([0, 2, 4])
+    for call in (*_level_cases(6, 1), lambda: delta_tilde(6, below, 1)):
         with pytest.raises(ValueError, match="q = 6 is not a prime power"):
             call()
 
@@ -422,6 +424,19 @@ def test_coordinate_indices_outside_the_point_rejected():
             call()
     assert pi_family_eval(2, 1, 1, 3, p) == F(-43, 30)
     assert delta_tilde(2, p, 3) == F(29, 15)
+
+
+def test_pi_eval_checks_the_point_against_the_cone():
+    # a point of C_4 under a cone of C_5 gave (1, 8/3, 128/7), under a cone
+    # of C_3 an IndexError; theta = (1,) raised IndexError
+    p = ClassPoint.from_coords([1, 2, 4])
+    for d in (3, 5):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            pi_eval(2, 2, cone_Cd(d), p)
+    for theta in ((1,), (1, 2, 3, 4), (1, 3, 1), (0, 1, 1)):
+        with pytest.raises(ValueError, match=r"^theta needs 3 entries, "):
+            pi_eval(2, 2, cone_Cd(4), p, theta)
+    assert pi_eval(2, 2, cone_Cd(4), p, (1, 1, 1)) == (F(1), F(2), F(4))
 
 
 def test_class_point_checks_survive_the_fraction_fast_path():
