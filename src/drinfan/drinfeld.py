@@ -65,8 +65,9 @@ class DrinfeldModule:
         out = AdditiveSeries.zero(self.field)
         power = AdditiveSeries.identity(self.field)  # phi(T)^0
         for i, c in enumerate(a.coeffs):
-            if c:
-                out = out + power.scale(LaurentSeries.t_power(self.field, 0, c))
+            if c:  # scale(1) returns its series unchanged
+                out = out + AdditiveSeries(self.field, {
+                    j: s.scale(c) for j, s in power.coeffs.items()})
             if i < len(a.coeffs) - 1:
                 power = self.phi_T.compose(power)
         return out

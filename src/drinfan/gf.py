@@ -150,6 +150,10 @@ class GF:
             for da in digits)
         self.neg_table = tuple(self._undigits([(-x) % p for x in da])
                                for da in digits)
+        # row c maps x to c*x: one lookup per coefficient when a series is
+        # scaled by a constant (LaurentSeries.scale, one-term products)
+        self.mul_table = tuple(tuple(self.mul(a, b) for b in range(q))
+                               for a in range(q))
         # Per-digit Kronecker packing (LaurentSeries.__mul__): the e base-p
         # digits of each element, and the element that 2e-1 digits of a
         # product, as coefficients of x^0 .. x^(2e-2), reduce to.

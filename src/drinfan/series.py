@@ -25,7 +25,13 @@ translation tables reduce every slot mod p, and for e > 1 a table lookup
 reduces each group of 2e-1 digits modulo the defining polynomial.  Apart
 from the integer multiplication itself, the cost is linear in the number of
 terms and in the byte size of the product, and only the slots below the
-product's precision are unpacked.
+product's precision are unpacked.  A factor with one term c t^s is not
+packed: the product is the other factor with its exponents shifted by s and
+its coefficients scaled by c (a table lookup, skipped for c = 1).
+
+Frobenius acts on exponents only: (sum c_e t^e)^(q^k) = sum c_e t^(e q^k),
+because raising to a power of p is additive in characteristic p and
+c^q = c for every c in F_q.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ __all__ = ["PrecisionError", "LaurentSeries", "AdditiveSeries",
 
 class PrecisionError(ArithmeticError):
     """Raised when a result is not determined at the available precision."""
+
+
+_new = object.__new__
 
 
 def _min_prec(a: int | None, b: int | None) -> int | None:
@@ -80,6 +89,12 @@ class LaurentSeries:
 
     __slots__ = ("field", "coeffs", "prec")
 
+    # Invariant of every instance: no coefficient in ``coeffs`` is 0, and
+    # no exponent reaches ``prec``.  __init__ establishes it by filtering
+    # its input; a result that holds it by construction (a product, a
+    # Frobenius power, a negation, a scaling or shift by a nonzero
+    # constant) is built by _trusted, which checks nothing.  A series is
+    # never changed after construction, so results may share it.
     def __init__(self, field: GF, coeffs: dict[int, int], prec: int | None):
         if prec is not None:
             coeffs = {e: c for e, c in coeffs.items() if c and e < prec}
@@ -88,6 +103,16 @@ class LaurentSeries:
         self.field = field
         self.coeffs = coeffs
         self.prec = prec
+
+    @staticmethod
+    def _trusted(field: GF, coeffs: dict[int, int],
+                 prec: int | None) -> "LaurentSeries":
+        """A series from coefficients that already hold the invariant."""
+        s = _new(LaurentSeries)
+        s.field = field
+        s.coeffs = coeffs
+        s.prec = prec
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -131,54 +156,86 @@ class LaurentSeries:
 
     def truncate(self, prec: int | None) -> "LaurentSeries":
         new_prec = _min_prec(self.prec, prec)
-        return LaurentSeries(self.field, self.coeffs, new_prec)
+        if new_prec == self.prec:
+            return self
+        return LaurentSeries._trusted(
+            self.field, {e: c for e, c in self.coeffs.items() if e < new_prec},
+            new_prec)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        F = self.field
-        add = F.add_table
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        prec = _min_prec(self.prec, other.prec)
+        # the larger operand is copied and the smaller one added into it
+        big, small = self.truncate(prec), other.truncate(prec)
+        if len(big.coeffs) < len(small.coeffs):
+            big, small = small, big
+        if not small.coeffs:
+            return big
+        add = self.field.add_table
+        out = dict(big.coeffs)
+        for e, c in small.coeffs.items():
             s = add[out.get(e, 0)][c]
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentSeries(F, out, _min_prec(self.prec, other.prec))
+        return LaurentSeries._trusted(self.field, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
         F = self.field
+        if F.p == 2:
+            return self  # -c = c in characteristic 2
         neg = F.neg_table
-        return LaurentSeries(F, {e: neg[c] for e, c in self.coeffs.items()},
-                             self.prec)
+        return LaurentSeries._trusted(
+            F, {e: neg[c] for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def scale(self, c: int) -> "LaurentSeries":
+        return self._shift(0, c, self.prec)
+
+    def _shift(self, s: int, c: int, prec: int | None) -> "LaurentSeries":
+        """c t^s times this series, the terms below ``prec`` kept; ``prec``
+        is at most self.prec + s, the precision of the product."""
         F = self.field
         if c == 0:
-            return LaurentSeries.zero(F, self.prec)
-        return LaurentSeries(F, {e: F.mul(c, x) for e, x in self.coeffs.items()},
-                             self.prec)
+            return LaurentSeries.zero(F, prec)
+        if c == 1 and s == 0 and prec == self.prec:
+            return self
+        items = self.coeffs.items()
+        if prec is not None and (self.prec is None or self.prec + s > prec):
+            items = [(e, x) for e, x in items if e + s < prec]
+        if c == 1:
+            out = {e + s: x for e, x in items}
+        else:
+            row = F.mul_table[c]
+            out = {e + s: row[x] for e, x in items}
+        return LaurentSeries._trusted(F, out, prec)
 
     def _mul_prec(self, other: "LaurentSeries") -> int | None:
+        """min(p_a + low(b), p_b + low(a)) over the terms that are finite."""
         pa, pb = self.prec, other.prec
-        la, lb = self.low_exponent(), other.low_exponent()
-        cands = []
         if pa is not None:
-            cands.append(None if lb is None else pa + lb)
+            lb = other.low_exponent()
+            pa = None if lb is None else pa + lb
         if pb is not None:
-            cands.append(None if la is None else pb + la)
-        cands = [c for c in cands if c is not None]
-        return min(cands) if cands else None
+            la = self.low_exponent()
+            pb = None if la is None else pb + la
+        return _min_prec(pa, pb)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         F = self.field
         prec = self._mul_prec(other)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.zero(F, prec)
+        if len(self.coeffs) == 1:
+            (s, c), = self.coeffs.items()
+            return other._shift(s, c, prec)
+        if len(other.coeffs) == 1:
+            (s, c), = other.coeffs.items()
+            return self._shift(s, c, prec)
         # Kronecker substitution; the module docstring explains the layout.
         p, e = F.p, F.e
         stride = 2 * e - 1
@@ -202,8 +259,8 @@ class LaurentSeries:
                             for i in range(0, len(coeffs), stride)])
         # exponents of the nonzero coefficients, paired with those coefficients
         exps = compress(range(base, base + n), coeffs)
-        return LaurentSeries(F, dict(zip(exps, coeffs.replace(b"\0", b""))),
-                             prec)
+        return LaurentSeries._trusted(
+            F, dict(zip(exps, coeffs.replace(b"\0", b""))), prec)
 
     def _pack(self, base: int, span: int, width: int) -> int:
         """The Kronecker integer of this series: 2e-1 slots of ``width``
@@ -228,24 +285,34 @@ class LaurentSeries:
         return int.from_bytes(slots, "little")
 
     def frobenius_power(self, k: int) -> "LaurentSeries":
-        """Raise to the q^k-th power (exact in characteristic p)."""
-        F = self.field
-        qk = F.q ** k
-        out = {e * qk: F.pow(c, qk) for e, c in self.coeffs.items()}
+        """Raise to the q^k-th power (exact in characteristic p).
+
+        (sum c_e t^e)^(q^k) = sum c_e^(q^k) t^(e q^k), since raising to a
+        power of p is additive in characteristic p; and c^q = c for every c
+        in F_q (the multiplicative group has order q - 1), so only the
+        exponents change.
+        """
+        if k == 0:
+            return self
+        qk = self.field.q ** k
         prec = None if self.prec is None else self.prec * qk
-        return LaurentSeries(F, out, prec)
+        return LaurentSeries._trusted(
+            self.field, {e * qk: c for e, c in self.coeffs.items()}, prec)
 
     def pow_int(self, n: int) -> "LaurentSeries":
         if n < 0:
             raise ValueError("use inverse() for negative powers")
-        result = LaurentSeries.one(self.field)
+        if n == 0:
+            return LaurentSeries.one(self.field)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def inverse(self, prec: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse, to requested absolute precision.

@@ -90,6 +90,99 @@ def test_mul_matches_naive(data):
     _assert_mul_matches_naive(a, b)
 
 
+def _mul_prec_oracle(a, b):
+    """min(p_a + low(b), p_b + low(a)) over the terms that are finite, low
+    being the valuation, or the precision of a series with no term."""
+    def low(s):
+        return min(s.coeffs) if s.coeffs else s.prec
+
+    cands = [p + lo for p, lo in ((a.prec, low(b)), (b.prec, low(a)))
+             if p is not None and lo is not None]
+    return min(cands) if cands else None
+
+
+def _naive_product(a, b):
+    return LaurentSeries(a.field, _mul_naive(a, b), _mul_prec_oracle(a, b))
+
+
+def _assert_clean(s):
+    """The invariant every series holds: no zero coefficient, and no
+    exponent at or past the precision."""
+    assert all(s.coeffs.values())
+    assert s.prec is None or all(e < s.prec for e in s.coeffs)
+
+
+@st.composite
+def clean_operands(draw):
+    """Two operands over every product field, exact or truncated inside
+    their span, with negative exponents; 0 or 1 terms included, so the
+    empty and one-term products are drawn too."""
+    q = draw(st.sampled_from(MUL_FIELDS))
+    F = gf(q)
+
+    def mk():
+        lo = draw(st.integers(-12, 6))
+        coeffs = {lo + x: draw(st.integers(1, q - 1))
+                  for x in draw(st.lists(st.integers(0, 14), max_size=8))}
+        prec = draw(st.one_of(st.none(), st.integers(lo, lo + 16)))
+        return LaurentSeries(F, coeffs, prec)
+
+    return F, mk(), mk()
+
+
+@given(clean_operands(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_results_hold_the_invariant_and_match_their_oracles(data, k):
+    F, a, b = data
+
+    def dict_sum(sign):
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            out[e] = F.add(out.get(e, 0), c if sign > 0 else F.neg(c))
+        prec = min((p for p in (a.prec, b.prec) if p is not None),
+                   default=None)
+        return LaurentSeries(F, out, prec)
+
+    qk = F.q ** k
+    frob = LaurentSeries(F, {e * qk: F.pow(c, qk) for e, c in a.coeffs.items()},
+                         None if a.prec is None else a.prec * qk)
+    neg = LaurentSeries(F, {e: F.neg(c) for e, c in a.coeffs.items()}, a.prec)
+    checks = [(a + b, dict_sum(1)), (a - b, dict_sum(-1)), (-a, neg),
+              (a * b, _naive_product(a, b)), (a.frobenius_power(k), frob)]
+    power = LaurentSeries.one(F)
+    for n in range(6):
+        checks.append((a.pow_int(n), power))
+        power = _naive_product(power, a)
+    for got, want in checks:
+        _assert_clean(got)
+        assert got == want
+
+
+# A one-term factor c t^s makes the product a shift of the other factor by
+# s, scaled by c unless c = 1.
+@pytest.mark.parametrize("q", [3, 4, 9])
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("s", [-7, 0, 5])
+@pytest.mark.parametrize("mono_prec", [None, 3])
+@pytest.mark.parametrize("left", [True, False])
+def test_one_term_product(q, unit, s, mono_prec, left):
+    F = gf(q)
+    rng = random.Random(f"{q}:{unit}:{s}:{mono_prec}:{left}")
+    c = 1 if unit else rng.randrange(2, q)
+    mono = LaurentSeries(F, {s: c},
+                         None if mono_prec is None else s + mono_prec)
+    coeffs = {e: rng.randrange(1, q) for e in rng.sample(range(-9, 21), 18)}
+    # the other factor exact, truncated past its last term, and truncated
+    # two places above its first
+    for prec in (None, 25, min(coeffs) + 2):
+        other = LaurentSeries(F, coeffs, prec)
+        a, b = (mono, other) if left else (other, mono)
+        prod = a * b
+        _assert_clean(prod)
+        assert prod.prec == _mul_prec_oracle(a, b)
+        assert prod == LaurentSeries(F, _mul_naive(a, b), prod.prec)
+
+
 def _dense(F, lo, n):
     """n consecutive terms whose coefficient has every base-p digit p-1,
     so every slot of a product reaches its bound."""
