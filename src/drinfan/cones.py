@@ -8,7 +8,10 @@ revisited", 1996), run fraction-free: every input vector is first scaled
 to a primitive integer vector, every new line or ray is an integer
 combination of two old ones divided by the gcd of its entries, and all
 arithmetic is on plain ints.  Adjacency of rays is decided combinatorially
-from their tight sets.  Canonical forms use primitive integer vectors, so
+from their tight sets, in the one step that joins the adjacent +/- pairs
+across a hyperplane (``_join_adjacent``); ``xi._cut`` runs that step once
+to cut a pointed, full-dimensional cone, with no conversion.  Canonical
+forms use primitive integer vectors, so
 cone equality and hashing are exact; rational input is accepted and
 scaled on entry.  The canonical form is fraction-free too: the lines are
 brought to reduced row echelon form by the one Gauss-Jordan loop of
@@ -20,7 +23,9 @@ for what is read: ``rays``, ``lines``, ``key``, equality and hashing read
 V; ``ineqs``, ``eqs``, ``contains`` and ``faces`` read H.  A cone given by
 inequalities gets V by one conversion and H, if asked, from V.  A cone
 given by generators gets H by one conversion (H is the V-rep of the dual
-cone) and V, if asked, from H, which makes it canonical.
+cone) and V, if asked, from H, which makes it canonical.  A cone whose
+canonical V (and H) is already known, a face or a half of a cut, is born
+with it by ``Cone._born``, unconverted and unchecked.
 
 A cone's face lattice is computed on first read from the incidence of its
 rays and facet inequalities: the ray sets of the faces are the
@@ -28,8 +33,11 @@ intersections, as bitmasks, of the ray sets of the facets (see
 ``Cone.faces``), so no face is built by conversion and ``is_face_of`` is
 a key lookup.  A face is an ordinary cone born with its canonical V, so
 its key converts nothing and its own lattice, if read, costs at most its
-H.  A fan tracks its maximal cones as cones are added (``Fan.add``), and
-``Fan.validate`` reads only their lattices.
+H.  A fan tracks its maximal cones as cones are added (``Fan.add``, which
+tests containment both ways); the chambers of a subdivision, none of which
+contains another, join their fan without those tests
+(``Fan._from_chambers``).  ``Fan.validate`` reads only the lattices of the
+maximal cones.
 
 Fans are validated over their maximal cones: face closure, every cone a
 face of a maximal cone, the pairwise intersection condition on maximal
@@ -136,22 +144,38 @@ def _dd_convert(ineqs: Sequence[Sequence], eqs: Sequence[Sequence], n: int
         tight = [sum(1 << i for i, c in enumerate(processed) if not _idot(c, r))
                  for r in rays]
         keep = [r for r, v in zip(rays, vals) if v >= 0]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = []
-        for ip in plus:
-            for im in minus:
-                T = tight[ip] & tight[im]
-                if any(tight[io] & T == T for io in range(len(rays))
-                       if io != ip and io != im):
-                    continue  # not adjacent
-                comb = _combine(vals[ip], rays[im], -vals[im], rays[ip])
-                if any(comb):
-                    new_rays.append(comb)
         processed.append(a)
         # all rays are primitive, so collinear rays are equal tuples
-        rays = list(dict.fromkeys(keep + new_rays))
+        rays = list(dict.fromkeys(keep + _join_adjacent(rays, vals, tight)))
     return rays, lines
+
+
+def _join_adjacent(rays: Sequence[tuple[int, ...]], vals: Sequence[int],
+                   tight: Sequence[int]) -> list[tuple[int, ...]]:
+    """The new rays of one double-description step by a constraint a:
+    for each ray p with a.p > 0 and ray m with a.m < 0 that are adjacent,
+    the primitive ray ``a.p m - a.m p`` on a = 0 (``vals`` holds a.r and
+    ``tight`` the tight set of r over the constraints so far, a bitmask,
+    for each ray r).
+
+    The rays must be the extreme rays of the cone those constraints
+    define, modulo its lines.  Adjacency is then combinatorial: p and m
+    span a 2-face iff no third ray is tight wherever both are (the
+    combinatorial adjacency test of Fukuda & Prodon, 1996)."""
+    new_rays: list[tuple[int, ...]] = []
+    minus = [i for i, v in enumerate(vals) if v < 0]
+    for ip, vp in enumerate(vals):
+        if vp <= 0:
+            continue
+        for im in minus:
+            T = tight[ip] & tight[im]
+            if any(tight[io] & T == T for io in range(len(rays))
+                   if io != ip and io != im):
+                continue  # not adjacent
+            comb = _combine(vp, rays[im], -vals[im], rays[ip])
+            if any(comb):
+                new_rays.append(comb)
+    return new_rays
 
 
 def _canonical(rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]]
@@ -206,6 +230,18 @@ class Cone:
         self._H: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
         # (proper faces, facets in ineqs() order), built by faces()
         self._faces_cache: tuple[list["Cone"], list["Cone"]] | None = None
+
+    @classmethod
+    def _born(cls, n: int, V, H=None) -> "Cone":
+        """A cone from its canonical V = (rays, lines) and, if known, its
+        canonical H = (ineqs, eqs), as faces and the halves of a cut know
+        them: nothing is converted, re-tupled or checked."""
+        c = object.__new__(cls)
+        c.n = n
+        c._gen_rays = c._gen_lines = c._in_ineqs = c._in_eqs = None
+        c._V, c._H = V, H
+        c._faces_cache = None
+        return c
 
     def _vectors(self, vs, what: str) -> list[tuple]:
         out = [tuple(v) for v in (vs or ())]
@@ -332,7 +368,8 @@ class Cone:
         incidences", 2002); these are closed under ``&`` as bitmasks.  A
         face's rays are a subsequence of self's rays, which are sorted,
         primitive and reduced modulo the same lines, so the face's V-rep
-        is canonical as it stands.  A face is an ordinary cone: its own
+        is canonical as it stands, and the face is born with it
+        (``_born``), unchecked.  A face is an ordinary cone: its own
         faces come from the same closure over its own facets the first
         time they are read.  Self is not cached in its own list, and no
         face refers back to self, so the references form no cycle.
@@ -351,8 +388,7 @@ class Cone:
             built: dict[int, Cone] = {}
             for m in sorted(masks, key=int.bit_count)[:-1]:
                 face_rays = tuple(r for i, r in enumerate(rays) if m >> i & 1)
-                face = built[m] = Cone(self.n, rays=face_rays, lines=lines)
-                face._V = (face_rays, lines)
+                built[m] = Cone._born(self.n, (face_rays, lines))
             self._faces_cache = (list(built.values()),
                                  [built[m] for m in facet_masks])
         return [self] + self._faces_cache[0]
@@ -450,6 +486,22 @@ class Fan:
         self._maximal: list[Cone] = []
         for c in cones:
             self.add(c)
+
+    @classmethod
+    def _from_chambers(cls, chambers: Iterable[Cone]) -> "Fan":
+        """The fan generated by chambers: full-dimensional cones with
+        pairwise disjoint interiors, as the pieces of a subdivision are.
+        Each chamber is maximal, in the given order, and no containment is
+        tested, because none contains another: if c1 <= c2, the interior
+        of c1 is a nonempty open set inside c2, hence inside the interior
+        of c2, and the interiors would meet.  Nothing here checks the
+        premise; ``validate`` does, independently."""
+        fan = cls()
+        for c in chambers:
+            for f in c.faces():
+                fan.cones.setdefault(f.key(), f)
+            fan._maximal.append(c)
+        return fan
 
     def add(self, cone: Cone) -> None:
         # a new cone's other new cones are its faces, so only the cone
@@ -682,18 +734,27 @@ def _parallelepiped_points(rays: Sequence[Sequence[int]]
     return out
 
 
-def _triangulate(cone: Cone) -> list[list[tuple[int, ...]]]:
-    """Triangulate a pointed cone into simplicial ray subsets."""
-    rays = list(cone.rays())
-    if len(rays) == cone.dim():
-        return [rays]
-    r0 = rays[0]
-    out = []
-    for a, f in zip(cone.ineqs(), cone.facets()):
-        if _idot(a, r0):  # r0 is not on the facet a = 0
-            for simplex in _triangulate(f):
-                out.append(simplex + [r0])
-    return out
+def _triangulate(cone: Cone, memo: dict | None = None
+                 ) -> list[list[tuple[int, ...]]]:
+    """Triangulate a pointed cone into simplicial ray subsets: the first
+    ray joined to the triangulations of the facets that miss it.  A face
+    reached through several facets is a new object each time (each cone
+    builds its own faces), so within one call its triangulation is kept
+    by key in memo, and its H is converted once."""
+    if memo is None:
+        memo = {}
+    key = cone.key()
+    if key not in memo:
+        rays = list(cone.rays())
+        if len(rays) == cone.dim():
+            memo[key] = [rays]
+        else:
+            r0 = rays[0]
+            memo[key] = [simplex + [r0]
+                         for a, f in zip(cone.ineqs(), cone.facets())
+                         if _idot(a, r0)  # r0 is not on the facet a = 0
+                         for simplex in _triangulate(f, memo)]
+    return memo[key]
 
 
 def dual_monoid_hilbert_basis(cone: Cone) -> dict:

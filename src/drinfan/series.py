@@ -89,13 +89,19 @@ class LaurentSeries:
 
     __slots__ = ("field", "coeffs", "prec")
 
-    # Invariant of every instance: no coefficient in ``coeffs`` is 0, and
-    # no exponent reaches ``prec``.  __init__ establishes it by filtering
-    # its input; a result that holds it by construction (a product, a
-    # Frobenius power, a negation, a scaling or shift by a nonzero
-    # constant) is built by _trusted, which checks nothing.  A series is
-    # never changed after construction, so results may share it.
+    # Invariant of every instance: every coefficient in ``coeffs`` is a
+    # nonzero element of range(q), and no exponent reaches ``prec``.
+    # __init__ establishes it by rejecting a coefficient outside range(q)
+    # (ValueError) and filtering the rest; a result that holds it by
+    # construction (a product, a Frobenius power, a negation, a scaling or
+    # shift by a nonzero constant, the series 1, the quotients by a unit
+    # inside ``inverse``) is built by _trusted, which checks nothing.  A
+    # series is never changed after construction, so results may share it.
     def __init__(self, field: GF, coeffs: dict[int, int], prec: int | None):
+        if coeffs and not (0 <= min(coeffs.values())
+                           and max(coeffs.values()) < field.q):
+            raise ValueError(f"coefficients must lie in range({field.q}), "
+                             f"got {sorted(set(coeffs.values()))}")
         if prec is not None:
             coeffs = {e: c for e, c in coeffs.items() if c and e < prec}
         else:
@@ -122,7 +128,8 @@ class LaurentSeries:
 
     @staticmethod
     def one(field: GF, prec: int | None = None) -> "LaurentSeries":
-        return LaurentSeries(field, {0: 1}, prec)
+        return LaurentSeries._trusted(
+            field, {0: 1} if prec is None or prec > 0 else {}, prec)
 
     @staticmethod
     def t_power(field: GF, e: int, c: int = 1,
@@ -333,7 +340,7 @@ class LaurentSeries:
         best = None if self.prec is None else self.prec - 2 * v
         if len(self.coeffs) == 1 and self.prec is None:
             # exact monomial: exact inverse
-            inv = LaurentSeries(F, {-v: F.inv(self.coeffs[v])}, None)
+            inv = LaurentSeries._trusted(F, {-v: F.inv(self.coeffs[v])}, None)
             return inv if prec is None else inv.truncate(prec)
         if prec is None:
             if best is None:
@@ -347,15 +354,16 @@ class LaurentSeries:
         # exact representatives (the iteration self-corrects, so the generic
         # pessimistic precision propagation does not apply inside the loop).
         need = prec + v  # precision of u^{-1} needed
-        u = LaurentSeries(F, {e - v: F.div(c, c0) for e, c in self.coeffs.items()
-                              if e - v < need}, None)
+        u = LaurentSeries._trusted(F, {e - v: F.div(c, c0)
+                                       for e, c in self.coeffs.items()
+                                       if e - v < need}, None)
         x = LaurentSeries.one(F)
         known = 1
         two = 2 % F.p
         while known < need:
             known = min(2 * known, need)
             step = x.scale(two) - (u.truncate(known) * x) * x
-            x = LaurentSeries(F, step.coeffs, None)
+            x = LaurentSeries._trusted(F, step.coeffs, None)
         return LaurentSeries(F, {e - v: F.div(c, c0)
                                  for e, c in x.coeffs.items()},
                              prec)

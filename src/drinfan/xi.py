@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Fan
+from .cones import Cone, Fan, _idot, _join_adjacent, _neg
 from .epsilon import _run, _stage_pairs, delta, epsilon_closed, epsilon_hat
 from .gf import check_q
 from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
@@ -77,18 +77,60 @@ def _check_indices(d: int, **indices: int) -> None:
 
 
 def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
-    """The pieces of a full-dimensional pointed cone cut by the hyperplane
-    form = 0: the cone itself if the form has one sign on its rays,
-    otherwise its intersections with the two closed halfspaces.  Both are
-    full-dimensional: the form is > 0 at some ray r, so p + t r, for p
-    interior and t large, is an interior point where the form is > 0, and
-    a neighbourhood of it lies in the half form >= 0; likewise for < 0."""
-    values = [sum(a * x for a, x in zip(form, g)) for g in cone.rays()]
+    """The pieces of a pointed, full-dimensional cone cut by the
+    hyperplane form = 0: the cone itself if the form has one sign on its
+    rays, otherwise its intersections with the halfspaces form >= 0 and
+    form <= 0, in that order.  Any other cone raises ValueError.
+
+    One double-description step (Fukuda & Prodon, 1996) on the cone's
+    canonical rays and their tight sets over its facets: the rays of a
+    half are the rays on its side of the hyperplane or on it, plus the
+    primitive ray on the hyperplane of each adjacent +/- pair
+    (cones._join_adjacent).  Sorted and distinct, with no lines, that is
+    the half's canonical V.
+
+    Both halves are full-dimensional: the form is > 0 at some ray r, so
+    p + t r, for p interior and t large, is an interior point where the
+    form is > 0, and a neighbourhood of it lies in the half form >= 0;
+    likewise for < 0.  So the canonical H of a half is its primitive
+    facet normals, sorted, with no equations.
+
+    The half is defined by the cone's facet normals and the primitive
+    +/-form, all nonzero, and its facets are the inequalities of that
+    system whose tight sets (the half's rays where they vanish) are
+    maximal; this holds for any system of nonzero inequalities defining a
+    pointed, full-dimensional cone K, whose faces are determined by their
+    rays.  Every facet F is K & {a = 0} for some a of the system, with
+    tight set the rays of F.  A tight set strictly containing it would
+    cut out a face strictly containing F, which is K, and an inequality
+    vanishing on K is 0.  A maximal tight set is not every ray, for the
+    same reason, so its face lies in some facet F, and maximality makes
+    the two ray sets equal.  An inequality vanishing on a facet is a
+    positive multiple of its normal, so equal to it once primitive.  Each
+    half is born with its V and H (Cone._born) and converts nothing."""
+    if cone.lines() or cone.eqs():
+        raise ValueError("only a pointed, full-dimensional cone is cut")
+    rays, ineqs = cone.rays(), cone.ineqs()
+    form = primitive(form)
+    values = [_idot(form, r) for r in rays]
     if all(v >= 0 for v in values) or all(v <= 0 for v in values):
         return [cone]
-    return [Cone.from_ineqs(list(cone.ineqs()) + [side], n=cone.n,
-                            eqs=cone.eqs())
-            for side in (form, [-x for x in form])]
+    tight = [sum(1 << i for i, a in enumerate(ineqs) if not _idot(a, r))
+             for r in rays]
+    shared = _join_adjacent(rays, values, tight)
+    shared += [r for r, v in zip(rays, values) if not v]
+    halves = []
+    for side, sign in ((form, 1), (_neg(form), -1)):
+        half = sorted(set(shared).union(
+            r for r, v in zip(rays, values) if v * sign > 0))
+        candidates = ineqs + (side,)
+        masks = [sum(1 << i for i, r in enumerate(half) if not _idot(a, r))
+                 for a in candidates]
+        facets = sorted(a for a, m in zip(candidates, masks)
+                        if not any(o & m == m != o for o in masks))
+        halves.append(Cone._born(cone.n, (tuple(half), ()),
+                                 (tuple(facets), ())))
+    return halves
 
 
 def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
@@ -97,10 +139,14 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
 
     Built by refinement: starting from C_d, every current maximal cone is
     cut by one hyperplane at a time, keeping a cone the hyperplane does not
-    cross and the two full-dimensional halves of one it does.  The fan is
+    cross and the two full-dimensional halves of one it does (_cut, one
+    double-description step each; only C_d is converted).  The fan is
     generated by the resulting chambers; every cell of a sign assignment on
     the comparisons (weak signs included) is a face of a chamber, so this
-    is the fan those cells form, and the cost grows with the output.
+    is the fan those cells form, and the cost grows with the output.  The
+    chambers are full-dimensional with disjoint interiors (each cut splits
+    one chamber into two closed halves), so they join the fan through
+    Fan._from_chambers, without containment tests.
     """
     _check_q_levels(q, k)
     n = d - 1
@@ -112,7 +158,7 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
                 form[j - 1] = q ** h
                 form[i - 1] = -1
                 maximal = [piece for c in maximal for piece in _cut(c, form)]
-    return Fan(maximal)
+    return Fan._from_chambers(maximal)
 
 
 def theta_vector(q: int, k: int, sigma: Cone) -> tuple[int, ...]:

@@ -482,6 +482,33 @@ def test_validate_reports_a_missing_face():
     assert problems and all("missing face of" in p for p in problems)
 
 
+def test_validate_rejects_nested_chambers():
+    # Fan._from_chambers trusts that no chamber contains another; validate
+    # does not, so a broken chamber proof is still caught
+    outer = Cone.from_rays([(1, 0), (0, 1)])
+    inner = Cone.from_rays([(1, 0), (1, 1)])
+    for chambers in ([outer, inner], [inner, outer]):
+        fan = Fan._from_chambers(chambers)
+        assert fan.maximal_cones() == chambers
+        problems = fan.validate()
+        assert any("is not a common face" in p for p in problems), problems
+    good = Fan._from_chambers([inner, Cone.from_rays([(1, 1), (0, 1)])])
+    assert good.validate(outer) == []
+    assert set(good.cones) == set(Fan(good.maximal_cones()).cones)
+
+
+def test_stellar_cells_of_an_invalid_fan_can_nest():
+    # why stellar_subdivide keeps Fan.add's containment check: subdividing
+    # two overlapping cones at (1, 1) gives <(2,1),(1,1)> inside
+    # <(1,0),(1,1)>, and only the outer one is maximal
+    fan = Fan([Cone.from_rays([(1, 0), (1, 2)]),
+               Cone.from_rays([(2, 1), (0, 1)])]).stellar_subdivide((1, 1))
+    inner = Cone.from_rays([(2, 1), (1, 1)])
+    assert inner in fan
+    assert Cone.from_rays([(1, 0), (1, 1)]).contains_cone(inner)
+    assert inner not in fan.maximal_cones()
+
+
 def test_validate_reads_faces_of_maximal_cones_only(monkeypatch):
     fan = sigma_upper_fan(2, 5, 2)
     maximal = {id(m) for m in fan.maximal_cones()}
@@ -612,6 +639,39 @@ def test_ineqs_of_a_cone_from_rays_converts_once(monkeypatch):
     assert c.contains((1, 1)) and not c.contains((0, 1))
     assert len(calls) == 1
     assert c.rays() == ((1, 0), (1, 2)) and len(calls) == 2
+
+
+def test_faces_are_born_without_the_vector_check(monkeypatch):
+    c = Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    c.ineqs()
+    checked = []
+    vectors = Cone._vectors
+
+    def counted(self, vs, what):
+        checked.append(what)
+        return vectors(self, vs, what)
+
+    monkeypatch.setattr(Cone, "_vectors", counted)
+    faces = c.faces()
+    assert len(faces) == 10 and checked == []
+    assert all(f == Cone.from_rays(f.rays(), n=3, lines=f.lines())
+               for f in faces)
+
+
+HILBERT_R5 = [(1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1),
+              (0, 0, 0, 1, 1), (1, 1, 0, 0, 1), (0, 1, 1, 1, 2),
+              (1, 0, 1, 1, 2)]
+
+
+def test_triangulation_converts_each_face_once(monkeypatch):
+    calls = _counting_dd(monkeypatch)
+    data = dual_monoid_hilbert_basis(Cone.from_rays(HILBERT_R5))
+    assert len(calls) <= 15
+    assert sorted(data["all"]) == [
+        (-1, -1, -2, -1, 2), (-1, -1, -1, -2, 2), (-1, 0, -1, 0, 1),
+        (-1, 0, 0, -1, 1), (0, -1, -1, 0, 1), (0, -1, 0, -1, 1),
+        (0, 0, -1, -1, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0), (1, 1, 1, 1, -1)]
 
 
 def _maximal_all_pairs(fan):

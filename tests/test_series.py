@@ -183,6 +183,25 @@ def test_one_term_product(q, unit, s, mono_prec, left):
         assert prod == LaurentSeries(F, _mul_naive(a, b), prod.prec)
 
 
+# A coefficient outside range(q) used to be read as another element by one
+# operation and to raise IndexError in another.
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("prec", [None, 10])
+def test_coefficients_outside_the_field_rejected(q, prec):
+    F = gf(q)
+    for bad in (4, -1, q):
+        with pytest.raises(ValueError, match=rf"range\({q}\)"):
+            LaurentSeries(F, {0: 1, 1: bad}, prec)
+        with pytest.raises(ValueError):
+            LaurentSeries.t_power(F, 3, bad, prec)
+    # the largest element and a zero still pass, the zero filtered out
+    assert LaurentSeries(F, {0: q - 1, 2: 0}, prec).coeffs == {0: q - 1}
+    # the series 1, built without the check, still holds the invariant
+    assert LaurentSeries.one(F, prec).coeffs == {0: 1}
+    assert LaurentSeries.one(F, 0) == LaurentSeries(F, {0: 1}, 0)
+    assert LaurentSeries.one(F, -2).coeffs == {}
+
+
 def _dense(F, lo, n):
     """n consecutive terms whose coefficient has every base-p digit p-1,
     so every slot of a product reaches its bound."""

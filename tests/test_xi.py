@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import drinfan.cones as cones_mod
 import drinfan.epsilon as eps_mod
 import drinfan.xi as xi_mod
 from drinfan.cones import Cone, Fan
@@ -200,6 +201,85 @@ def test_sigma_upper_matches_enumeration():
         built = sigma_upper_fan(q, d, k)
         oracle = _enumerated_upper_fan(q, d, k)
         assert set(built.cones) == set(oracle.cones), (q, d, k)
+
+
+def _cut_oracle(cone, form):
+    """The cut by double description: the cone and each halfspace of the
+    form, converted from inequalities."""
+    return [Cone.from_ineqs(list(cone.ineqs()) + [side], n=cone.n,
+                            eqs=cone.eqs())
+            for side in (form, [-x for x in form])]
+
+
+def _values(form, cone):
+    return [sum(a * x for a, x in zip(form, r)) for r in cone.rays()]
+
+
+def _assert_cut_matches_oracle(cone, form):
+    got = xi_mod._cut(cone, form)
+    want = _cut_oracle(cone, form)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert (g.rays(), g.lines(), g.ineqs(), g.eqs()) == \
+            (w.rays(), w.lines(), w.ineqs(), w.eqs()), (cone, form)
+    return got
+
+
+def test_cut_matches_double_description_oracle():
+    rng = random.Random(2501)
+    cuts = chained = 0
+    while cuts < 300:
+        n = rng.randint(3, 5)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(n, n + 4))]
+        cone = Cone.from_rays([r for r in rays if any(r)], n=n)
+        if cone.lines() or cone.eqs():
+            continue  # only pointed, full-dimensional cones are cut
+        for _ in range(4):
+            form = [rng.randint(-3, 3) for _ in range(n)]
+            vals = _values(form, cone)
+            if not (min(vals) < 0 < max(vals)):
+                assert xi_mod._cut(cone, form) == [cone]
+                continue
+            # scaled forms cut the same way
+            scale = rng.choice((1, 1, 2, 3))
+            halves = _assert_cut_matches_oracle(cone, [scale * x for x in form])
+            cuts += 1
+            # a born half is cut like any cone
+            half = halves[rng.randint(0, 1)]
+            form = [rng.randint(-3, 3) for _ in range(n)]
+            vals = _values(form, half)
+            if min(vals) < 0 < max(vals):
+                _assert_cut_matches_oracle(half, form)
+                chained += 1
+    assert chained > 50
+
+
+def test_cut_refuses_cones_with_lines_or_equations():
+    line = Cone.from_rays([(1, 0, 0)], n=3, lines=[(0, 1, 0)])
+    flat = Cone.from_rays([(1, 0, 0), (0, 1, 0)], n=3)
+    for cone in (line, flat):
+        with pytest.raises(ValueError, match="pointed, full-dimensional"):
+            xi_mod._cut(cone, (1, -1, 0))
+
+
+def test_sigma_upper_converts_only_Cd_and_tests_no_containment(monkeypatch):
+    calls, contained = [], []
+    convert, contains_cone = cones_mod._dd_convert, Cone.contains_cone
+
+    def counted(*args):
+        calls.append(1)
+        return convert(*args)
+
+    def counted_contains(self, other):
+        contained.append(1)
+        return contains_cone(self, other)
+
+    monkeypatch.setattr(cones_mod, "_dd_convert", counted)
+    monkeypatch.setattr(Cone, "contains_cone", counted_contains)
+    fan = sigma_upper_fan(2, 6, 3)
+    assert len(calls) <= 2 and contained == []
+    assert (len(fan), len(fan.maximal_cones())) == (3088, 273)
 
 
 def test_sigma_upper_d5_k2_size():
