@@ -13,10 +13,11 @@ cones in canonical sorted order, and rationals as "a/b" strings.  Random
 sampling is driven by a seed that is split per suite via
 random.Random(f"{seed}:{suite}").
 
-Exit codes: 0 success, 1 a verification or certificate failed, 2 bad
-input or an output file that cannot be written, 3 the working precision
-was too low (retry at another --precision), 141 (128 + SIGPIPE) stdout
-was closed before the output was written (say, piped into head).
+Exit codes: 0 success, 1 a verification or certificate failed (or a
+computation stopped at its step cap), 2 bad input or an output file that
+cannot be written, 3 the working precision was too low (retry at another
+--precision), 141 (128 + SIGPIPE) stdout was closed before the output was
+written (say, piped into head).
 """
 
 from __future__ import annotations
@@ -534,6 +535,9 @@ def main(argv=None) -> int:
         return PRECISION_TOO_LOW
     except (LinearizationError, AssertionError) as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
+        return CHECK_FAILED
+    except RuntimeError as exc:  # a computation stopped at its step cap
+        print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

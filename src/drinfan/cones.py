@@ -667,7 +667,31 @@ class Fan:
                    if c.is_pointed())
 
     def regular_refinement(self) -> "Fan":
-        """Refine until every cone is regular (dim <= 4 supported)."""
+        """Refine until every cone is regular (dim <= 4 supported).
+
+        First every cone is made simplicial: a non-simplicial maximal cone
+        is pulled at its first ray w that at least two facets miss.  Such
+        a ray exists: if each ray were missed by one facet only, that
+        facet would hold every other ray, so the ray would lie outside
+        their span, the rays would be independent, and the cone would be
+        simplicial.  In a fan every cone containing the ray w has w as a
+        ray, and the stellar step replaces each such cone c by the cones
+        w * f, f a facet of c missing w.  If w is an apex of c (one facet
+        misses it), that is c itself.  Otherwise every such f also misses
+        a ray of c other than w (two facets missing w cannot hold the same
+        other rays), so w * f has fewer rays than c.  So the multiset of
+        ray counts of the maximal cones falls (in the multiset order) at
+        every step, and this phase ends.  The first ray is taken whenever
+        it is no apex, so the result is that of pulling at the first ray
+        wherever that rule never meets an apex; at an apex it leaves the
+        cone as it is, and on a single pyramid it would repeat forever.
+        Then every non-regular cone is subdivided at a point of its
+        half-open parallelepiped (_descent_point), which keeps every cone
+        simplicial and lowers the multiset of their indices, so the
+        refinement terminates (Cox, Little & Schenck, Toric Varieties,
+        Thm. 11.1.9).  The step cap is a guard only: RuntimeError if it
+        is reached.
+        """
         fan = self
         for c in fan.maximal_cones():
             if c.dim() > _REFINE_DIM_CAP:
@@ -679,7 +703,9 @@ class Fan:
             bad = next((c for c in fan.maximal_cones() if not c.is_simplicial()),
                        None)
             if bad is not None:
-                fan = fan.stellar_subdivide(bad.rays()[0])
+                fan = fan.stellar_subdivide(next(
+                    r for r in bad.rays()
+                    if sum(1 for a in bad.ineqs() if _idot(a, r)) >= 2))
                 continue
             bad = next((c for c in fan.maximal_cones() if not c.is_regular()),
                        None)
@@ -776,7 +802,9 @@ def dual_monoid_hilbert_basis(cone: Cone) -> dict:
                 "all": [tuple(b) for b in sat_basis]
                         + [_neg(b) for b in sat_basis]}
     pcone = Cone.from_rays(prays, n=k)
-    assert pcone.is_pointed()
+    # certificates raise explicitly, so that python -O keeps them
+    if not pcone.is_pointed():
+        raise AssertionError("projected dual cone is not pointed")
     # a Hilbert basis lies among the rays and the half-open parallelepiped
     # points of any triangulation (Bruns & Gubeladze, ch. 2)
     candidates = set(pcone.rays())
@@ -801,8 +829,9 @@ def dual_monoid_hilbert_basis(cone: Cone) -> dict:
             basis_values.append((ex, ix))
     # removal certification, by the same criterion over all pairs
     for g, h in itertools.permutations(basis, 2):
-        assert not pcone.contains(_sub(g, h)), \
-            "Hilbert basis element generated by the others"
+        if pcone.contains(_sub(g, h)):
+            raise AssertionError(
+                "Hilbert basis element generated by the others")
     gens = [lift(b) for b in basis]
     lin = [tuple(b) for b in sat_basis]
     return {"generators": gens, "lineality": lin,

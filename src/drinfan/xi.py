@@ -9,15 +9,17 @@ Contents:
 * the rescaling maps xi_k (evaluated stratum by stratum on power
   coordinates, always landing in rational coordinates),
 * exact linearization: on each cone sigma of Sigma^(k), xi_{k'} factors as
-  a single linear map applied to pi; the matrix comes from one exact
-  elimination over interior samples, each evaluated once (pi and every
-  needed xi_t from one integer stage chain), and is certified on
-  generators plus interior points,
+  a single linear map applied to pi; the matrices of every needed level
+  come from one exact elimination over interior samples, each evaluated
+  once (pi and every needed xi_t from one integer stage chain), and each
+  is certified on generators plus interior points,
 * one integer kernel for pi and xi (_chain_values), run by pi_eval on
   stored powers and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)} and the piecewise-linear
-  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces.
+  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces,
+  built on the chambers of Sigma^(K) without their face lattices
+  (_chambers), with each ray's image computed once per fan.
 """
 
 from __future__ import annotations
@@ -133,21 +135,14 @@ def _cut(cone: Cone, form: Sequence[int]) -> list[Cone]:
     return halves
 
 
-def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
-    """The comparison fan Sigma^(k): C_d subdivided by the hyperplanes
-    q^h s_j = s_i for 1 <= j < i <= d-1 and 0 <= h <= k-1.
+def _chambers(q: int, d: int, k: int) -> list[Cone]:
+    """The maximal cones of Sigma^(k), in the order of sigma_upper_fan's
+    maximal_cones(), with no face lattice built.
 
-    Built by refinement: starting from C_d, every current maximal cone is
-    cut by one hyperplane at a time, keeping a cone the hyperplane does not
-    cross and the two full-dimensional halves of one it does (_cut, one
-    double-description step each; only C_d is converted).  The fan is
-    generated by the resulting chambers; every cell of a sign assignment on
-    the comparisons (weak signs included) is a face of a chamber, so this
-    is the fan those cells form, and the cost grows with the output.  The
-    chambers are full-dimensional with disjoint interiors (each cut splits
-    one chamber into two closed halves), so they join the fan through
-    Fan._from_chambers, without containment tests.
-    """
+    Built by refinement: starting from C_d, every current chamber is cut by
+    one hyperplane q^h s_j = s_i at a time, keeping a cone the hyperplane
+    does not cross and the two full-dimensional halves of one it does
+    (_cut, one double-description step each; only C_d is converted)."""
     _check_q_levels(q, k)
     n = d - 1
     maximal = [cone_Cd(d)]
@@ -158,7 +153,23 @@ def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
                 form[j - 1] = q ** h
                 form[i - 1] = -1
                 maximal = [piece for c in maximal for piece in _cut(c, form)]
-    return Fan._from_chambers(maximal)
+    return maximal
+
+
+def sigma_upper_fan(q: int, d: int, k: int) -> Fan:
+    """The comparison fan Sigma^(k): C_d subdivided by the hyperplanes
+    q^h s_j = s_i for 1 <= j < i <= d-1 and 0 <= h <= k-1.
+
+    The fan is generated by the chambers of _chambers; every cell of a
+    sign assignment on the comparisons (weak signs included) is a face of
+    a chamber, so this is the fan those cells form, and the cost grows
+    with the output.  The chambers are full-dimensional with disjoint
+    interiors (each cut splits one chamber into two closed halves), so
+    they join the fan through Fan._from_chambers, without containment
+    tests.  The map builders sigma_k_fan and sigma_kk_map read only the
+    chambers, and build no face lattice.
+    """
+    return Fan._from_chambers(_chambers(q, d, k))
 
 
 def theta_vector(q: int, k: int, sigma: Cone) -> tuple[int, ...]:
@@ -325,12 +336,17 @@ def _chain_values(q: int, theta: Sequence[int], levels: Sequence[int],
     xis = []
     for t in levels:
         qtr = q ** (t * r)
-        xi = []
+        nums, b = [], 1
         for x in P:
             a, b = _run(q, r, stages, x, qtr)
-            xi.append(Fraction(a * dm + dn * b, b * dm * L))
-        _check_in_cone(xi)
-        xis.append(tuple(head + xi))
+            nums.append(a * dm + dn * b)
+        # every run of one level ends over the same denominator
+        # b = qtr * prod(D_j v_j), since _hat1's denominator does not
+        # depend on x: so the coordinates are nums / (b dm L), one positive
+        # denominator, and the cone check reads the integer numerators
+        _check_in_cone(nums)
+        den = b * dm * L
+        xis.append(tuple(head + [Fraction(a, den) for a in nums]))
     return tuple(head + pi), xis
 
 
@@ -349,23 +365,28 @@ def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
 
 def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
                rng: random.Random) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """linearize_xi for every target level in levels, from one sample set:
-    pi and every xi_t come from one _pi_xi call per point, and each matrix
-    is solved and certified on its own."""
+    """linearize_xi for every target level in levels, from one sample set
+    and one elimination: pi and every xi_t come from one _pi_xi call per
+    point, and one solve of A X = [B_t1 | B_t2 | ...] gives every matrix,
+    each column exactly as its own solve would.  If some column has no
+    solution, the levels and then the coordinates of the first failing
+    level are solved one by one, so the error names the (level,
+    coordinate) that a solve per level would.  Each matrix is certified on
+    its own."""
     _check_q_levels(q, base_k, *levels)
     n = sigma.n
     theta = theta_vector(q, base_k, sigma)
     A, B = zip(*[_pi_xi(q, theta, levels, p)
                  for p in interior_samples(sigma, rng, 2 * n + 2)])
-    mats = []
-    for Bt in zip(*B):  # the level-t xi values of every sample
-        X = solve(A, Bt)
-        if X is None:
-            i = next(i for i in range(n)
-                     if solve(A, [b[i] for b in Bt]) is None)
-            raise LinearizationError(
-                f"no linear factorization for coordinate {i + 1} on {sigma!r}")
-        mats.append(tuple(zip(*X)))  # row i of M is column i of X
+    X = solve(A, [sum(xis, ()) for xis in B])
+    if X is None:
+        Bt = next(Bt for Bt in zip(*B) if solve(A, Bt) is None)
+        i = next(i for i in range(n) if solve(A, [b[i] for b in Bt]) is None)
+        raise LinearizationError(
+            f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+    # row i of the matrix of levels[j] is column j n + i of X
+    mats = [tuple(zip(*[row[j * n:(j + 1) * n] for row in X]))
+            for j in range(len(levels))]
     # certification: generators and fresh interior points
     rows = [[_over_lcm(row) for row in M] for M in mats]
     check_pts = [frac_vec(g) for g in sigma.rays()]
@@ -398,12 +419,18 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
     return _linearize(q, sigma, base_k, (target_k,), rng)[0]
 
 
-def _image_cone(q: int, k: int, sigma: Cone) -> Cone:
-    img_rays = []
+def _image_cone(q: int, k: int, sigma: Cone,
+                images: dict | None = None) -> Cone:
+    """xi_k(sigma): the cone on the primitive images of sigma's rays.  The
+    map builders pass one ray -> primitive image dict per fan, so a ray
+    shared by several cones goes through xi_eval once."""
+    if images is None:
+        images = {}
     for g in sigma.rays():
-        img = xi_eval(q, k, ClassPoint.from_coords(g)).values
-        img_rays.append(primitive(img))
-    return Cone.from_rays(img_rays, n=sigma.n)
+        if g not in images:
+            img = xi_eval(q, k, ClassPoint.from_coords(g)).values
+            images[g] = primitive(img)
+    return Cone.from_rays([images[g] for g in sigma.rays()], n=sigma.n)
 
 
 def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
@@ -412,14 +439,16 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
 
     Returns (fan, pieces); each piece records the source cone, its image,
     and the certified matrix M with xi_k = M o pi_{k, sigma} on the source.
+    The sources are the chambers of Sigma^(k), read without a face lattice
+    (_chambers), and each ray's image is computed once for the whole fan.
     """
     rng = random.Random(f"sigma_k:{seed}:{q}:{d}:{k}")
-    upper = sigma_upper_fan(q, d, k)
     fan = Fan()
     pieces = []
-    for sigma in upper.maximal_cones():
+    images: dict = {}
+    for sigma in _chambers(q, d, k):
         M = linearize_xi(q, sigma, k, k, rng)
-        image = _image_cone(q, k, sigma)
+        image = _image_cone(q, k, sigma, images)
         fan.add(image)
         pieces.append({"source": sigma, "image": image, "matrix": M})
     return fan, pieces
@@ -428,20 +457,21 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
 def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
                  ) -> PiecewiseLinearMap:
     """The transition map xi_{k,k'} = xi_{k'} o xi_k^{-1} as exact linear
-    pieces on the cones xi_k(sigma), sigma running over the maximal cones
-    of Sigma^(K) with K = max(k, k').
+    pieces on the cones xi_k(sigma), sigma running over the chambers of
+    Sigma^(K) with K = max(k, k') (_chambers: no face lattice is built).
 
     Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
-    one sample set: one pi and one stage chain per point."""
+    one sample set and one elimination: one pi and one stage chain per
+    point, one solve per cone.  Each ray's image under xi_k is computed
+    once for the whole map."""
     _check_q_levels(q, k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
-    upper = sigma_upper_fan(q, d, K)
     pieces = []
-    for sigma in upper.maximal_cones():
+    images: dict = {}
+    for sigma in _chambers(q, d, K):
         Mk, Mkp = _linearize(q, sigma, K, (k, kprime), rng)
         trans = mat_mul(Mkp, mat_inv(Mk))
-        image = _image_cone(q, k, sigma)
+        image = _image_cone(q, k, sigma, images)
         pieces.append((image, tuple(tuple(row) for row in trans)))
     return PiecewiseLinearMap(tuple(pieces))
-

@@ -458,3 +458,21 @@ def test_misspelt_option_reports_the_subcommand_usage():
     assert "unrecognized arguments: --coo 1,2,4" in out.stderr
     assert out.stdout == ""
     assert cli.main(["xi", "eval", "--q", "2", "--coo", "1,2,4"]) == 2
+
+
+def test_fan_refine_of_a_pyramid(capsys):
+    # a pyramid over a square, its apex listed first: four regular cones
+    argv = ["fan", "refine", "--cone=-2,0,0,1;1,0,1,0;0,1,1,0;-1,0,1,0;0,-1,1,0"]
+    assert cli.main(argv) == 0
+    maximal = json.loads(capsys.readouterr().out)["maximal"]
+    assert len(maximal) == 4 and {c["dim"] for c in maximal} == {4}
+
+
+def test_refinement_step_cap_exits_1(monkeypatch, capsys):
+    def capped(self):
+        raise RuntimeError("regular refinement did not terminate")
+
+    monkeypatch.setattr(cli.Fan, "regular_refinement", capped)
+    assert cli.main(["fan", "refine", "--cone", "1,0;1,4"]) == 1
+    assert capsys.readouterr().err == \
+        "error: regular refinement did not terminate\n"

@@ -5,6 +5,8 @@ import gc
 import itertools
 import math
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from drinfan.cones import (Cone, Fan, _parallelepiped_points,
                            dual_monoid_hilbert_basis)
 from drinfan.linalg import (det, mat_inv, primitive, rank, rref,
                             smith_normal_form, solve)
-from drinfan.xi import cone_Cd, sigma_upper_fan
+from drinfan.xi import cone_Cd, sigma_k_fan, sigma_upper_fan
 
 
 def _relative_interior_point(c):
@@ -848,3 +850,60 @@ def test_hilbert_basis_properties_random():
                 for p in _bounding_box_parallelepiped_points(
                         list(simplex), c.n):
                     assert member(p), (c, p)
+
+
+# -- refinement of four-dimensional cones and certificates under -O -----------
+
+PYRAMID = [(-2, 0, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
+           (0, -1, 1, 0)]
+
+
+def test_refinement_of_a_pyramid_pulls_at_a_base_ray(monkeypatch):
+    # the first ray is the apex over a square, missed by one facet only:
+    # a pull there gives the pyramid back, so the first base ray is pulled
+    c = Cone.from_rays(PYRAMID)
+    assert c.rays()[0] == (-2, 0, 0, 1)
+    pulls = []
+    subdivide = Fan.stellar_subdivide
+    monkeypatch.setattr(Fan, "stellar_subdivide",
+                        lambda self, w: pulls.append(w) or subdivide(self, w))
+    refined = Fan([c]).regular_refinement()
+    assert pulls[0] == c.rays()[1] == (-1, 0, 1, 0)
+    assert len(refined.maximal_cones()) == 4
+    assert refined.is_regular()
+    assert _is_subdivision_of(refined, Fan([c]), c)
+
+
+def test_refinement_of_sigma_upper_d5_k2_ends():
+    # a pull at (0, 1, 1, 1), the apex of one chamber, used to repeat
+    fan = sigma_upper_fan(2, 5, 2)
+    refined = fan.regular_refinement()
+    assert refined.is_regular()
+    assert _is_subdivision_of(refined, fan, cone_Cd(5))
+
+
+def test_refinement_of_sigma_k_d5_k2_ends():
+    # the image fan Sigma_2 on C_5: 14 cones refine to 178 regular ones
+    fan, _ = sigma_k_fan(2, 5, 2)
+    refined = fan.regular_refinement()
+    assert len(refined.maximal_cones()) == 178
+    assert refined.is_regular()
+    assert _is_subdivision_of(refined, fan, cone_Cd(5))
+
+
+def test_hilbert_certificates_raise_without_assert(monkeypatch):
+    # forced to fail, the removal certificate raises AssertionError itself,
+    # so python -O, which strips assert statements, keeps it
+    monkeypatch.setattr(Cone, "contains", lambda self, x: True)
+    with pytest.raises(AssertionError,
+                       match="Hilbert basis element generated by the others"):
+        dual_monoid_hilbert_basis(Cone.from_rays([(1, 0), (1, 2)]))
+    monkeypatch.undo()
+    script = ("from drinfan.cones import Cone, dual_monoid_hilbert_basis\n"
+              "Cone.contains = lambda self, x: True\n"
+              "dual_monoid_hilbert_basis(Cone.from_rays([(1, 0), (1, 2)]))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.rstrip().endswith(
+        "AssertionError: Hilbert basis element generated by the others")

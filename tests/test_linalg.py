@@ -400,3 +400,42 @@ def test_rref_over_rational_functions_matches_field_oracle(q):
         seen["deficient"] += len(pivots) < min(nrows, ncols)
         seen["zero row"] += any(not any(row) for row in rows)
     assert min(seen.values()) >= 10, seen
+
+
+# -- matrix products ------------------------------------------------------------
+
+def _sum_of_products(a, b, zero):
+    """Oracle for ``mat_mul``: entry (i, j) is sum_k a[i][k] b[k][j]."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for row in a]
+
+
+def test_rational_mat_mul_matches_the_definition():
+    rng = random.Random(41)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(200):
+        m, k, n = (rng.randint(1, 5) for _ in range(3))
+        a = [[entry() for _ in range(k)] for _ in range(m)]
+        b = [[entry() for _ in range(n)] for _ in range(k)]
+        got = mat_mul(a, b)
+        assert got == _sum_of_products(a, b, Fraction(0)), (a, b)
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_ratfunc_mat_mul_matches_the_definition(q):
+    field = gf(q)
+    zero = RatFunc.zero(field)
+    rng = random.Random(500 + q)
+    for _ in range(20):
+        m, k, n = (rng.randint(1, 3) for _ in range(3))
+        a = [[_random_ratfunc(rng, field) for _ in range(k)] for _ in range(m)]
+        b = [[_random_ratfunc(rng, field) for _ in range(n)] for _ in range(k)]
+        got = mat_mul(a, b)
+        assert got == _sum_of_products(a, b, zero)
+        assert all(type(x) is RatFunc for row in got for x in row)

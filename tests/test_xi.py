@@ -696,3 +696,100 @@ def test_sigma_kk_map_evaluates_one_sample_set_per_cone(monkeypatch):
         assert len(calls) == sum(2 * c.n + 2 + len(c.rays()) + 5
                                  for c in maximal)
         assert set(calls) == {(k, kp)}
+
+
+def _counted(monkeypatch, name):
+    """Count the calls xi makes to its module attribute name."""
+    calls = []
+    real = getattr(xi_mod, name)
+    monkeypatch.setattr(xi_mod, name,
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_each_ray_image_is_computed_once_per_fan(monkeypatch):
+    # 16 rays over the 5 chambers of Sigma^(2) on C_4, 7 of them distinct;
+    # 279 over the 42 chambers on C_6, 31 distinct
+    calls = _counted(monkeypatch, "xi_eval")
+    for build, want in ((lambda: sigma_k_fan(2, 4, 2), 7),
+                        (lambda: sigma_kk_map(2, 4, 1, 2), 7),
+                        (lambda: sigma_k_fan(2, 6, 2), 31)):
+        calls.clear()
+        build()
+        assert len(calls) == want
+
+
+def test_sigma_kk_map_solves_once_per_chamber(monkeypatch):
+    calls = _counted(monkeypatch, "solve")
+    for q, d, k, kp in ((2, 4, 1, 2), (3, 3, 2, 1), (2, 5, 2, 3)):
+        calls.clear()
+        m = sigma_kk_map(q, d, k, kp)
+        assert len(calls) == len(m.pieces)
+        assert len(m.pieces) == len(
+            sigma_upper_fan(q, d, max(k, kp)).maximal_cones())
+
+
+def test_map_builders_build_no_face_lattice(monkeypatch):
+    # only the image cones of sigma_k_fan, added to their fan, have faces
+    built = []
+    faces = Cone.faces
+    monkeypatch.setattr(Cone, "faces",
+                        lambda self: built.append(self) or faces(self))
+    sigma_kk_map(2, 4, 1, 2)
+    assert built == []
+    _, pieces = sigma_k_fan(2, 4, 2)
+    assert {c.key() for c in built} == {p["image"].key() for p in pieces}
+
+
+def _linearize_per_level(q, sigma, base_k, levels, rng, failed):
+    """Oracle for _linearize: the same samples, one solve per level, in
+    the order of levels, and a solve per coordinate for the first level
+    with none (its index goes to failed); pi and xi by the per-coordinate
+    formula and xi_eval, and each matrix certified at the same points."""
+    n = sigma.n
+    theta = theta_vector(q, base_k, sigma)
+    pts = [ClassPoint.from_coords(p)
+           for p in interior_samples(sigma, rng, 2 * n + 2)]
+    A = [list(_pi_per_coordinate(q, theta, p)) for p in pts]
+    mats = []
+    for j, t in enumerate(levels):
+        B = [list(xi_eval(q, t, p).values) for p in pts]
+        X = solve(A, B)
+        if X is None:
+            failed.append(j)
+            i = next(i for i in range(n)
+                     if solve(A, [b[i] for b in B]) is None)
+            raise LinearizationError(
+                f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+        mats.append(tuple(zip(*X)))
+    check_pts = [frac_vec(g) for g in sigma.rays()]
+    check_pts += interior_samples(sigma, rng, 5)
+    for p in check_pts:
+        cp = ClassPoint.from_coords(p)
+        pi = _pi_per_coordinate(q, theta, cp)
+        for t, M in zip(levels, mats):
+            if xi_eval(q, t, cp).values != mat_vec(M, pi):
+                raise LinearizationError(
+                    f"linearization certificate failed at {p} on {sigma!r}")
+    return mats
+
+
+def test_two_level_failures_match_per_level_solves():
+    # the cones of test_linearization_failures_match_per_coordinate_oracle,
+    # each pair of levels in both orders: one elimination for both levels
+    # must name the (level, coordinate) that a solve per level names
+    cones = [(q, d, k, sigma) for q in (2, 3) for d in (3, 4, 5)
+             for k in (1, 2)
+             for sigma in sigma_upper_fan(q, d, k).maximal_cones()]
+    cones += [(q, 4, 2, cone_Cd(4)) for q in (2, 3)]
+    failed = []
+    for q, d, k, sigma in cones:
+        for levels in itertools.permutations((1, 2, 3), 2):
+            seed = f"two:{q}:{d}:{k}:{levels}"
+            got = _outcome(xi_mod._linearize, q, sigma, k, levels,
+                           random.Random(seed))
+            want = _outcome(_linearize_per_level, q, sigma, k, levels,
+                            random.Random(seed), failed)
+            assert got == want, (q, d, k, levels, sigma)
+    # failures at the first level and at the second both occur
+    assert set(failed) == {0, 1}
