@@ -35,7 +35,7 @@ from .atlas import (chart_monomials, component_graph, division_polynomial_expone
                     slope_fan, slope_fan_is_interior_smooth,
                     slope_fan_is_smooth, symmetric_identity_holds)
 from .bruhat_tits import simplex_cone, standard_simplex_cone
-from .cones import Cone, Fan, dual_monoid_hilbert_basis
+from .cones import Cone, Fan, RefinementError, dual_monoid_hilbert_basis
 from .drinfeld import (class_point_of_steps, iterate_tate,
                        predicted_torsion_valuations, torsion_valuations)
 from .gf import Poly, gf
@@ -536,7 +536,7 @@ def main(argv=None) -> int:
     except (LinearizationError, AssertionError) as exc:
         print(f"error: certificate failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except RuntimeError as exc:  # a computation stopped at its step cap
+    except RefinementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except (ValueError, ArithmeticError, OSError) as exc:

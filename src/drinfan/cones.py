@@ -75,11 +75,15 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (_combine, _gauss_jordan, det, primitive,
                      quotient_lattice_maps, smith_normal_form)
 
-__all__ = ["Cone", "Fan", "dual_monoid_hilbert_basis"]
+__all__ = ["Cone", "Fan", "RefinementError", "dual_monoid_hilbert_basis"]
 
 _HILBERT_DIM_CAP = 6
 _REFINE_DIM_CAP = 4
 _BOX_CAP = 10_000_000
+
+
+class RefinementError(RuntimeError):
+    """A regular refinement stopped at its step cap."""
 
 
 def _neg(v):
@@ -689,8 +693,8 @@ class Fan:
         half-open parallelepiped (_descent_point), which keeps every cone
         simplicial and lowers the multiset of their indices, so the
         refinement terminates (Cox, Little & Schenck, Toric Varieties,
-        Thm. 11.1.9).  The step cap is a guard only: RuntimeError if it
-        is reached.
+        Thm. 11.1.9).  The step cap is a guard only: RefinementError if
+        it is reached.
         """
         fan = self
         for c in fan.maximal_cones():
@@ -713,7 +717,7 @@ class Fan:
                 return fan
             w = _descent_point(bad)
             fan = fan.stellar_subdivide(w)
-        raise RuntimeError("regular refinement did not terminate")
+        raise RefinementError("regular refinement did not terminate")
 
 
 def _descent_point(cone: Cone) -> tuple[int, ...]:

@@ -10,6 +10,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from drinfan import cli
 from drinfan.xi import sigma_upper_fan
 
@@ -470,9 +472,20 @@ def test_fan_refine_of_a_pyramid(capsys):
 
 def test_refinement_step_cap_exits_1(monkeypatch, capsys):
     def capped(self):
-        raise RuntimeError("regular refinement did not terminate")
+        raise cli.RefinementError("regular refinement did not terminate")
 
     monkeypatch.setattr(cli.Fan, "regular_refinement", capped)
     assert cli.main(["fan", "refine", "--cone", "1,0;1,4"]) == 1
     assert capsys.readouterr().err == \
         "error: regular refinement did not terminate\n"
+
+
+@pytest.mark.parametrize("exc", [RecursionError, NotImplementedError])
+def test_internal_runtime_errors_are_not_step_caps(monkeypatch, exc):
+    # only the step cap exits 1; other RuntimeErrors stay tracebacks
+    def broken(self):
+        raise exc("internal")
+
+    monkeypatch.setattr(cli.Fan, "regular_refinement", broken)
+    with pytest.raises(exc):
+        cli.main(["fan", "refine", "--cone", "1,0;1,4"])
