@@ -13,7 +13,10 @@ gcd) also runs the cone engine's canonical form and double description.
   reduced rows are made ``Fraction``s; a ``RatFunc`` matrix is eliminated
   over its field.  ``solve`` takes one right-hand side or a matrix of them
   (one row per equation, as ``numpy.linalg.solve`` does) and eliminates
-  ``[A | B]`` once for all of its columns.
+  ``[A | B]`` once for all of its columns.  ``mat_mul`` is fraction-free
+  too: each row of a rational left factor and each column of the right
+  one are scaled to integers over their lcm, so every entry of the
+  product is one integer dot product and one ``Fraction``.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .gf import RatFunc
@@ -219,6 +223,18 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
+    """The product a b, over the field of the entries.
+
+    Rational entries (ints and Fractions) are multiplied fraction-free:
+    with row i of a equal to w_i / m_i and column j of b to z_j / c_j over
+    the lcms of their denominators, entry (i, j) is one Fraction
+    (w_i . z_j) / (m_i c_j) of an integer dot product.  RatFunc entries are
+    multiplied over their field, as ``rref`` splits the two."""
+    if all(type(x) is int or type(x) is Fraction
+           for mat in (a, b) for row in mat for x in row):
+        cols = [_over_lcm(col) for col in zip(*b)]
+        return [[Fraction(sum(map(mul, w, z)), m * c) for z, c in cols]
+                for w, m in map(_over_lcm, a)]
     a = [[_entry(x) for x in row] for row in a]
     b = [[_entry(x) for x in row] for row in b]
     zero = _zero_one(b[0][0])[0]
