@@ -34,10 +34,10 @@ intersections, as bitmasks, of the ray sets of the facets (see
 a key lookup.  A face is an ordinary cone born with its canonical V, so
 its key converts nothing and its own lattice, if read, costs at most its
 H.  A fan tracks its maximal cones as cones are added (``Fan.add``, which
-tests containment both ways); the chambers of a subdivision, none of which
-contains another, join their fan without those tests
-(``Fan._from_chambers``).  ``Fan.validate`` reads only the lattices of the
-maximal cones.
+tests containment both ways); the chambers of a subdivision and the cones
+a stellar step keeps, none inside another, join without those tests
+(``Fan._join``).  ``Fan.validate`` reads only the lattices of the maximal
+cones.
 
 Fans are validated over their maximal cones: face closure, every cone a
 face of a maximal cone, the pairwise intersection condition on maximal
@@ -502,10 +502,15 @@ class Fan:
         premise; ``validate`` does, independently."""
         fan = cls()
         for c in chambers:
-            for f in c.faces():
-                fan.cones.setdefault(f.key(), f)
-            fan._maximal.append(c)
+            fan._join(c)
         return fan
+
+    def _join(self, cone: Cone) -> None:
+        """Add cone, with its faces, as maximal, testing no containment: no
+        maximal cone of the fan may lie in cone or hold it."""
+        for f in cone.faces():
+            self.cones.setdefault(f.key(), f)
+        self._maximal.append(cone)
 
     def add(self, cone: Cone) -> None:
         # a new cone's other new cones are its faces, so only the cone
@@ -653,6 +658,11 @@ class Fan:
         return out
 
     def stellar_subdivide(self, w: Sequence[int]) -> "Fan":
+        """Pull at w: each maximal cone c holding w becomes the cells w * f,
+        f a facet of c missing w.  Only a cell goes through ``add`` (an
+        invalid fan's cells can nest).  A kept cone joins as it is: maximal
+        cones never nest, it lacks w, which every cell holds, and every
+        cell lies in its parent, a maximal cone."""
         w = tuple(int(x) for x in w)
         out = Fan()
         for c in self.maximal_cones():
@@ -663,7 +673,7 @@ class Fan:
                         out.add(Cone.from_rays(list(f.rays()) + [w], n=c.n,
                                                lines=f.lines()))
             else:
-                out.add(c)
+                out._join(c)
         return out
 
     def is_regular(self) -> bool:

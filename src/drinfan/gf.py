@@ -3,9 +3,12 @@
 Fields are constructed at runtime for any prime power q <= 16.  Elements are
 plain Python ints in ``range(q)``; for extension fields the int encodes the
 coefficient vector of the element over the prime field in base p.
-Multiplication and inversion go through discrete log/antilog tables built
-from a primitive element found by search; addition and negation go through
-q x q and q-entry tables built digit-wise.
+All arithmetic is table lookup: addition and negation through tables built
+digit-wise, multiplication and inversion through a q x q product table and
+the inverse table read off its rows.  Building a field checks that every
+nonzero row of the product table is a permutation of range(q): a finite
+commutative ring without zero divisors is a field, so this certifies that
+the modulus is irreducible.
 
 Polynomials are immutable coefficient tuples (lowest degree first) tagged
 with their field.  The absolute value used throughout the package is
@@ -76,34 +79,24 @@ class GF:
 
     # -- construction ----------------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Multiply without tables (used only while building them)."""
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        da = self._digits(a)
-        db = self._digits(b)
-        prod = [0] * (2 * e - 1)
+    def _mul_raw(self, da: list[int], db: list[int]) -> int:
+        """Product of the elements with digits da and db, for the tables."""
+        p = self.p
+        prod = [0] * (2 * self.e - 1)
         for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
         return self._reduce(prod)
 
     def _reduce(self, prod: list[int]) -> int:
         """The element sum(prod[i] * x^i), reduced modulo the defining
         polynomial; prod holds base-p digits and is overwritten."""
         p, e = self.p, self.e
-        if e == 1:
-            return prod[0]
-        mod = _MODULI[(p, e)]
+        mod = _MODULI.get((p, e))  # None for e = 1: nothing to reduce
         # reduce modulo the defining polynomial (monic of degree e)
         for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
+            for j in range(e):
+                prod[i - e + j] = (prod[i - e + j] - prod[i] * mod[j]) % p
         return self._undigits(prod[:e])
 
     def _digits(self, n: int) -> list[int]:
@@ -121,28 +114,7 @@ class GF:
         return n
 
     def _build_tables(self) -> None:
-        q = self.q
-        # find a primitive element by search
-        for g in range(1, q):
-            seen = set()
-            x = 1
-            for _ in range(q - 1):
-                seen.add(x)
-                x = self._mul_raw(x, g)
-            if len(seen) == q - 1:
-                self.generator = g
-                break
-        else:  # pragma: no cover - every field has a primitive element
-            raise AssertionError("no primitive element found")
-        self._exp = [0] * (2 * (q - 1))
-        self._log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            self._exp[i] = x
-            self._exp[i + q - 1] = x
-            self._log[x] = i
-            x = self._mul_raw(x, self.generator)
-        p, e = self.p, self.e
+        q, p, e = self.q, self.p, self.e
         digits = [self._digits(a) for a in range(q)]
         self.add_table = tuple(
             tuple(self._undigits([(x + y) % p for x, y in zip(da, db)])
@@ -150,10 +122,16 @@ class GF:
             for da in digits)
         self.neg_table = tuple(self._undigits([(-x) % p for x in da])
                                for da in digits)
-        # row c maps x to c*x: one lookup per coefficient when a series is
-        # scaled by a constant (LaurentSeries.scale, one-term products)
-        self.mul_table = tuple(tuple(self.mul(a, b) for b in range(q))
-                               for a in range(q))
+        # row c maps x to c*x: GF.mul, and one lookup per coefficient when a
+        # series is scaled (LaurentSeries.scale, one-term products)
+        self.mul_table = tuple(tuple(self._mul_raw(da, db) for db in digits)
+                               for da in digits)
+        # the field certificate; raised, not asserted, so python -O keeps it
+        if any(sorted(row) != list(range(q)) for row in self.mul_table[1:]):
+            raise AssertionError(f"GF({q}): the modulus is reducible: a "
+                                 "product table row is not a permutation")
+        # entry 0 is a placeholder: inv(0) raises before reading it
+        self.inv_table = (0,) + tuple(r.index(1) for r in self.mul_table[1:])
         # Per-digit Kronecker packing (LaurentSeries.__mul__): the e base-p
         # digits of each element, and the element that 2e-1 digits of a
         # product, as coefficients of x^0 .. x^(2e-2), reduce to.
@@ -173,24 +151,26 @@ class GF:
         return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self.inv_table[a]
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self.mul_table[a][self.inv(b)]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n < 0:
                 raise ZeroDivisionError("0 ** negative in GF(q)")
             return 0 if n else 1
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+        # a^(q-1) = 1 for a != 0, which also gives negative exponents
+        row, x = self.mul_table[a], 1
+        for _ in range(n % (self.q - 1)):
+            x = row[x]
+        return x
 
     def elements(self) -> range:
         return range(self.q)

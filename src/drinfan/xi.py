@@ -16,8 +16,8 @@ Contents:
 * one integer kernel for pi and xi (_chain_values), run by pi_eval on
   stored powers and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
-* the image fans Sigma_k = {xi_k(sigma)} and the piecewise-linear
-  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their cone pieces,
+* the image fans Sigma_k = {xi_k(sigma)}, joined as chambers, and the
+  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces,
   built on the chambers of Sigma^(K) without their face lattices
   (_chambers), with each ray's image computed once per fan.
 """
@@ -441,17 +441,26 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
     and the certified matrix M with xi_k = M o pi_{k, sigma} on the source.
     The sources are the chambers of Sigma^(k), read without a face lattice
     (_chambers), and each ray's image is computed once for the whole fan.
+
+    The images join as chambers (``Fan._from_chambers``), in chamber order:
+    none contains another.  xi_k keeps the stratum r (xi_i = 0 for i < r,
+    xi_r = q^(-kr) p_r > 0), and for i > r, xi_i = epsilon(q^(-kr) p_i)
+    reads only the weights p_j < p_i and strictly increases with p_i (its
+    y = 0 term has slope 1), so xi_k is injective on C_d.  It is continuous
+    on the interior of C_d, so by invariance of domain it maps each
+    chamber's interior onto an open set.  With xi_k(sigma) the cone on the
+    images of sigma's rays, as _image_cone takes it, one image cone inside
+    another would make the images of two disjoint chamber interiors meet.
+    ``Fan.validate`` stays the independent check.
     """
     rng = random.Random(f"sigma_k:{seed}:{q}:{d}:{k}")
-    fan = Fan()
     pieces = []
     images: dict = {}
     for sigma in _chambers(q, d, k):
         M = linearize_xi(q, sigma, k, k, rng)
         image = _image_cone(q, k, sigma, images)
-        fan.add(image)
         pieces.append({"source": sigma, "image": image, "matrix": M})
-    return fan, pieces
+    return Fan._from_chambers(p["image"] for p in pieces), pieces
 
 
 def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0

@@ -874,6 +874,37 @@ def test_refinement_of_a_pyramid_pulls_at_a_base_ray(monkeypatch):
     assert _is_subdivision_of(refined, Fan([c]), c)
 
 
+def _stellar_by_add(fan, w):
+    """Oracle for stellar_subdivide: the same cells and kept cones in the
+    same order, every one through Fan.add's containment scans."""
+    out = Fan()
+    for c in fan.maximal_cones():
+        if c.contains(w):
+            for a, f in zip(c.ineqs(), c.facets()):
+                if _dot(a, w):
+                    out.add(Cone.from_rays(list(f.rays()) + [w], n=c.n,
+                                           lines=f.lines()))
+        else:
+            out.add(c)
+    return out
+
+
+def test_stellar_subdivide_matches_add_oracle():
+    # kept cones join with no containment test: the same fan, and the same
+    # maximal cones in the same order, at a ray that two facets of a
+    # non-simplicial cone miss (no apex) and at an interior point of it
+    for fan in (sigma_upper_fan(2, 5, 2), Fan([Cone.from_rays(PYRAMID)])):
+        big = max(fan.maximal_cones(), key=lambda c: len(c.rays()))
+        ray = next(r for r in big.rays()
+                   if sum(_dot(a, r) > 0 for a in big.ineqs()) >= 2)
+        for w in (ray, tuple(map(sum, zip(*big.rays())))):
+            got, want = fan.stellar_subdivide(w), _stellar_by_add(fan, w)
+            assert len(got.maximal_cones()) > len(fan.maximal_cones())
+            assert ([m.key() for m in got.maximal_cones()]
+                    == [m.key() for m in want.maximal_cones()])
+            assert list(got.cones) == list(want.cones)
+
+
 def test_refinement_of_sigma_upper_d5_k2_ends():
     # a pull at (0, 1, 1, 1), the apex of one chamber, used to repeat
     fan = sigma_upper_fan(2, 5, 2)

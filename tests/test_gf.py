@@ -1,11 +1,14 @@
 """Finite field, polynomial, and rational-function arithmetic."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.gf import Poly, RatFunc, _prime_power, check_q, gf
+from drinfan.gf import (GF, _MODULI, Poly, RatFunc, _prime_power, check_q,
+                        gf)
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -43,14 +46,28 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_add_neg_sub_tables_match_digitwise(q):
+    # every table against the digit-wise definition, the product included:
+    # digit vectors multiplied as polynomials over F_p, reduced modulo the
+    # defining polynomial (x^e = -sum mod[j] x^j)
     F = gf(q)
     p, e = F.p, F.e
+    mod = _MODULI.get((p, e))
 
     def digits(n):
         return [n // p ** i % p for i in range(e)]
 
     def undigits(ds):
         return sum(d * p ** i for i, d in enumerate(ds))
+
+    def times(a, b):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * e - 2, e - 1, -1):
+            for j in range(e):
+                prod[i - e + j] -= prod[i] * mod[j]
+        return undigits([c % p for c in prod[:e]])
 
     for a in range(q):
         da = digits(a)
@@ -59,6 +76,42 @@ def test_add_neg_sub_tables_match_digitwise(q):
             db = digits(b)
             assert F.add(a, b) == undigits([(x + y) % p for x, y in zip(da, db)])
             assert F.sub(a, b) == undigits([(x - y) % p for x, y in zip(da, db)])
+            assert F.mul(a, b) == times(a, b)
+            if b:
+                assert times(F.div(a, b), b) == a
+        if a:
+            assert times(a, F.inv(a)) == 1
+            power = 1  # a^n by repeated products, n = 0 .. 2q - 1
+            for n in range(2 * q):
+                assert F.pow(a, n) == power
+                assert times(F.pow(a, -n), power) == 1
+                power = times(power, a)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+    assert (F.pow(0, 0), F.pow(0, 3)) == (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+
+
+def test_reducible_modulus_raises_without_assert(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over F_2: x + 1 divides zero, so the certificate
+    # fails when the field is built; it raises AssertionError itself, so
+    # python -O, which strips assert statements, keeps it
+    monkeypatch.setitem(_MODULI, (2, 2), (1, 0, 1))
+    with pytest.raises(AssertionError, match="modulus is reducible"):
+        GF(4)
+    monkeypatch.undo()
+    script = ("from drinfan import gf\n"
+              "gf._MODULI[(2, 2)] = (1, 0, 1)\n"
+              "gf.GF(4)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.rstrip().endswith(
+        "AssertionError: GF(4): the modulus is reducible: a product table "
+        "row is not a permutation")
 
 
 def test_not_prime_power():

@@ -741,6 +741,20 @@ def test_map_builders_build_no_face_lattice(monkeypatch):
     assert {c.key() for c in built} == {p["image"].key() for p in pieces}
 
 
+def test_sigma_k_fan_joins_its_images_as_chambers(monkeypatch):
+    # no containment test, and the fan that Fan.add builds from the images
+    def no_scan(self, other):
+        raise AssertionError("containment test in sigma_k_fan")
+
+    monkeypatch.setattr(Cone, "contains_cone", no_scan)
+    fan, pieces = sigma_k_fan(2, 5, 3)
+    monkeypatch.undo()
+    want = Fan(p["image"] for p in pieces)
+    assert ([m.key() for m in fan.maximal_cones()]
+            == [m.key() for m in want.maximal_cones()])
+    assert list(fan.cones) == list(want.cones)
+
+
 def _linearize_per_level(q, sigma, base_k, levels, rng, failed):
     """Oracle for _linearize: the same samples, one solve per level, in
     the order of levels, and a solve per coordinate for the first level
