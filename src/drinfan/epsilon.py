@@ -43,7 +43,8 @@ The band test is scale-invariant and each band's value is linear in (x,
 s), so epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
 weights): scaling x and every weight by L > 0 scales the stages, delta
 and the value by L.  The pi/xi kernel of xi (_chain_values) uses this to
-run the loop on integer weights and make one Fraction per coordinate.
+run the loop on integer weights and return integer numerators over one
+denominator per map.
 
 Every public function here that needs a chain gets it from _stage_chain,
 which checks q and r, then the weights, on every miss (so an empty vector

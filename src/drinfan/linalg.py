@@ -10,8 +10,9 @@ gcd) also runs the cone engine's canonical form and double description.
   ``fractions.Fraction`` entries (ints are promoted) or on ``RatFunc``
   entries of F_q(T).  The field is the one the entries live in.  A
   rational matrix is eliminated fraction-free, on ints, and only the
-  reduced rows are made ``Fraction``s; a ``RatFunc`` matrix is eliminated
-  over its field.  ``solve`` takes one right-hand side or a matrix of them
+  reduced rows are made ``Fraction``s (an all-int row, such as a
+  linearization sample's, goes in divided by its gcd, with no lcm pass);
+  a ``RatFunc`` matrix is eliminated over its field.  ``solve`` takes one right-hand side or a matrix of them
   (one row per equation, as ``numpy.linalg.solve`` does) and eliminates
   ``[A | B]`` once for all of its columns.  ``mat_mul`` is fraction-free
   too: each row of a rational left factor and each column of the right
@@ -83,15 +84,19 @@ def _over_lcm(v: Sequence) -> tuple[list[int], int]:
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]] | None:
-    """Each row times the lcm of its denominators, divided by its gcd.
+    """Each row times the lcm of its denominators, divided by its gcd; an
+    all-int row is divided by its gcd only.
 
     None if some entry is neither an int nor a Fraction.
     """
     out = []
     for row in rows:
-        if not all(type(x) is int or type(x) is Fraction for x in row):
+        if all(type(x) is int for x in row):
+            w = row
+        elif all(type(x) is int or type(x) is Fraction for x in row):
+            w = _over_lcm(row)[0]
+        else:
             return None
-        w = _over_lcm(row)[0]
         g = gcd(*w)
         out.append(tuple(w) if g <= 1 else tuple(x // g for x in w))
     return out

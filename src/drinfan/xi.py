@@ -12,9 +12,12 @@ Contents:
   a single linear map applied to pi; the matrices of every needed level
   come from one exact elimination over interior samples, each evaluated
   once (pi and every needed xi_t from one integer stage chain), and each
-  is certified on generators plus interior points,
-* one integer kernel for pi and xi (_chain_values), run by pi_eval on
-  stored powers and by the linearization on its samples; xi_eval, one
+  is certified on generators plus interior points.  The samples stay
+  integers from the kernel to the certificate: no Fraction is made
+  before the elimination reduces its rows,
+* one integer kernel for pi and xi (_chain_values), returning integer
+  numerators over one denominator, run by pi_eval on stored powers (which
+  divides them out) and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)}, joined as chambers, and the
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces,
@@ -27,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -228,7 +232,8 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
     """The flattening map attached to (k, sigma), in power coordinates:
     coordinate i >= r is epsilon_hat^{r}_{p_r..p_{theta(i)-1}}(p_i), from
     _chain_values on the stored powers p_r..p_{d-1} over their lcm (the
-    ClassPoint has checked them, so they are not checked again)."""
+    ClassPoint has checked them, so they are not checked again), with its
+    integer pair divided out here: one Fraction per coordinate."""
     _check_q_levels(q, k)
     if point.d != sigma.n + 1:
         raise ValueError("dimension mismatch")
@@ -238,7 +243,8 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
                                       for i, t in enumerate(theta, 1)):
         raise ValueError(f"theta needs {sigma.n} entries, theta(i) in 1..i")
     r, p = _point_powers(point)
-    return _chain_values(q, theta, (), r, *_over_lcm(p[r - 1:]))[0]
+    nums, den = _chain_values(q, theta, (), r, *_over_lcm(p[r - 1:]))[0]
+    return tuple(Fraction(a, den) for a in nums)
 
 
 def pi_family_eval(q: int, kprime: int, i: int, iprime: int,
@@ -290,15 +296,17 @@ def xi_eval_coords(q: int, k: int, coords: Sequence[Fraction]) -> tuple[Fraction
 
 def interior_samples(sigma: Cone, rng: random.Random, count: int
                      ) -> list[tuple[int, ...]]:
-    """Integer points in the relative interior (positive ray combinations)."""
+    """Integer points in the relative interior: each is sum c_g g over the
+    rays g, with every c_g drawn by rng.randrange(1, 10) (the draw of
+    randint(1, 9)), as one dot product per column of the rays."""
     rays = sigma.rays()
     if not rays:
         return [(0,) * sigma.n] * count
+    cols = tuple(zip(*rays))
     out = []
     for _ in range(count):
-        cs = [rng.randint(1, 9) for _ in rays]
-        out.append(tuple(sum(c * g[i] for c, g in zip(cs, rays))
-                         for i in range(sigma.n)))
+        cs = [rng.randrange(1, 10) for _ in rays]
+        out.append(tuple(sum(map(mul, cs, col)) for col in cols))
     return out
 
 
@@ -318,21 +326,34 @@ class PiecewiseLinearMap:
 
 def _chain_values(q: int, theta: Sequence[int], levels: Sequence[int],
                   r: int, P: Sequence[int], L: int
-                  ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+                  ) -> tuple[tuple[tuple[int, ...], int],
+                             list[tuple[tuple[int, ...], int]]]:
     """pi (for the index map theta) and xi_t for each t in levels at the
     point of stratum r with power coordinates p_r..p_{d-1} = P / L, P
     positive and weakly increasing ints checked by the caller (empty at the
-    origin), from one stage chain over P.  epsilon_hat, delta, pi and xi
-    are homogeneous of degree 1 in (x, weights), as the band test of _hat1
-    is scale-invariant: so the chains of P are L times those of p, and one
-    Fraction per coordinate divides L out.  Stage j depends only on the
-    first j+1 weights, so pi's coordinates run prefixes of the chain."""
+    origin), from one stage chain over P.  Each comes back as an integer
+    pair (numerators, denominator): one positive denominator for all d - 1
+    coordinates, the numerators unreduced (0 below the stratum).
+
+    epsilon_hat, delta, pi and xi are homogeneous of degree 1 in (x,
+    weights), as the band test of _hat1 is scale-invariant: so the chains
+    of P are L times those of p, and the denominator carries the factor L.
+    Stage j depends only on the first j+1 weights, so pi's coordinates run
+    prefixes of the chain.  _hat1's denominator does not depend on x: stage
+    j multiplies it by D_j v_j, with D_j = q^(r+j+1) - 1 and v_j the
+    denominator of its weight.  So pi coordinate i, which runs the first m
+    stages from x / 1, ends over B_m = prod_{j<m} D_j v_j, and the ratio
+    B / B_m = prod_{j>=m} D_j v_j puts it over the full chain's B."""
     stages, (dn, dm) = _stage_pairs(q, r, [(x, 1) for x in P])
-    head = [Fraction(0)] * (r - 1)
-    pi = []
+    # tail[m] = prod_{j >= m} D_j v_j, so tail[0] is B
+    tail = [1] * (len(stages) + 1)
+    for j in range(len(stages) - 1, -1, -1):
+        tail[j] = tail[j + 1] * (q ** (r + j + 1) - 1) * stages[j][1]
+    head = (0,) * (r - 1)
+    pi = list(head)
     for i, x in enumerate(P, r):
-        a, b = _run(q, r, stages[:max(theta[i - 1] - r, 0)], x, 1)
-        pi.append(Fraction(a, b * L))
+        m = max(theta[i - 1] - r, 0)
+        pi.append(_run(q, r, stages[:m], x, 1)[0] * tail[m])
     xis = []
     for t in levels:
         qtr = q ** (t * r)
@@ -341,46 +362,68 @@ def _chain_values(q: int, theta: Sequence[int], levels: Sequence[int],
             a, b = _run(q, r, stages, x, qtr)
             nums.append(a * dm + dn * b)
         # every run of one level ends over the same denominator
-        # b = qtr * prod(D_j v_j), since _hat1's denominator does not
-        # depend on x: so the coordinates are nums / (b dm L), one positive
+        # b = qtr * B, so the coordinates are nums / (b dm L), one positive
         # denominator, and the cone check reads the integer numerators
         _check_in_cone(nums)
-        den = b * dm * L
-        xis.append(tuple(head + [Fraction(a, den) for a in nums]))
-    return tuple(head + pi), xis
+        xis.append((head + tuple(nums), b * dm * L))
+    return (tuple(pi), tail[0] * L), xis
 
 
 def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
            coords: Sequence[int | Fraction]
-           ) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+           ) -> tuple[tuple[tuple[int, ...], int],
+                      list[tuple[tuple[int, ...], int]]]:
     """pi_eval and xi_eval (each t in levels) at the rational point coords,
-    checked as by ClassPoint.from_coords: with coords = C / L over the lcm
-    of their denominators and r the stratum, _chain_values at C^r / L^r."""
+    as the integer pairs of _chain_values, checked as by
+    ClassPoint.from_coords: with coords = C / L over the lcm of their
+    denominators (L = 1 for ints) and r the stratum, _chain_values at
+    C^r / L^r."""
     _check_in_cone(coords)
-    C, L = _over_lcm(coords)
+    if all(type(c) is int for c in coords):
+        C, L = coords, 1
+    else:
+        C, L = _over_lcm(coords)
     r = next((i for i, c in enumerate(C, 1) if c), len(C) + 1)
     return _chain_values(q, theta, levels, r, [c ** r for c in C[r - 1:]],
                          L ** r)
+
+
+def _sample_row(pi: tuple[tuple[int, ...], int],
+                xis: Sequence[tuple[tuple[int, ...], int]]) -> list[int]:
+    """One sample's augmented row [pi | xi_t1 | xi_t2 | ...] of integer
+    pairs, times the lcm of their denominators: one integer row."""
+    pairs = (pi, *xis)
+    m = lcm(*(den for _, den in pairs))
+    return [a * (m // den) for nums, den in pairs for a in nums]
 
 
 def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
                rng: random.Random) -> list[tuple[tuple[Fraction, ...], ...]]:
     """linearize_xi for every target level in levels, from one sample set
     and one elimination: pi and every xi_t come from one _pi_xi call per
-    point, and one solve of A X = [B_t1 | B_t2 | ...] gives every matrix,
-    each column exactly as its own solve would.  If some column has no
-    solution, the levels and then the coordinates of the first failing
-    level are solved one by one, so the error names the (level,
-    coordinate) that a solve per level would.  Each matrix is certified on
-    its own."""
+    point, as integer pairs, and each sample's row [pi | xi_t1 | ...] is
+    scaled to integers (_sample_row); one solve of A X = [B_t1 | B_t2 |
+    ...] gives every matrix, each column exactly as its own solve would (a
+    row scaled by a positive integer has the same solutions).  If some
+    column has no solution, the levels and then the coordinates of the
+    first failing level are solved one by one, so the error names the
+    (level, coordinate) that a solve per level would.  Each matrix is
+    certified on its own.  A cone with lines raises ValueError: its
+    samples and rays would miss the lines."""
     _check_q_levels(q, base_k, *levels)
+    if sigma.lines():
+        raise ValueError("only a cone without lines is linearized")
     n = sigma.n
     theta = theta_vector(q, base_k, sigma)
-    A, B = zip(*[_pi_xi(q, theta, levels, p)
-                 for p in interior_samples(sigma, rng, 2 * n + 2)])
-    X = solve(A, [sum(xis, ()) for xis in B])
+    rows = [_sample_row(*_pi_xi(q, theta, levels, p))
+            for p in interior_samples(sigma, rng, 2 * n + 2)]
+    A = [row[:n] for row in rows]
+    B = [row[n:] for row in rows]
+    X = solve(A, B)
     if X is None:
-        Bt = next(Bt for Bt in zip(*B) if solve(A, Bt) is None)
+        Bt = next(Bt for Bt in ([b[j * n:(j + 1) * n] for b in B]
+                                for j in range(len(levels)))
+                  if solve(A, Bt) is None)
         i = next(i for i in range(n) if solve(A, [b[i] for b in Bt]) is None)
         raise LinearizationError(
             f"no linear factorization for coordinate {i + 1} on {sigma!r}")
@@ -388,17 +431,18 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     mats = [tuple(zip(*[row[j * n:(j + 1) * n] for row in X]))
             for j in range(len(levels))]
     # certification: generators and fresh interior points
-    rows = [[_over_lcm(row) for row in M] for M in mats]
-    check_pts = [frac_vec(g) for g in sigma.rays()]
-    check_pts += interior_samples(sigma, rng, _CERTIFY_POINTS)
-    for p in check_pts:
-        pi, xis = _pi_xi(q, theta, levels, p)
-        u, c = _over_lcm(pi)
-        for rows_t, xi in zip(rows, xis):
-            if any(sum(map(mul, w, u)) * x.denominator != x.numerator * m * c
-                   for (w, m), x in zip(rows_t, xi)):
+    scaled = [[_over_lcm(row) for row in M] for M in mats]
+    rays = sigma.rays()
+    for j, p in enumerate(rays + tuple(interior_samples(sigma, rng,
+                                                        _CERTIFY_POINTS))):
+        (u, c), xis = _pi_xi(q, theta, levels, p)
+        for rows_t, (nums, den) in zip(scaled, xis):
+            if any(sum(map(mul, w, u)) * den != a * m * c
+                   for (w, m), a in zip(rows_t, nums)):
+                shown = frac_vec(p) if j < len(rays) else p
                 raise LinearizationError(
-                    f"linearization certificate failed at {p} on {sigma!r}")
+                    f"linearization certificate failed at {shown} on "
+                    f"{sigma!r}")
     return mats
 
 
@@ -407,14 +451,16 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
     pi and xi are evaluated at each of 2n+2 exact interior samples by one
-    integer stage chain (_pi_xi); one elimination of [pi values | xi
-    values] gives every row of M.  M is certified on every generator of
-    sigma plus _CERTIFY_POINTS fresh interior points, by exact equality
-    checked on ints: row i of M is scaled once to w_i / m_i and each
-    point's pi value to u / c, so (M pi)_i = xi_i reads w_i . u * den(xi_i)
-    = num(xi_i) * m_i * c.  Raises LinearizationError if no consistent
-    matrix exists (naming the first coordinate with none) or the
-    certification fails.
+    integer stage chain (_pi_xi), each as integer numerators over one
+    denominator; each sample's row [pi | xi] is scaled to integers by the
+    lcm of its two denominators, and one elimination of those rows gives
+    every row of M.  M is certified on every generator of sigma plus
+    _CERTIFY_POINTS fresh interior points, by exact equality checked on
+    the unreduced integer pairs: row i of M is scaled once to w_i / m_i
+    and each point's pi is u / c and xi is num / den, so (M pi)_i = xi_i
+    reads w_i . u * den = num_i * m_i * c.  Raises LinearizationError if
+    no consistent matrix exists (naming the first coordinate with none) or
+    the certification fails, and ValueError for a cone with lines.
     """
     return _linearize(q, sigma, base_k, (target_k,), rng)[0]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drinfan.linalg as linalg_mod
 from drinfan.gf import Poly, RatFunc, gf
 from drinfan.linalg import (_combine, _int_rows, det, mat_inv, mat_mul,
                             mat_vec, nullspace, primitive, rank, rref,
@@ -363,6 +364,20 @@ def test_integer_row_steps_stay_primitive():
         == [(3, 18, -1), (0, 0), ()]
     assert _int_rows([[6, -4]]) == [(3, -2)]
     assert _int_rows([[1, 2.5]]) is None  # left to the field path
+
+
+def test_int_rows_divide_all_int_rows_by_their_gcd(monkeypatch):
+    # an all-int row skips the lcm pass and gives the rows of the same
+    # entries as Fractions: zero rows, negative entries, gcds above 1
+    rows = [[0, 0, 0], [6, -4, 10], [-9, 0, 12], [7, -3, 0], [-5], []]
+    rng = random.Random(7)
+    rows += [[rng.randint(-30, 30) * rng.choice((1, 2, 6))
+              for _ in range(rng.randint(0, 5))] for _ in range(200)]
+    want = _int_rows([[Fraction(x) for x in row] for row in rows])
+    assert want[:6] == [(0, 0, 0), (3, -2, 5), (-3, 0, 4), (7, -3, 0),
+                        (-1,), ()]
+    monkeypatch.setattr(linalg_mod, "_over_lcm", None)  # no lcm pass
+    assert _int_rows(rows) == want
 
 
 # -- rref over F_q(T) against field Gauss-Jordan ------------------------------

@@ -633,16 +633,20 @@ def _kernel_cases(seed, count):
 
 
 def test_point_kernel_matches_pi_eval_and_xi_eval():
-    # pi_eval runs the kernel too, so pi is also checked against the
-    # per-coordinate epsilon_hat formula
+    # the kernel returns integer numerators over one positive denominator,
+    # divided out here; pi_eval runs the kernel too, so pi is also checked
+    # against the per-coordinate epsilon_hat formula
     seen = set()
     for q, coords, theta, levels in _kernel_cases(2718, 600):
         point = ClassPoint.from_coords(coords)
-        pi, xis = xi_mod._pi_xi(q, theta, levels, coords)
+        pi_pair, xi_pairs = xi_mod._pi_xi(q, theta, levels, coords)
+        pairs = [pi_pair] + xi_pairs
+        assert all(type(a) is int for nums, _ in pairs for a in nums)
+        assert all(type(den) is int and den > 0 for _, den in pairs)
+        pi, *xis = [tuple(F(a, den) for a in nums) for nums, den in pairs]
         assert pi == _pi_per_coordinate(q, theta, point), coords
         assert pi == pi_eval(q, 1, cone_Cd(point.d), point, theta), coords
         assert xis == [xi_eval(q, t, point).values for t in levels], coords
-        assert all(type(v) is Fraction for v in pi + sum(xis, ()))
         seen.add((q, point.d, point.stratum()))
         seen.add(("non-integer", any(c.denominator > 1 for c in coords)))
         seen.add(("repeated", len(set(coords[point.stratum() - 1:]))
@@ -673,6 +677,44 @@ def test_interior_samples_are_integer_points_of_the_cone():
             assert (xi_mod._pi_xi(3, theta, (1,), p)
                     == xi_mod._pi_xi(3, theta, (1,), frac_vec(p)))
     assert interior_samples(Cone.from_rays([], n=2), rng, 2) == [(0, 0)] * 2
+
+
+def _samples_by_randint(sigma, rng, count):
+    """interior_samples as first written: randint(1, 9) per ray, then each
+    coordinate summed over the rays."""
+    rays = sigma.rays()
+    if not rays:
+        return [(0,) * sigma.n] * count
+    out = []
+    for _ in range(count):
+        cs = [rng.randint(1, 9) for _ in rays]
+        out.append(tuple(sum(c * g[i] for c, g in zip(cs, rays))
+                         for i in range(sigma.n)))
+    return out
+
+
+def test_interior_samples_draw_as_randint():
+    # the same points from the same draws, so every seeded map is unchanged
+    cones = list(sigma_upper_fan(3, 4, 2).maximal_cones())
+    cones += [Cone.from_rays([(1, 2, 5)], n=3), Cone.from_rays([], n=2)]
+    for seed in range(5):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for sigma in cones:
+            for count in (1, 8):
+                assert (interior_samples(sigma, got_rng, count)
+                        == _samples_by_randint(sigma, want_rng, count))
+        assert got_rng.random() == want_rng.random()
+
+
+def test_linearize_refuses_cones_with_lines():
+    # the samples and rays miss the lines: this cone holds (-4, 1), outside
+    # C_3, and used to get the matrix ((0, 0), (0, 1/16))
+    line = Cone.from_rays([(1, 1)], n=2, lines=[(1, 0)])
+    assert line.contains((-4, 1))
+    with pytest.raises(ValueError, match="without lines"):
+        linearize_xi(2, line, 1, 2, random.Random(0))
+    with pytest.raises(ValueError, match="without lines"):
+        xi_mod._linearize(2, line, 1, (1, 2), random.Random(0))
 
 
 def test_linearize_xi_checks_q():
