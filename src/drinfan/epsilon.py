@@ -42,9 +42,14 @@ only on s_1..s_{i+1}, so the chain of a prefix is a prefix of the chain.
 The band test is scale-invariant and each band's value is linear in (x,
 s), so epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
 weights): scaling x and every weight by L > 0 scales the stages, delta
-and the value by L.  The pi/xi kernel of xi (_chain_values) uses this to
+and the value by L.  The pi/xi kernel of xi (_chain_record) uses this to
 run the loop on integer weights and return integer numerators over one
-denominator per map.
+denominator per map.  When passed a list, _stage_pairs also records each
+weight's walk (its numerator after each stage, from the run that builds
+its stage) and the delta of the stages before it; the kernel reads pi
+off the walks and each xi coordinate off its prefix, so this loop stays
+the only one that builds stages.  Without the list it runs _run as
+before, so _stage_chain and every public function here keep their cost.
 
 Every public function here that needs a chain gets it from _stage_chain,
 which checks q and r, then the weights, on every miss (so an empty vector
@@ -199,18 +204,33 @@ def _run_inv(q: int, r: int, stages: Sequence[tuple[int, int]], a: int,
     return a, b
 
 
-def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]]
+def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]],
+                 walks: list | None = None
                  ) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
     """(stage weights, delta) of positive, weakly increasing weights given
     as integer pairs (u, v), v > 0; both come back as integer pairs.
 
     Stage i is the chain of stages 0..i-1 at weight i, reduced by one
     gcd (so the integers of the later chains stay small), and delta adds
-    (q-1)/(q^{r+i+1}-1) times stage i, unreduced."""
+    (q-1)/(q^{r+i+1}-1) times stage i, unreduced.
+
+    With a list walks, weight i also appends its walk: (numerators,
+    prefix delta), where numerators[j] is the numerator of the chain of
+    stages 0..j-1 at weight i, over v prod_{l<j} D_l v_l (D_l = q^{r+l+1}
+    - 1, v_l the denominator of stage l; numerators[0] is u), and prefix
+    delta is delta of stages 0..i-1 as its unreduced pair, whose
+    denominator is prod_{l<i} D_l v_l."""
     stages: list[tuple[int, int]] = []
     dn, dm = 0, 1
     for u, v in weights:
-        a, b = _run(q, r, stages, u, v)
+        if walks is None:
+            a, b = _run(q, r, stages, u, v)
+        else:
+            a, b, walk = u, v, [u]
+            for j, (s, t) in enumerate(stages):
+                a, b = _hat1(q, r + j, s, t, a, b)
+                walk.append(a)
+            walks.append((walk, (dn, dm)))
         g = gcd(a, b)
         a, b = a // g, b // g
         if a <= 0:

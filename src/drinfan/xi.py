@@ -11,18 +11,22 @@ Contents:
 * exact linearization: on each cone sigma of Sigma^(k), xi_{k'} factors as
   a single linear map applied to pi; the matrices of every needed level
   come from one exact elimination over interior samples, each evaluated
-  once (pi and every needed xi_t from one integer stage chain), and each
-  is certified on generators plus interior points.  The samples stay
-  integers from the kernel to the certificate: no Fraction is made
-  before the elimination reduces its rows,
-* one integer kernel for pi and xi (_chain_values), returning integer
-  numerators over one denominator, run by pi_eval on stored powers (which
-  divides them out) and by the linearization on its samples; xi_eval, one
+  once (pi and every needed xi_t from one walk of the integer stage
+  chain), and each is certified on generators plus interior points.  The
+  samples stay integers from the kernel to the certificate: no Fraction
+  is made before the elimination reduces its rows,
+* one integer kernel for pi and xi (_chain_record): each point walks its
+  stage chain once, in the _stage_pairs run that builds the stages; pi is
+  read off that walk (_read_pi, for any index map), and each xi_i runs
+  only the stages before coordinate i plus their delta, as the later
+  stages are provably band 0 there.  It returns integer numerators over
+  one denominator, run by pi_eval on stored powers (which divides them
+  out) and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)}, joined as chambers, and the
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces,
   built on the chambers of Sigma^(K) without their face lattices
-  (_chambers), with each ray's image computed once per fan.
+  (_chambers), with each ray's chain and image computed once per fan.
 """
 
 from __future__ import annotations
@@ -231,7 +235,7 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
             theta: tuple[int, ...] | None = None) -> tuple[Fraction, ...]:
     """The flattening map attached to (k, sigma), in power coordinates:
     coordinate i >= r is epsilon_hat^{r}_{p_r..p_{theta(i)-1}}(p_i), from
-    _chain_values on the stored powers p_r..p_{d-1} over their lcm (the
+    _chain_record on the stored powers p_r..p_{d-1} over their lcm (the
     ClassPoint has checked them, so they are not checked again), with its
     integer pair divided out here: one Fraction per coordinate."""
     _check_q_levels(q, k)
@@ -243,7 +247,8 @@ def pi_eval(q: int, k: int, sigma: Cone, point: ClassPoint,
                                       for i, t in enumerate(theta, 1)):
         raise ValueError(f"theta needs {sigma.n} entries, theta(i) in 1..i")
     r, p = _point_powers(point)
-    nums, den = _chain_values(q, theta, (), r, *_over_lcm(p[r - 1:]))[0]
+    record = _chain_record(q, (), r, *_over_lcm(p[r - 1:]))
+    nums, den = _read_pi(theta, record)[0]
     return tuple(Fraction(a, den) for a in nums)
 
 
@@ -276,7 +281,7 @@ def xi_eval(q: int, k: int, point: ClassPoint) -> ClassPoint:
     Every coordinate passes the one tuple p_r..p_{d-1} to epsilon_closed,
     so the weights are checked and the integer stage chain is built once
     per point, by the one-entry memo of epsilon._stage_chain.  This path
-    is the reference for the xi of the kernel _chain_values."""
+    is the reference for the xi of the kernel _chain_record."""
     _check_q_levels(q, k)
     d = point.d
     if d < 2:
@@ -324,68 +329,105 @@ class PiecewiseLinearMap:
         raise ValueError(f"point {coords} not in the domain of the map")
 
 
-def _chain_values(q: int, theta: Sequence[int], levels: Sequence[int],
-                  r: int, P: Sequence[int], L: int
-                  ) -> tuple[tuple[tuple[int, ...], int],
-                             list[tuple[tuple[int, ...], int]]]:
-    """pi (for the index map theta) and xi_t for each t in levels at the
-    point of stratum r with power coordinates p_r..p_{d-1} = P / L, P
-    positive and weakly increasing ints checked by the caller (empty at the
-    origin), from one stage chain over P.  Each comes back as an integer
-    pair (numerators, denominator): one positive denominator for all d - 1
-    coordinates, the numerators unreduced (0 below the stratum).
+def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
+                  L: int) -> tuple:
+    """The walk of the point of stratum r with power coordinates
+    p_r..p_{d-1} = P / L, P positive and weakly increasing ints checked by
+    the caller (empty at the origin): one _stage_pairs run over P, which
+    records each weight's walk, and xi_t for each t in levels read off it.
+    Returns (r, walks, tail, L, xis); _read_pi reads pi for any index map
+    off it, so one record serves every cone with the point as a ray.
+    Each xi_t is an integer pair (numerators, denominator): one positive
+    denominator for all d - 1 coordinates, the numerators unreduced (0
+    below the stratum).
 
     epsilon_hat, delta, pi and xi are homogeneous of degree 1 in (x,
     weights), as the band test of _hat1 is scale-invariant: so the chains
-    of P are L times those of p, and the denominator carries the factor L.
-    Stage j depends only on the first j+1 weights, so pi's coordinates run
-    prefixes of the chain.  _hat1's denominator does not depend on x: stage
-    j multiplies it by D_j v_j, with D_j = q^(r+j+1) - 1 and v_j the
-    denominator of its weight.  So pi coordinate i, which runs the first m
-    stages from x / 1, ends over B_m = prod_{j<m} D_j v_j, and the ratio
-    B / B_m = prod_{j>=m} D_j v_j puts it over the full chain's B."""
-    stages, (dn, dm) = _stage_pairs(q, r, [(x, 1) for x in P])
+    of P are L times those of p, and the denominators carry the factor L.
+
+    pi.  Stage j depends only on the first j+1 weights, and the run that
+    builds stage i - r starts at (p_i, 1), as pi_i does: pi_i, which runs
+    the first m = theta(i) - r stages (none if theta(i) <= r), is that
+    run's walk after m stages.  _hat1's denominator does not depend on x:
+    stage j multiplies it by D_j v_j, with D_j = q^(r+j+1) - 1 and v_j the
+    denominator of its weight.  So the walk after m stages is over B_m =
+    prod_{j<m} D_j v_j, and tail[m] = prod_{j>=m} D_j v_j puts it over
+    the full chain's B = tail[0].
+
+    xi, the band-0 lemma.  xi_{t,i} = epsilon(x) with x = q^(-tr) p_i,
+    and x <= p_j for every j >= i (q^(-tr) < 1, P increases weakly).
+    Each stage is nondecreasing in x, so the value entering stage j >=
+    i - r, the chain of stages 0..j-1 at x, is at most that chain at
+    p_{r+j}, which is stage j's weight s'_j; _hat1 then picks band h = 0,
+    x -> x - (q-1)/D_j s'_j.  delta adds (q-1)/D_j s'_j for each stage j,
+    so the stages from i - r on cancel delta's suffix: xi_{t,i} = (chain
+    of stages[:i - r] at x) + delta(stages[:i - r]), the prefix delta of
+    weight i's walk.  The defining sum says the same: a weight s_j >= x
+    admits only y_j = 0.  The prefix run is a / (q^(tr) B_{i-r}) and the
+    prefix delta dn / dm with dm = B_{i-r} (_stage_pairs multiplies dm by
+    D_j v_j per stage), so the sum is (a + q^(tr) dn) / (q^(tr) B_{i-r}),
+    and B tail[i - r] puts it over q^(tr) B^2: the denominator, and so the
+    numerators, of the run through every stage plus the whole delta."""
+    walks: list = []
+    stages, _ = _stage_pairs(q, r, [(x, 1) for x in P], walks)
     # tail[m] = prod_{j >= m} D_j v_j, so tail[0] is B
     tail = [1] * (len(stages) + 1)
     for j in range(len(stages) - 1, -1, -1):
         tail[j] = tail[j + 1] * (q ** (r + j + 1) - 1) * stages[j][1]
     head = (0,) * (r - 1)
-    pi = list(head)
-    for i, x in enumerate(P, r):
-        m = max(theta[i - 1] - r, 0)
-        pi.append(_run(q, r, stages[:m], x, 1)[0] * tail[m])
+    B = tail[0]
     xis = []
     for t in levels:
         qtr = q ** (t * r)
-        nums, b = [], 1
-        for x in P:
-            a, b = _run(q, r, stages, x, qtr)
-            nums.append(a * dm + dn * b)
-        # every run of one level ends over the same denominator
-        # b = qtr * B, so the coordinates are nums / (b dm L), one positive
-        # denominator, and the cone check reads the integer numerators
+        nums = []
+        for s, (x, (_, (dn, _))) in enumerate(zip(P, walks)):
+            a = _run(q, r, stages[:s], x, qtr)[0]
+            nums.append((a + qtr * dn) * B * tail[s])
+        # the coordinates are nums / (qtr B^2 L), one positive
+        # denominator (L at the origin, which runs nothing), and the cone
+        # check reads the integer numerators
         _check_in_cone(nums)
-        xis.append((head + tuple(nums), b * dm * L))
+        xis.append((head + tuple(nums), (qtr if P else 1) * B * B * L))
+    return r, walks, tail, L, xis
+
+
+def _read_pi(theta: Sequence[int], record: tuple
+             ) -> tuple[tuple[tuple[int, ...], int],
+                        list[tuple[tuple[int, ...], int]]]:
+    """pi for the index map theta, read off a _chain_record, as an integer
+    pair (numerators over tail[0] L), and the record's xi pairs."""
+    r, walks, tail, L, xis = record
+    pi = [0] * (r - 1)
+    for i, (walk, _) in enumerate(walks, r):
+        m = max(theta[i - 1] - r, 0)
+        pi.append(walk[m] * tail[m])
     return (tuple(pi), tail[0] * L), xis
 
 
 def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
-           coords: Sequence[int | Fraction]
+           coords: Sequence[int | Fraction], records: dict | None = None
            ) -> tuple[tuple[tuple[int, ...], int],
                       list[tuple[tuple[int, ...], int]]]:
     """pi_eval and xi_eval (each t in levels) at the rational point coords,
-    as the integer pairs of _chain_values, checked as by
+    as the integer pairs of _chain_record, checked as by
     ClassPoint.from_coords: with coords = C / L over the lcm of their
-    denominators (L = 1 for ints) and r the stratum, _chain_values at
-    C^r / L^r."""
-    _check_in_cone(coords)
-    if all(type(c) is int for c in coords):
-        C, L = coords, 1
-    else:
-        C, L = _over_lcm(coords)
-    r = next((i for i, c in enumerate(C, 1) if c), len(C) + 1)
-    return _chain_values(q, theta, levels, r, [c ** r for c in C[r - 1:]],
-                         L ** r)
+    denominators (L = 1 for ints) and r the stratum, _chain_record at
+    C^r / L^r.  pi depends on the cone only through theta, so a map
+    builder passes one coords -> record dict per fan (one q, one levels)
+    as records: a ray shared by several cones walks its chain once."""
+    record = None if records is None else records.get(coords)
+    if record is None:
+        _check_in_cone(coords)
+        if all(type(c) is int for c in coords):
+            C, L = coords, 1
+        else:
+            C, L = _over_lcm(coords)
+        r = next((i for i, c in enumerate(C, 1) if c), len(C) + 1)
+        record = _chain_record(q, levels, r, [c ** r for c in C[r - 1:]],
+                               L ** r)
+        if records is not None:
+            records[coords] = record
+    return _read_pi(theta, record)
 
 
 def _sample_row(pi: tuple[tuple[int, ...], int],
@@ -398,7 +440,8 @@ def _sample_row(pi: tuple[tuple[int, ...], int],
 
 
 def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
-               rng: random.Random) -> list[tuple[tuple[Fraction, ...], ...]]:
+               rng: random.Random, records: dict | None = None
+               ) -> list[tuple[tuple[Fraction, ...], ...]]:
     """linearize_xi for every target level in levels, from one sample set
     and one elimination: pi and every xi_t come from one _pi_xi call per
     point, as integer pairs, and each sample's row [pi | xi_t1 | ...] is
@@ -408,8 +451,10 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     column has no solution, the levels and then the coordinates of the
     first failing level are solved one by one, so the error names the
     (level, coordinate) that a solve per level would.  Each matrix is
-    certified on its own.  A cone with lines raises ValueError: its
-    samples and rays would miss the lines."""
+    certified on its own.  The certificate reads each ray's pi and xi
+    through records, the map builders' ray -> record dict of one fan (see
+    _pi_xi); with None every ray is walked here.  A cone with lines
+    raises ValueError: its samples and rays would miss the lines."""
     _check_q_levels(q, base_k, *levels)
     if sigma.lines():
         raise ValueError("only a cone without lines is linearized")
@@ -433,9 +478,10 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     # certification: generators and fresh interior points
     scaled = [[_over_lcm(row) for row in M] for M in mats]
     rays = sigma.rays()
-    for j, p in enumerate(rays + tuple(interior_samples(sigma, rng,
-                                                        _CERTIFY_POINTS))):
-        (u, c), xis = _pi_xi(q, theta, levels, p)
+    fresh = interior_samples(sigma, rng, _CERTIFY_POINTS)
+    for j, p in enumerate(rays + tuple(fresh)):
+        (u, c), xis = _pi_xi(q, theta, levels, p,
+                             records if j < len(rays) else None)
         for rows_t, (nums, den) in zip(scaled, xis):
             if any(sum(map(mul, w, u)) * den != a * m * c
                    for (w, m), a in zip(rows_t, nums)):
@@ -447,22 +493,29 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
 
 
 def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
-                 rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
+                 rng: random.Random, *, _records: dict | None = None
+                 ) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
     pi and xi are evaluated at each of 2n+2 exact interior samples by one
-    integer stage chain (_pi_xi), each as integer numerators over one
-    denominator; each sample's row [pi | xi] is scaled to integers by the
-    lcm of its two denominators, and one elimination of those rows gives
-    every row of M.  M is certified on every generator of sigma plus
-    _CERTIFY_POINTS fresh interior points, by exact equality checked on
-    the unreduced integer pairs: row i of M is scaled once to w_i / m_i
-    and each point's pi is u / c and xi is num / den, so (M pi)_i = xi_i
-    reads w_i . u * den = num_i * m_i * c.  Raises LinearizationError if
-    no consistent matrix exists (naming the first coordinate with none) or
-    the certification fails, and ValueError for a cone with lines.
+    walk of the integer stage chain (_pi_xi): pi is read off the walk that
+    builds the stages and xi_i off the prefix before coordinate i, each as
+    integer numerators over one denominator.  Each sample's row [pi | xi]
+    is scaled to integers by the lcm of its two denominators, and one
+    elimination of those rows gives every row of M.  M is certified on
+    every generator of sigma plus _CERTIFY_POINTS fresh interior points,
+    by exact equality checked on the unreduced integer pairs: row i of M
+    is scaled once to w_i / m_i and each point's pi is u / c and xi is
+    num / den, so (M pi)_i = xi_i reads w_i . u * den = num_i * m_i * c.
+    Raises LinearizationError if no consistent matrix exists (naming the
+    first coordinate with none) or the certification fails, and
+    ValueError for a cone with lines.
+
+    _records is internal: sigma_k_fan passes its ray -> record dict, so
+    each ray of the fan walks its chain once; without it (the default)
+    every ray of sigma is walked.
     """
-    return _linearize(q, sigma, base_k, (target_k,), rng)[0]
+    return _linearize(q, sigma, base_k, (target_k,), rng, _records)[0]
 
 
 def _image_cone(q: int, k: int, sigma: Cone,
@@ -486,7 +539,9 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
     Returns (fan, pieces); each piece records the source cone, its image,
     and the certified matrix M with xi_k = M o pi_{k, sigma} on the source.
     The sources are the chambers of Sigma^(k), read without a face lattice
-    (_chambers), and each ray's image is computed once for the whole fan.
+    (_chambers).  Each ray's chain is walked once for the whole fan (one
+    ray -> record dict, read by every chamber's certificate), and its
+    image computed once (one ray -> image dict).
 
     The images join as chambers (``Fan._from_chambers``), in chamber order:
     none contains another.  xi_k keeps the stratum r (xi_i = 0 for i < r,
@@ -502,8 +557,9 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
     rng = random.Random(f"sigma_k:{seed}:{q}:{d}:{k}")
     pieces = []
     images: dict = {}
+    records: dict = {}
     for sigma in _chambers(q, d, k):
-        M = linearize_xi(q, sigma, k, k, rng)
+        M = linearize_xi(q, sigma, k, k, rng, _records=records)
         image = _image_cone(q, k, sigma, images)
         pieces.append({"source": sigma, "image": image, "matrix": M})
     return Fan._from_chambers(p["image"] for p in pieces), pieces
@@ -516,16 +572,17 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     Sigma^(K) with K = max(k, k') (_chambers: no face lattice is built).
 
     Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
-    one sample set and one elimination: one pi and one stage chain per
-    point, one solve per cone.  Each ray's image under xi_k is computed
-    once for the whole map."""
+    one sample set and one elimination: one walk of the stage chain per
+    point, read for pi and both xi, one solve per cone.  Each ray's walk
+    and its image under xi_k are computed once for the whole map."""
     _check_q_levels(q, k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
     pieces = []
     images: dict = {}
+    records: dict = {}
     for sigma in _chambers(q, d, K):
-        Mk, Mkp = _linearize(q, sigma, K, (k, kprime), rng)
+        Mk, Mkp = _linearize(q, sigma, K, (k, kprime), rng, records)
         trans = mat_mul(Mkp, mat_inv(Mk))
         image = _image_cone(q, k, sigma, images)
         pieces.append((image, tuple(tuple(row) for row in trans)))

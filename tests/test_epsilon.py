@@ -349,3 +349,30 @@ def test_weight_memo_never_serves_a_stale_chain():
         assert epsilon_closed(2, 1, t1, x) == fresh(2, 1, t1)
         with pytest.raises((ValueError, TypeError)):
             epsilon_closed(q, r, t1, x)
+
+
+def test_weights_at_or_above_x_leave_epsilon_unchanged():
+    # the band-0 lemma behind xi's kernel: if every weight from index m on
+    # is >= x, those stages run band 0 and cancel delta's suffix, so the
+    # closed form equals the closed form and the defining sum of w[:m]
+    rng = random.Random(2719)
+    at_weight = 0
+    for _ in range(400):
+        q = rng.choice([2, 3, 4])
+        r = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        w = sorted(Fraction(rng.randint(1, 40), rng.choice((1, 1, 2, 3, 7)))
+                   for _ in range(n))
+        if rng.random() < 0.3 and n > 1:  # a repeated weight
+            i = rng.randrange(n - 1)
+            w[i + 1] = w[i]
+        m = rng.randrange(n)
+        if rng.random() < 0.3:  # x equal to a weight
+            x = w[rng.randrange(m + 1)]
+        else:
+            x = w[m] * Fraction(rng.randint(1, 24), 24)
+        at_weight += x in w
+        assert x <= w[m]
+        assert (epsilon_closed(q, r, w, x) == epsilon_closed(q, r, w[:m], x)
+                == epsilon_oracle(q, r, w[:m], x)), (q, r, w, m, x)
+    assert at_weight >= 50

@@ -11,7 +11,8 @@ import drinfan.epsilon as eps_mod
 import drinfan.xi as xi_mod
 from drinfan.cones import Cone, Fan
 from drinfan.epsilon import epsilon_closed, epsilon_hat, epsilon_oracle
-from drinfan.linalg import frac_vec, mat_inv, mat_mul, mat_vec, solve
+from drinfan.linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
+                            solve)
 from drinfan.points import ClassPoint
 from drinfan.xi import (LinearizationError, cone_Cd, contains_class_point,
                         delta_tilde, interior_samples, linearize_xi, pi_eval,
@@ -657,6 +658,43 @@ def test_point_kernel_matches_pi_eval_and_xi_eval():
     assert {("non-integer", True), ("repeated", True), ("levels", 3)} <= seen
 
 
+def _chain_values_before(q, theta, levels, r, P, L):
+    """The point kernel before pi was read off the stage-building walk and
+    xi off its prefixes (test-only reference): pi runs its own prefix of
+    the stages, and every xi coordinate runs the whole chain plus the
+    whole delta."""
+    stages, (dn, dm) = eps_mod._stage_pairs(q, r, [(x, 1) for x in P])
+    # tail[m] = prod_{j >= m} D_j v_j, so tail[0] is B
+    tail = [1] * (len(stages) + 1)
+    for j in range(len(stages) - 1, -1, -1):
+        tail[j] = tail[j + 1] * (q ** (r + j + 1) - 1) * stages[j][1]
+    head = (0,) * (r - 1)
+    pi = list(head)
+    for i, x in enumerate(P, r):
+        m = max(theta[i - 1] - r, 0)
+        pi.append(eps_mod._run(q, r, stages[:m], x, 1)[0] * tail[m])
+    xis = []
+    for t in levels:
+        qtr = q ** (t * r)
+        nums, b = [], 1
+        for x in P:
+            a, b = eps_mod._run(q, r, stages, x, qtr)
+            nums.append(a * dm + dn * b)
+        xis.append((head + tuple(nums), b * dm * L))
+    return (tuple(pi), tail[0] * L), xis
+
+
+def test_point_kernel_returns_the_integer_pairs_of_the_whole_chain():
+    # the same numerators and denominators as the kernel that ran every
+    # stage for every xi coordinate, so no row, draw or matrix changes
+    for q, coords, theta, levels in _kernel_cases(2718, 600):
+        C, L = _over_lcm(coords)
+        r = next((i for i, c in enumerate(C, 1) if c), len(C) + 1)
+        want = _chain_values_before(q, theta, levels, r,
+                                    [c ** r for c in C[r - 1:]], L ** r)
+        assert xi_mod._pi_xi(q, theta, levels, coords) == want, coords
+
+
 def test_point_kernel_rejects_points_outside_the_cone():
     for coords in ([F(-1), F(2)], [F(0), F(-1, 2), F(3)], [F(3), F(2)],
                    [F(0), F(5, 2), F(2)]):
@@ -759,6 +797,46 @@ def test_each_ray_image_is_computed_once_per_fan(monkeypatch):
         calls.clear()
         build()
         assert len(calls) == want
+
+
+def test_each_ray_walks_its_chain_once_per_fan(monkeypatch):
+    # per chamber 2n + 2 samples and 5 fresh certificate points, plus one
+    # walk per distinct ray of the fan: 5 chambers and 7 rays at d4 K2,
+    # 42 chambers and 31 rays at d6 K2 (81 and 993 with a walk per visit)
+    calls = _counted(monkeypatch, "_stage_pairs")
+    for build, want in ((lambda: sigma_k_fan(2, 4, 2), 5 * 13 + 7),
+                        (lambda: sigma_kk_map(2, 4, 1, 2), 5 * 13 + 7),
+                        (lambda: sigma_k_fan(2, 6, 2), 42 * 17 + 31)):
+        calls.clear()
+        build()
+        assert len(calls) == want
+    # a lone linearize_xi walks every ray of its cone, on every call
+    for sigma in (cone_Cd(4), *xi_mod._chambers(3, 4, 2)[:2]):
+        for _ in range(2):
+            calls.clear()
+            linearize_xi(3, sigma, 2, 1, random.Random(0))
+            assert len(calls) == 2 * 3 + 2 + len(sigma.rays()) + 5
+
+
+def test_ray_records_change_no_draw_and_no_matrix(monkeypatch):
+    # the per-fan records only replace walks: the samples drawn and the
+    # pieces are those of a loop of lone linearize_xi calls on one rng
+    # seeded as sigma_k_fan's
+    drawn = []
+    real = xi_mod.interior_samples
+    monkeypatch.setattr(xi_mod, "interior_samples",
+                        lambda *a: drawn.append(real(*a)) or drawn[-1])
+    chambers = xi_mod._chambers(2, 4, 2)
+    for seed in range(3):
+        drawn.clear()
+        _, pieces = sigma_k_fan(2, 4, 2, seed=seed)
+        got = list(drawn)
+        drawn.clear()
+        rng = random.Random(f"sigma_k:{seed}:2:4:2")
+        want = [linearize_xi(2, sigma, 2, 2, rng) for sigma in chambers]
+        assert [p["matrix"] for p in pieces] == want
+        assert [p["source"] for p in pieces] == chambers
+        assert got == drawn and len(got) == 2 * len(chambers)
 
 
 def test_sigma_kk_map_solves_once_per_chamber(monkeypatch):
