@@ -44,12 +44,13 @@ s), so epsilon_hat, delta and epsilon are homogeneous of degree 1 in (x,
 weights): scaling x and every weight by L > 0 scales the stages, delta
 and the value by L.  The pi/xi kernel of xi (_chain_record) uses this to
 run the loop on integer weights and return integer numerators over one
-denominator per map.  When passed a list, _stage_pairs also records each
-weight's walk (its numerator after each stage, from the run that builds
-its stage) and the delta of the stages before it; the kernel reads pi
-off the walks and each xi coordinate off its prefix, so this loop stays
-the only one that builds stages.  Without the list it runs _run as
-before, so _stage_chain and every public function here keep their cost.
+denominator per map.  The loop keeps each weight's walk (its numerator
+after each stage, from the run that builds its stage); when passed a
+list, _stage_pairs hands every walk back with the delta of the stages
+before it, and otherwise drops it.  The kernel reads pi and the prefix
+deltas off those walks, so this loop stays the only one that builds
+stages; each xi coordinate then runs a fresh prefix of the stages
+through _run.
 
 Every public function here that needs a chain gets it from _stage_chain,
 which checks q and r, then the weights, on every miss (so an empty vector
@@ -214,22 +215,20 @@ def _stage_pairs(q: int, r: int, weights: Sequence[tuple[int, int]],
     gcd (so the integers of the later chains stay small), and delta adds
     (q-1)/(q^{r+i+1}-1) times stage i, unreduced.
 
-    With a list walks, weight i also appends its walk: (numerators,
-    prefix delta), where numerators[j] is the numerator of the chain of
-    stages 0..j-1 at weight i, over v prod_{l<j} D_l v_l (D_l = q^{r+l+1}
-    - 1, v_l the denominator of stage l; numerators[0] is u), and prefix
-    delta is delta of stages 0..i-1 as its unreduced pair, whose
-    denominator is prod_{l<i} D_l v_l."""
+    Weight i's walk is kept as its stage is built; with a list walks it
+    is appended there as (numerators, prefix delta), where numerators[j]
+    is the numerator of the chain of stages 0..j-1 at weight i, over v
+    prod_{l<j} D_l v_l (D_l = q^{r+l+1} - 1, v_l the denominator of stage
+    l; numerators[0] is u), and prefix delta is delta of stages 0..i-1 as
+    its unreduced pair, whose denominator is prod_{l<i} D_l v_l."""
     stages: list[tuple[int, int]] = []
     dn, dm = 0, 1
     for u, v in weights:
-        if walks is None:
-            a, b = _run(q, r, stages, u, v)
-        else:
-            a, b, walk = u, v, [u]
-            for j, (s, t) in enumerate(stages):
-                a, b = _hat1(q, r + j, s, t, a, b)
-                walk.append(a)
+        a, b, walk = u, v, [u]
+        for j, (s, t) in enumerate(stages):
+            a, b = _hat1(q, r + j, s, t, a, b)
+            walk.append(a)
+        if walks is not None:
             walks.append((walk, (dn, dm)))
         g = gcd(a, b)
         a, b = a // g, b // g

@@ -11,22 +11,23 @@ Contents:
 * exact linearization: on each cone sigma of Sigma^(k), xi_{k'} factors as
   a single linear map applied to pi; the matrices of every needed level
   come from one exact elimination over interior samples, each evaluated
-  once (pi and every needed xi_t from one walk of the integer stage
-  chain), and each is certified on generators plus interior points.  The
-  samples stay integers from the kernel to the certificate: no Fraction
-  is made before the elimination reduces its rows,
-* one integer kernel for pi and xi (_chain_record): each point walks its
-  stage chain once, in the _stage_pairs run that builds the stages; pi is
-  read off that walk (_read_pi, for any index map), and each xi_i runs
-  only the stages before coordinate i plus their delta, as the later
-  stages are provably band 0 there.  It returns integer numerators over
-  one denominator, run by pi_eval on stored powers (which divides them
-  out) and by the linearization on its samples; xi_eval, one
+  once by the integer kernel below, and each is certified on generators
+  plus interior points.  The samples stay integers from the kernel to
+  the certificate: no Fraction is made before the elimination reduces
+  its rows,
+* one integer kernel for pi and xi (_chain_record): pi and the prefix
+  deltas are read off the walk of the _stage_pairs run that builds a
+  point's stages (_read_pi, for any index map), and each xi_{t,i} runs a
+  fresh prefix of the i - r stages before coordinate i plus its delta,
+  as the later stages are provably band 0 there.  It returns integer
+  numerators over one denominator, run by pi_eval on stored powers (which
+  divides them out) and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)}, joined as chambers, and the
   transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces,
   built on the chambers of Sigma^(K) without their face lattices
-  (_chambers), with each ray's chain and image computed once per fan.
+  (_chambers), with each ray's image computed once per fan, and each
+  ray's chain once per transition map.
 """
 
 from __future__ import annotations
@@ -334,7 +335,8 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     """The walk of the point of stratum r with power coordinates
     p_r..p_{d-1} = P / L, P positive and weakly increasing ints checked by
     the caller (empty at the origin): one _stage_pairs run over P, which
-    records each weight's walk, and xi_t for each t in levels read off it.
+    records each weight's walk and prefix delta, and xi_t for each t in
+    levels, whose coordinate i runs a fresh prefix of i - r stages.
     Returns (r, walks, tail, L, xis); _read_pi reads pi for any index map
     off it, so one record serves every cone with the point as a ray.
     Each xi_t is an integer pair (numerators, denominator): one positive
@@ -412,9 +414,10 @@ def _pi_xi(q: int, theta: Sequence[int], levels: Sequence[int],
     as the integer pairs of _chain_record, checked as by
     ClassPoint.from_coords: with coords = C / L over the lcm of their
     denominators (L = 1 for ints) and r the stratum, _chain_record at
-    C^r / L^r.  pi depends on the cone only through theta, so a map
-    builder passes one coords -> record dict per fan (one q, one levels)
-    as records: a ray shared by several cones walks its chain once."""
+    C^r / L^r.  pi depends on the cone only through theta, so
+    sigma_kk_map passes one coords -> record dict per map (one q, one
+    levels) as records: a ray shared by several cones walks its chain
+    once."""
     record = None if records is None else records.get(coords)
     if record is None:
         _check_in_cone(coords)
@@ -452,7 +455,7 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     first failing level are solved one by one, so the error names the
     (level, coordinate) that a solve per level would.  Each matrix is
     certified on its own.  The certificate reads each ray's pi and xi
-    through records, the map builders' ray -> record dict of one fan (see
+    through records, sigma_kk_map's ray -> record dict of one map (see
     _pi_xi); with None every ray is walked here.  A cone with lines
     raises ValueError: its samples and rays would miss the lines."""
     _check_q_levels(q, base_k, *levels)
@@ -493,29 +496,26 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
 
 
 def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
-                 rng: random.Random, *, _records: dict | None = None
-                 ) -> tuple[tuple[Fraction, ...], ...]:
+                 rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix M with xi_{target_k} = M o pi_{base_k, sigma} on sigma.
 
-    pi and xi are evaluated at each of 2n+2 exact interior samples by one
-    walk of the integer stage chain (_pi_xi): pi is read off the walk that
-    builds the stages and xi_i off the prefix before coordinate i, each as
-    integer numerators over one denominator.  Each sample's row [pi | xi]
-    is scaled to integers by the lcm of its two denominators, and one
-    elimination of those rows gives every row of M.  M is certified on
+    pi and xi are evaluated at each of 2n+2 exact interior samples by the
+    integer kernel (_pi_xi): pi and the prefix deltas come from the walk
+    that builds the stages, and each xi_i runs a fresh prefix of the i - r
+    stages before coordinate i, each map as integer numerators over one
+    denominator.  Each sample's row [pi | xi] is scaled to integers by the
+    lcm of its two denominators, and one elimination of those rows gives
+    every row of M.  M is certified on
     every generator of sigma plus _CERTIFY_POINTS fresh interior points,
     by exact equality checked on the unreduced integer pairs: row i of M
     is scaled once to w_i / m_i and each point's pi is u / c and xi is
     num / den, so (M pi)_i = xi_i reads w_i . u * den = num_i * m_i * c.
     Raises LinearizationError if no consistent matrix exists (naming the
     first coordinate with none) or the certification fails, and
-    ValueError for a cone with lines.
-
-    _records is internal: sigma_k_fan passes its ray -> record dict, so
-    each ray of the fan walks its chain once; without it (the default)
-    every ray of sigma is walked.
+    ValueError for a cone with lines.  Every ray of sigma is walked on
+    each call.
     """
-    return _linearize(q, sigma, base_k, (target_k,), rng, _records)[0]
+    return _linearize(q, sigma, base_k, (target_k,), rng)[0]
 
 
 def _image_cone(q: int, k: int, sigma: Cone,
@@ -539,9 +539,9 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
     Returns (fan, pieces); each piece records the source cone, its image,
     and the certified matrix M with xi_k = M o pi_{k, sigma} on the source.
     The sources are the chambers of Sigma^(k), read without a face lattice
-    (_chambers).  Each ray's chain is walked once for the whole fan (one
-    ray -> record dict, read by every chamber's certificate), and its
-    image computed once (one ray -> image dict).
+    (_chambers), each linearized by linearize_xi, whose certificate walks
+    every ray of its chamber; each ray's image is computed once for the
+    whole fan (one ray -> image dict).
 
     The images join as chambers (``Fan._from_chambers``), in chamber order:
     none contains another.  xi_k keeps the stratum r (xi_i = 0 for i < r,
@@ -557,9 +557,8 @@ def sigma_k_fan(q: int, d: int, k: int, seed: int = 0
     rng = random.Random(f"sigma_k:{seed}:{q}:{d}:{k}")
     pieces = []
     images: dict = {}
-    records: dict = {}
     for sigma in _chambers(q, d, k):
-        M = linearize_xi(q, sigma, k, k, rng, _records=records)
+        M = linearize_xi(q, sigma, k, k, rng)
         image = _image_cone(q, k, sigma, images)
         pieces.append({"source": sigma, "image": image, "matrix": M})
     return Fan._from_chambers(p["image"] for p in pieces), pieces
@@ -572,9 +571,9 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     Sigma^(K) with K = max(k, k') (_chambers: no face lattice is built).
 
     Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
-    one sample set and one elimination: one walk of the stage chain per
-    point, read for pi and both xi, one solve per cone.  Each ray's walk
-    and its image under xi_k are computed once for the whole map."""
+    one sample set and one elimination: one kernel call per point, for pi
+    and both xi, one solve per cone.  Each ray's walk and its image under
+    xi_k are computed once for the whole map."""
     _check_q_levels(q, k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)

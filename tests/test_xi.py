@@ -799,14 +799,16 @@ def test_each_ray_image_is_computed_once_per_fan(monkeypatch):
         assert len(calls) == want
 
 
-def test_each_ray_walks_its_chain_once_per_fan(monkeypatch):
+def test_each_ray_walks_its_chain_once_per_map(monkeypatch):
     # per chamber 2n + 2 samples and 5 fresh certificate points, plus one
-    # walk per distinct ray of the fan: 5 chambers and 7 rays at d4 K2,
-    # 42 chambers and 31 rays at d6 K2 (81 and 993 with a walk per visit)
+    # walk per distinct ray of the map: 5 chambers and 7 rays at d4 K2,
+    # 42 chambers and 31 rays at d6 K2; sigma_k_fan runs linearize_xi per
+    # chamber, which walks each of the 16 and 279 ray visits
     calls = _counted(monkeypatch, "_stage_pairs")
-    for build, want in ((lambda: sigma_k_fan(2, 4, 2), 5 * 13 + 7),
-                        (lambda: sigma_kk_map(2, 4, 1, 2), 5 * 13 + 7),
-                        (lambda: sigma_k_fan(2, 6, 2), 42 * 17 + 31)):
+    for build, want in ((lambda: sigma_kk_map(2, 4, 1, 2), 5 * 13 + 7),
+                        (lambda: sigma_kk_map(2, 6, 1, 2), 42 * 17 + 31),
+                        (lambda: sigma_k_fan(2, 4, 2), 5 * 13 + 16),
+                        (lambda: sigma_k_fan(2, 6, 2), 42 * 17 + 279)):
         calls.clear()
         build()
         assert len(calls) == want
@@ -819,9 +821,9 @@ def test_each_ray_walks_its_chain_once_per_fan(monkeypatch):
 
 
 def test_ray_records_change_no_draw_and_no_matrix(monkeypatch):
-    # the per-fan records only replace walks: the samples drawn and the
-    # pieces are those of a loop of lone linearize_xi calls on one rng
-    # seeded as sigma_k_fan's
+    # the per-map records only replace walks: the samples drawn and the
+    # pieces are those of a loop of _linearize calls without records on
+    # one rng seeded as sigma_kk_map's
     drawn = []
     real = xi_mod.interior_samples
     monkeypatch.setattr(xi_mod, "interior_samples",
@@ -829,13 +831,16 @@ def test_ray_records_change_no_draw_and_no_matrix(monkeypatch):
     chambers = xi_mod._chambers(2, 4, 2)
     for seed in range(3):
         drawn.clear()
-        _, pieces = sigma_k_fan(2, 4, 2, seed=seed)
+        pieces = sigma_kk_map(2, 4, 1, 2, seed=seed).pieces
         got = list(drawn)
         drawn.clear()
-        rng = random.Random(f"sigma_k:{seed}:2:4:2")
-        want = [linearize_xi(2, sigma, 2, 2, rng) for sigma in chambers]
-        assert [p["matrix"] for p in pieces] == want
-        assert [p["source"] for p in pieces] == chambers
+        rng = random.Random(f"sigma_kk:{seed}:2:4:1:2")
+        want = []
+        for sigma in chambers:
+            Mk, Mkp = xi_mod._linearize(2, sigma, 2, (1, 2), rng)
+            want.append(tuple(tuple(row)
+                              for row in mat_mul(Mkp, mat_inv(Mk))))
+        assert [mat for _, mat in pieces] == want
         assert got == drawn and len(got) == 2 * len(chambers)
 
 
