@@ -50,7 +50,7 @@ list, _stage_pairs hands every walk back with the delta of the stages
 before it, and otherwise drops it.  The kernel reads pi and the prefix
 deltas off those walks, so this loop stays the only one that builds
 stages; each xi coordinate then runs a fresh prefix of the stages
-through _run.
+through _run, up to the first weight at or above its argument.
 
 Every public function here that needs a chain gets it from _stage_chain,
 which checks q and r, then the weights, on every miss (so an empty vector

@@ -18,8 +18,9 @@ Contents:
 * one integer kernel for pi and xi (_chain_record): pi and the prefix
   deltas are read off the walk of the _stage_pairs run that builds a
   point's stages (_read_pi, for any index map), and each xi_{t,i} runs a
-  fresh prefix of the i - r stages before coordinate i plus its delta,
-  as the later stages are provably band 0 there.  It returns integer
+  fresh prefix of at most i - r stages plus its delta: the stages whose
+  weights are below q^(-tr) p_i, as the later ones are provably band 0
+  there.  It returns integer
   numerators over one denominator, run by pi_eval on stored powers (which
   divides them out) and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
@@ -33,6 +34,7 @@ Contents:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -336,7 +338,8 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     p_r..p_{d-1} = P / L, P positive and weakly increasing ints checked by
     the caller (empty at the origin): one _stage_pairs run over P, which
     records each weight's walk and prefix delta, and xi_t for each t in
-    levels, whose coordinate i runs a fresh prefix of i - r stages.
+    levels, whose coordinate i runs a fresh prefix of at most i - r
+    stages: those whose weights are below q^(-tr) p_i.
     Returns (r, walks, tail, L, xis); _read_pi reads pi for any index map
     off it, so one record serves every cone with the point as a ray.
     Each xi_t is an integer pair (numerators, denominator): one positive
@@ -356,20 +359,23 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     prod_{j<m} D_j v_j, and tail[m] = prod_{j>=m} D_j v_j puts it over
     the full chain's B = tail[0].
 
-    xi, the band-0 lemma.  xi_{t,i} = epsilon(x) with x = q^(-tr) p_i,
-    and x <= p_j for every j >= i (q^(-tr) < 1, P increases weakly).
-    Each stage is nondecreasing in x, so the value entering stage j >=
-    i - r, the chain of stages 0..j-1 at x, is at most that chain at
+    xi, the band-0 lemma.  xi_{t,i} = epsilon(x) with x = q^(-tr) p_i.
+    Let m count the weights p_r..p_{d-1} below x: x <= p_{r+j} for every
+    j >= m (P increases weakly), and m <= i - r (q^(-tr) < 1, so x <
+    p_i).  Each stage is nondecreasing in x, so the value entering stage
+    j >= m, the chain of stages 0..j-1 at x, is at most that chain at
     p_{r+j}, which is stage j's weight s'_j; _hat1 then picks band h = 0,
     x -> x - (q-1)/D_j s'_j.  delta adds (q-1)/D_j s'_j for each stage j,
-    so the stages from i - r on cancel delta's suffix: xi_{t,i} = (chain
-    of stages[:i - r] at x) + delta(stages[:i - r]), the prefix delta of
-    weight i's walk.  The defining sum says the same: a weight s_j >= x
-    admits only y_j = 0.  The prefix run is a / (q^(tr) B_{i-r}) and the
-    prefix delta dn / dm with dm = B_{i-r} (_stage_pairs multiplies dm by
-    D_j v_j per stage), so the sum is (a + q^(tr) dn) / (q^(tr) B_{i-r}),
-    and B tail[i - r] puts it over q^(tr) B^2: the denominator, and so the
-    numerators, of the run through every stage plus the whole delta."""
+    so the stages from m on cancel delta's suffix: xi_{t,i} = (chain of
+    stages[:m] at x) + delta(stages[:m]), the prefix delta of the walk of
+    weight m.  The defining sum says the same: a weight s_j >= x admits
+    only y_j = 0.  On the integers P, p_{r+j} >= x reads P_j >= ceil(P_i
+    / q^(tr)), so m is one bisection of P.  The prefix run is a / (q^(tr)
+    B_m) and the prefix delta dn / dm' with dm' = B_m (_stage_pairs
+    multiplies dm' by D_j v_j per stage), so the sum is (a + q^(tr) dn) /
+    (q^(tr) B_m), and B tail[m] puts it over q^(tr) B^2: the denominator,
+    and so the numerators, of the run through every stage plus the whole
+    delta."""
     walks: list = []
     stages, _ = _stage_pairs(q, r, [(x, 1) for x in P], walks)
     # tail[m] = prod_{j >= m} D_j v_j, so tail[0] is B
@@ -382,9 +388,11 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     for t in levels:
         qtr = q ** (t * r)
         nums = []
-        for s, (x, (_, (dn, _))) in enumerate(zip(P, walks)):
-            a = _run(q, r, stages[:s], x, qtr)[0]
-            nums.append((a + qtr * dn) * B * tail[s])
+        for x in P:
+            # the stages from m on have weights >= x / qtr: band 0
+            m = bisect_left(P, -(-x // qtr))
+            a = _run(q, r, stages[:m], x, qtr)[0]
+            nums.append((a + qtr * walks[m][1][0]) * B * tail[m])
         # the coordinates are nums / (qtr B^2 L), one positive
         # denominator (L at the origin, which runs nothing), and the cone
         # check reads the integer numerators
@@ -501,15 +509,15 @@ def linearize_xi(q: int, sigma: Cone, base_k: int, target_k: int,
 
     pi and xi are evaluated at each of 2n+2 exact interior samples by the
     integer kernel (_pi_xi): pi and the prefix deltas come from the walk
-    that builds the stages, and each xi_i runs a fresh prefix of the i - r
-    stages before coordinate i, each map as integer numerators over one
-    denominator.  Each sample's row [pi | xi] is scaled to integers by the
-    lcm of its two denominators, and one elimination of those rows gives
-    every row of M.  M is certified on
-    every generator of sigma plus _CERTIFY_POINTS fresh interior points,
-    by exact equality checked on the unreduced integer pairs: row i of M
-    is scaled once to w_i / m_i and each point's pi is u / c and xi is
-    num / den, so (M pi)_i = xi_i reads w_i . u * den = num_i * m_i * c.
+    that builds the stages, and each xi_i runs a fresh prefix of at most
+    i - r stages, each map as integer numerators over one denominator.
+    Each sample's row [pi | xi] is scaled to integers by the lcm of its
+    two denominators, and one elimination of those rows gives every row
+    of M.  M is certified on every generator of sigma plus
+    _CERTIFY_POINTS fresh interior points, by exact equality checked on
+    the unreduced integer pairs: row i of M is scaled once to w_i / m_i
+    and each point's pi is u / c and xi is num / den, so (M pi)_i = xi_i
+    reads w_i . u * den = num_i * m_i * c.
     Raises LinearizationError if no consistent matrix exists (naming the
     first coordinate with none) or the certification fails, and
     ValueError for a cone with lines.  Every ray of sigma is walked on
