@@ -53,8 +53,6 @@ def slope_rays(alphas: Sequence[Fraction]) -> list[tuple[int, int]]:
     vals = [Fraction(1)] + [Fraction(a) for a in alphas]
     if any(a >= b for a, b in zip(vals, vals[1:])):
         raise ValueError("slopes must be strictly increasing")
-    if vals[0] != 1:
-        raise ValueError("the first slope is always 1")
     return [_ray_of_slope(a) for a in vals] + [(0, 1)]
 
 

@@ -334,6 +334,9 @@ class Cone:
         return not self.lines()
 
     def contains(self, x: Sequence) -> bool:
+        if len(x) != self.n:
+            raise ValueError(f"point {list(x)} has length {len(x)}, "
+                             f"expected {self.n}")
         x = _exact(x)
         return (all(_idot(e, x) == 0 for e in self.eqs())
                 and all(_idot(a, x) >= 0 for a in self.ineqs()))

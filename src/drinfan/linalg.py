@@ -5,19 +5,16 @@ Exact elimination lives here, and only here: one Gauss-Jordan loop,
 The integer step ``_combine`` (a combination of two rows divided by its
 gcd) also runs the cone engine's canonical form and double description.
 
-* Gauss-Jordan over an exact field: ``rref`` and the ``rank``,
-  ``nullspace``, ``solve``, ``mat_inv`` and ``mat_mul`` built on it work on
-  ``fractions.Fraction`` entries (ints are promoted) or on ``RatFunc``
-  entries of F_q(T).  The field is the one the entries live in.  A
-  rational matrix is eliminated fraction-free, on ints, and only the
-  reduced rows are made ``Fraction``s (an all-int row, such as a
-  linearization sample's, goes in divided by its gcd, with no lcm pass);
-  a ``RatFunc`` matrix is eliminated over its field.  ``solve`` takes one right-hand side or a matrix of them
-  (one row per equation, as ``numpy.linalg.solve`` does) and eliminates
-  ``[A | B]`` once for all of its columns.  ``mat_mul`` is fraction-free
-  too: each row of a rational left factor and each column of the right
-  one are scaled to integers over their lcm, so every entry of the
-  product is one integer dot product and one ``Fraction``.
+* Gauss-Jordan over an exact field: ``rref`` and the ``nullspace``,
+  ``solve`` and ``mat_inv`` built on it work on ``fractions.Fraction``
+  entries (ints are promoted) or on ``RatFunc`` entries of F_q(T).  The
+  field is the one the entries live in.  A rational matrix is eliminated
+  fraction-free, on ints, and only the reduced rows are made
+  ``Fraction``s (an all-int row, such as a linearization sample's, goes
+  in divided by its gcd, with no lcm pass); a ``RatFunc`` matrix is
+  eliminated over its field.  ``solve`` takes one right-hand side or a
+  matrix of them (one row per equation, as ``numpy.linalg.solve`` does)
+  and eliminates ``[A | B]`` once for all of its columns.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 from .gf import RatFunc
@@ -41,9 +37,8 @@ Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 __all__ = [
-    "frac_vec", "dot", "rref", "rank", "nullspace", "solve", "mat_inv",
-    "mat_mul", "mat_vec", "det", "primitive", "smith_normal_form",
-    "quotient_lattice_maps",
+    "frac_vec", "dot", "rref", "nullspace", "solve", "mat_inv", "mat_vec",
+    "det", "primitive", "smith_normal_form", "quotient_lattice_maps",
 ]
 
 
@@ -169,23 +164,10 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     return red, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
-    """Basis of {x : A x = 0} (column vectors as tuples)."""
-    rows = [list(r) for r in rows]
+def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
+    """Basis of {x : A x = 0} (column vectors as tuples); A has a row."""
     if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for empty matrix")
-        n = ncols
-        out = []
-        for i in range(n):
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            out.append(tuple(e))
-        return out
+        raise ValueError("nullspace needs a matrix with at least one row")
     n = len(rows[0])
     red, pivots = rref(rows)
     zero, one = _zero_one(red[0][0])
@@ -225,26 +207,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     if matrix:
         return tuple(tuple(row) for row in x)
     return tuple(row[0] for row in x)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
-    """The product a b, over the field of the entries.
-
-    Rational entries (ints and Fractions) are multiplied fraction-free:
-    with row i of a equal to w_i / m_i and column j of b to z_j / c_j over
-    the lcms of their denominators, entry (i, j) is one Fraction
-    (w_i . z_j) / (m_i c_j) of an integer dot product.  RatFunc entries are
-    multiplied over their field, as ``rref`` splits the two."""
-    if all(type(x) is int or type(x) is Fraction
-           for mat in (a, b) for row in mat for x in row):
-        cols = [_over_lcm(col) for col in zip(*b)]
-        return [[Fraction(sum(map(mul, w, z)), m * c) for z, c in cols]
-                for w, m in map(_over_lcm, a)]
-    a = [[_entry(x) for x in row] for row in a]
-    b = [[_entry(x) for x in row] for row in b]
-    zero = _zero_one(b[0][0])[0]
-    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
-             for j in range(len(b[0]))] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vec:

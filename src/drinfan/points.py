@@ -73,6 +73,9 @@ class ClassPoint:
 
     def sign_two_term(self, q: int, h: int, j: int, i: int) -> int:
         """Sign of q^h s_j - s_i (1-based coordinate indices)."""
+        for name, idx in (("j", j), ("i", i)):
+            if not 1 <= idx <= self.d - 1:
+                raise ValueError(f"{name} = {idx} is outside 1..{self.d - 1}")
         rho = self.pow_exponent
         lhs = Fraction(q) ** (h * rho) * self.values[j - 1]
         rhs = self.values[i - 1]

@@ -14,7 +14,9 @@ Contents:
   once by the integer kernel below, and each is certified on generators
   plus interior points.  The samples stay integers from the kernel to
   the certificate: no Fraction is made before the elimination reduces
-  its rows,
+  its rows.  A system with no solution is located by one more
+  elimination of the same rows, which names the first coordinate with
+  none,
 * one integer kernel for pi and xi (_chain_record): pi and the prefix
   deltas are read off the walk of the _stage_pairs run that builds a
   point's stages (_read_pi, for any index map), and each xi_{t,i} runs a
@@ -25,8 +27,9 @@ Contents:
   divides them out) and by the linearization on its samples; xi_eval, one
   epsilon_closed per coordinate, is the reference for its xi,
 * the image fans Sigma_k = {xi_k(sigma)}, joined as chambers, and the
-  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces,
-  built on the chambers of Sigma^(K) without their face lattices
+  transition maps xi_{k,k'} = xi_{k'} o xi_k^{-1} with their linear pieces
+  (each one elimination of the two certified matrices, no inverse or
+  product), built on the chambers of Sigma^(K) without their face lattices
   (_chambers), with each ray's image computed once per fan, and each
   ray's chain once per transition map.
 """
@@ -44,8 +47,7 @@ from typing import Sequence
 from .cones import Cone, Fan, _idot, _join_adjacent, _neg
 from .epsilon import _run, _stage_pairs, delta, epsilon_closed, epsilon_hat
 from .gf import check_q
-from .linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
-                     primitive, solve)
+from .linalg import _over_lcm, frac_vec, mat_vec, primitive, rref, solve
 from .points import ClassPoint, _check_in_cone
 
 __all__ = [
@@ -353,11 +355,11 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     pi.  Stage j depends only on the first j+1 weights, and the run that
     builds stage i - r starts at (p_i, 1), as pi_i does: pi_i, which runs
     the first m = theta(i) - r stages (none if theta(i) <= r), is that
-    run's walk after m stages.  _hat1's denominator does not depend on x:
-    stage j multiplies it by D_j v_j, with D_j = q^(r+j+1) - 1 and v_j the
-    denominator of its weight.  So the walk after m stages is over B_m =
-    prod_{j<m} D_j v_j, and tail[m] = prod_{j>=m} D_j v_j puts it over
-    the full chain's B = tail[0].
+    run's walk after m stages.  _hat1's denominator does not depend on x,
+    and each stage multiplies it by the factor that multiplies delta's: the
+    walk after m stages is over B_m, the denominator of the prefix delta
+    of walk m, and tail[m] = B / B_m puts it over delta's denominator B =
+    tail[0].
 
     xi, the band-0 lemma.  xi_{t,i} = epsilon(x) with x = q^(-tr) p_i.
     Let m count the weights p_r..p_{d-1} below x: x <= p_{r+j} for every
@@ -377,13 +379,10 @@ def _chain_record(q: int, levels: Sequence[int], r: int, P: Sequence[int],
     and so the numerators, of the run through every stage plus the whole
     delta."""
     walks: list = []
-    stages, _ = _stage_pairs(q, r, [(x, 1) for x in P], walks)
-    # tail[m] = prod_{j >= m} D_j v_j, so tail[0] is B
-    tail = [1] * (len(stages) + 1)
-    for j in range(len(stages) - 1, -1, -1):
-        tail[j] = tail[j + 1] * (q ** (r + j + 1) - 1) * stages[j][1]
+    stages, (_, B) = _stage_pairs(q, r, [(x, 1) for x in P], walks)
+    # tail[m] = B / B_m, B_m the denominator of walk m's prefix delta
+    tail = [B // bm for _, (_, bm) in walks] + [1]
     head = (0,) * (r - 1)
-    B = tail[0]
     xis = []
     for t in levels:
         qtr = q ** (t * r)
@@ -459,13 +458,16 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     scaled to integers (_sample_row); one solve of A X = [B_t1 | B_t2 |
     ...] gives every matrix, each column exactly as its own solve would (a
     row scaled by a positive integer has the same solutions).  If some
-    column has no solution, the levels and then the coordinates of the
-    first failing level are solved one by one, so the error names the
-    (level, coordinate) that a solve per level would.  Each matrix is
-    certified on its own.  The certificate reads each ray's pi and xi
-    through records, sigma_kk_map's ray -> record dict of one map (see
-    _pi_xi); with None every ray is walked here.  A cone with lines
-    raises ValueError: its samples and rays would miss the lines."""
+    column has no solution, one rref of the rows [A | B] locates the
+    first: its first pivot c >= n is a column outside span(A), while every
+    B column before it is a combination of the pivot columns before it,
+    all in A.  So c lies in the first level with no solution, and c - n
+    mod n is that level's first coordinate with none: the (level,
+    coordinate) that a solve per level, and then per coordinate, names.
+    Each matrix is certified on its own.  The certificate reads each ray's
+    pi and xi through records, sigma_kk_map's ray -> record dict of one
+    map (see _pi_xi); with None every ray is walked here.  A cone with
+    lines raises ValueError: its samples and rays would miss the lines."""
     _check_q_levels(q, base_k, *levels)
     if sigma.lines():
         raise ValueError("only a cone without lines is linearized")
@@ -473,16 +475,12 @@ def _linearize(q: int, sigma: Cone, base_k: int, levels: Sequence[int],
     theta = theta_vector(q, base_k, sigma)
     rows = [_sample_row(*_pi_xi(q, theta, levels, p))
             for p in interior_samples(sigma, rng, 2 * n + 2)]
-    A = [row[:n] for row in rows]
-    B = [row[n:] for row in rows]
-    X = solve(A, B)
+    X = solve([row[:n] for row in rows], [row[n:] for row in rows])
     if X is None:
-        Bt = next(Bt for Bt in ([b[j * n:(j + 1) * n] for b in B]
-                                for j in range(len(levels)))
-                  if solve(A, Bt) is None)
-        i = next(i for i in range(n) if solve(A, [b[i] for b in Bt]) is None)
+        c = next(c for c in rref(rows)[1] if c >= n)
         raise LinearizationError(
-            f"no linear factorization for coordinate {i + 1} on {sigma!r}")
+            f"no linear factorization for coordinate {(c - n) % n + 1} on "
+            f"{sigma!r}")
     # row i of the matrix of levels[j] is column j n + i of X
     mats = [tuple(zip(*[row[j * n:(j + 1) * n] for row in X]))
             for j in range(len(levels))]
@@ -578,10 +576,15 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     pieces on the cones xi_k(sigma), sigma running over the chambers of
     Sigma^(K) with K = max(k, k') (_chambers: no face lattice is built).
 
-    Both matrices of a cone (xi_k and xi_k' over pi_{K, sigma}) come from
-    one sample set and one elimination: one kernel call per point, for pi
-    and both xi, one solve per cone.  Each ray's walk and its image under
-    xi_k are computed once for the whole map."""
+    Both matrices of a cone (xi_k = M_k o pi and xi_k' = M_k' o pi, pi =
+    pi_{K, sigma}) come from one sample set and one elimination: one
+    kernel call per point, for pi and both xi, one solve per cone.  The
+    piece is T = M_k' M_k^(-1), read off one rref of [M_k^T | M_k'^T] =
+    [I | T^T].  M_k is invertible: xi_k is injective on C_d (see
+    sigma_k_fan), so xi_k(sigma) = M_k pi(sigma) is full-dimensional; a
+    singular M_k still raises ValueError rather than give a wrong piece.
+    Each ray's walk and its image under xi_k are computed once for the
+    whole map."""
     _check_q_levels(q, k, kprime)
     rng = random.Random(f"sigma_kk:{seed}:{q}:{d}:{k}:{kprime}")
     K = max(k, kprime)
@@ -590,7 +593,10 @@ def sigma_kk_map(q: int, d: int, k: int, kprime: int, seed: int = 0
     records: dict = {}
     for sigma in _chambers(q, d, K):
         Mk, Mkp = _linearize(q, sigma, K, (k, kprime), rng, records)
-        trans = mat_mul(Mkp, mat_inv(Mk))
+        n = len(Mk)
+        red, pivots = rref([a + b for a, b in zip(zip(*Mk), zip(*Mkp))])
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
         image = _image_cone(q, k, sigma, images)
-        pieces.append((image, tuple(tuple(row) for row in trans)))
+        pieces.append((image, tuple(zip(*(row[n:] for row in red)))))
     return PiecewiseLinearMap(tuple(pieces))

@@ -11,7 +11,7 @@ from drinfan.bruhat_tits import (canonical_exponents, simplex_cone,
                                  standard_simplex_cone)
 from drinfan.cones import Cone
 from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import mat_inv, mat_mul
+from drinfan.linalg import mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,10 @@ def _diagonal_class(exponents: Sequence[int], q: int = 2) -> _LatticeClass:
 def _relative_matrix(inner: _LatticeClass, outer: _LatticeClass
                      ) -> list[list[RatFunc]]:
     """Coordinates of inner's basis in outer's basis (outer^-1 inner)."""
-    return mat_mul(mat_inv(outer.matrix), inner.matrix)
+    inv, b = mat_inv(outer.matrix), inner.matrix
+    zero = RatFunc.zero(inner.pi.field)
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for row in inv]
 
 
 def _min_valuation(m: list[list[RatFunc]], pi: Poly) -> int:

@@ -16,9 +16,13 @@ from hypothesis import given, settings, strategies as st
 from drinfan import cones
 from drinfan.cones import (Cone, Fan, _parallelepiped_points,
                            dual_monoid_hilbert_basis)
-from drinfan.linalg import (det, mat_inv, primitive, rank, rref,
+from drinfan.linalg import (det, mat_inv, primitive, rref,
                             smith_normal_form, solve)
 from drinfan.xi import cone_Cd, sigma_k_fan, sigma_upper_fan
+
+
+def _rank(rows):
+    return len(rref(rows)[1])
 
 
 def _relative_interior_point(c):
@@ -190,6 +194,16 @@ def test_cone_rejects_vectors_of_wrong_length():
         Cone.from_ineqs([[1, 0]], n=2, eqs=[[0]])
 
 
+def test_contains_rejects_points_of_wrong_length():
+    # zip would pair (1,) with the first coordinate only, and drop the 5
+    c = Cone.from_rays([(1, 0), (1, 1)])
+    for x in ((1,), (1, 0, 5), ()):
+        with pytest.raises(ValueError,
+                           match=f"has length {len(x)}, expected 2"):
+            c.contains(x)
+    assert c.contains((1, 0)) and not c.contains((0, 1))
+
+
 # -- the integer double description ------------------------------------------
 
 def _random_vectors(rng, n, count, lo=-3, hi=3):
@@ -211,7 +225,7 @@ def _check_rays_against_facets(c):
         assert all(dot(e, r) == 0 for e in c.eqs())
         assert all(dot(a, r) >= 0 for a in c.ineqs())
         tight = list(c.eqs()) + [a for a in c.ineqs() if dot(a, r) == 0]
-        assert (rank(tight) if tight else 0) == c.n - 1 - len(c.lines())
+        assert (_rank(tight) if tight else 0) == c.n - 1 - len(c.lines())
 
 
 def test_dd_convert_random_integer_cones():
@@ -377,7 +391,7 @@ def test_incidence_faces_match_dd_oracle():
             assert rebuilt.key() == f.key()
             assert (rebuilt.ineqs(), rebuilt.eqs()) == (f.ineqs(), f.eqs())
             gens = list(f.rays()) + list(f.lines())
-            assert f.dim() == (rank(gens) if gens else 0)
+            assert f.dim() == (_rank(gens) if gens else 0)
         for f, g in itertools.product(faces, repeat=2):
             assert f.is_face_of(g) == _dd_is_face_of(f, g), (f, g)
 
@@ -717,7 +731,7 @@ def _bounding_box_parallelepiped_points(rays, n):
     coordinates t (solved on m independent coordinates, then checked on
     all n) satisfy 0 <= t_i < 1."""
     m = len(rays)
-    assert rank(rays) == m
+    assert _rank(rays) == m
     verts = [[sum(rays[i][j] for i in range(m) if mask >> i & 1)
               for j in range(n)] for mask in range(1 << m)]
     lo = [min(v[j] for v in verts) for j in range(n)]
@@ -740,7 +754,7 @@ def _random_independent_rays(rng, m, n, bound):
     while True:
         rays = [tuple(rng.randint(-bound, bound) for _ in range(n))
                 for _ in range(m)]
-        if rank(rays) == m:
+        if _rank(rays) == m:
             return rays
 
 
@@ -844,9 +858,9 @@ def test_hilbert_basis_properties_random():
         member = _monoid_oracle(gens, lin, dual, ell)
         dgens = list(dual.rays()) + list(dual.lines()) \
             + [tuple(-x for x in l) for l in dual.lines()]
-        k = rank(dgens) if dgens else 0
+        k = _rank(dgens) if dgens else 0
         for simplex in itertools.combinations(dgens, k):
-            if k and rank(simplex) == k:
+            if k and _rank(simplex) == k:
                 for p in _bounding_box_parallelepiped_points(
                         list(simplex), c.n):
                     assert member(p), (c, p)

@@ -10,11 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 import drinfan.linalg as linalg_mod
 from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import (_combine, _int_rows, det, mat_inv, mat_mul,
-                            mat_vec, nullspace, primitive, rank, rref,
-                            smith_normal_form, solve)
+from drinfan.linalg import (_combine, _int_rows, det, mat_inv, mat_vec,
+                            nullspace, primitive, rref, smith_normal_form,
+                            solve)
 
 small_int = st.integers(-6, 6)
+
+
+def _sum_of_products(a, b, zero=Fraction(0)):
+    """The matrix product by its definition: entry (i, j) is
+    sum_k a[i][k] b[k][j]."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
+             for j in range(len(b[0]))] for row in a]
+
+
+def _rank(rows):
+    return len(rref(rows)[1])
 
 
 @st.composite
@@ -39,18 +50,23 @@ def test_solve_consistency(a):
 @given(int_matrix())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_is_kernel(a):
-    ns = nullspace([list(map(Fraction, row)) for row in a], ncols=len(a[0]))
+    ns = nullspace([list(map(Fraction, row)) for row in a])
     for v in ns:
         assert all(sum(Fraction(r[j]) * v[j] for j in range(len(v))) == 0
                    for r in a)
-    assert len(ns) == len(a[0]) - rank([list(map(Fraction, r)) for r in a])
+    assert len(ns) == len(a[0]) - _rank([list(map(Fraction, r)) for r in a])
+
+
+def test_nullspace_of_no_rows_is_rejected():
+    with pytest.raises(ValueError, match="at least one row"):
+        nullspace([])
 
 
 @given(int_matrix())
 @settings(max_examples=80, deadline=None)
 def test_smith_normal_form(a):
     U, S, V = smith_normal_form(a)
-    assert mat_mul(mat_mul(U, a), V) == S
+    assert _sum_of_products(_sum_of_products(U, a, 0), V, 0) == S
     # diagonal with divisibility
     diag = [S[i][i] for i in range(min(len(S), len(S[0])))]
     for i in range(len(S)):
@@ -77,7 +93,7 @@ def test_int_kernel(a):
 def test_mat_inv():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = mat_inv(m)
-    assert mat_mul(m, inv) == [[Fraction(1), Fraction(0)],
+    assert _sum_of_products(m, inv) == [[Fraction(1), Fraction(0)],
                                [Fraction(0), Fraction(1)]]
 
 
@@ -164,7 +180,7 @@ def _random_ratfunc(rng, field):
 def _invertible_ratfunc_matrix(rng, field, n):
     while True:
         a = [[_random_ratfunc(rng, field) for _ in range(n)] for _ in range(n)]
-        if rank(a) == n:
+        if _rank(a) == n:
             return a
 
 
@@ -178,11 +194,12 @@ def test_solve_and_inverse_over_rational_functions(q):
         a = _invertible_ratfunc_matrix(rng, field, n)
         b = [_random_ratfunc(rng, field) for _ in range(n)]
         x = solve(a, b)
-        assert [row[0] for row in mat_mul(a, [[v] for v in x])] == b
+        assert [row[0] for row in _sum_of_products(a, [[v] for v in x], zero)
+                ] == b
         identity = [[one if i == j else zero for j in range(n)]
                     for i in range(n)]
-        assert mat_mul(mat_inv(a), a) == identity
-        assert mat_mul(a, mat_inv(a)) == identity
+        assert _sum_of_products(mat_inv(a), a, zero) == identity
+        assert _sum_of_products(a, mat_inv(a), zero) == identity
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -200,13 +217,16 @@ def test_solve_over_rational_functions_detects_inconsistency(q):
         b[-1] = T * b[0]
         x = solve(a, b)  # consistent: one solution, free unknowns zero
         assert x is not None
-        assert [row[0] for row in mat_mul(a, [[v] for v in x])] == b
+        assert [row[0] for row in _sum_of_products(a, [[v] for v in x], zero)
+                ] == b
         assert x.count(zero) >= 1
         b[-1] = b[-1] + RatFunc.one(field)
         assert solve(a, b) is None
         kernel = nullspace(a)
         assert len(kernel) == 1
-        assert all(not row[0] for row in mat_mul(a, [[c] for c in kernel[0]]))
+        assert all(not row[0]
+                   for row in _sum_of_products(a, [[c] for c in kernel[0]],
+                                               zero))
         with pytest.raises(ValueError):
             mat_inv(a)
 
@@ -233,10 +253,10 @@ def test_solve_matrix_rhs_matches_column_solves():
             a[-1] = [2 * x for x in a[0]]  # rank below m
         x = [[Fraction(rng.randint(-5, 5)) for _ in range(k)]
              for _ in range(n)]
-        b = mat_mul(a, x)
+        b = _sum_of_products(a, x)
         if kind == "inconsistent":
             j = rng.randrange(k)
-            if rank(a) == m:  # no room for an inconsistent right-hand side
+            if _rank(a) == m:  # no room for an inconsistent right-hand side
                 continue
             b[-1][j] += 1
         got = solve(a, b)
@@ -245,7 +265,7 @@ def test_solve_matrix_rhs_matches_column_solves():
         if kind == "inconsistent":
             assert got is None
         else:
-            assert got is not None and mat_mul(a, got) == b
+            assert got is not None and _sum_of_products(a, got) == b
             assert len(got) == n and all(len(row) == k for row in got)
         kinds[kind] += 1
     assert all(kinds.values())
@@ -262,7 +282,7 @@ def test_solve_matrix_rhs_over_rational_functions(q):
              for _ in range(n)]
         got = solve(a, b)
         assert got == _column_solves(a, b)
-        assert mat_mul(a, got) == b
+        assert _sum_of_products(a, got, RatFunc.zero(field)) == b
 
 
 # -- rref against field Gauss-Jordan ------------------------------------------
@@ -415,42 +435,3 @@ def test_rref_over_rational_functions_matches_field_oracle(q):
         seen["deficient"] += len(pivots) < min(nrows, ncols)
         seen["zero row"] += any(not any(row) for row in rows)
     assert min(seen.values()) >= 10, seen
-
-
-# -- matrix products ------------------------------------------------------------
-
-def _sum_of_products(a, b, zero):
-    """Oracle for ``mat_mul``: entry (i, j) is sum_k a[i][k] b[k][j]."""
-    return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
-             for j in range(len(b[0]))] for row in a]
-
-
-def test_rational_mat_mul_matches_the_definition():
-    rng = random.Random(41)
-
-    def entry():
-        if rng.random() < 0.5:
-            return rng.randint(-9, 9)
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-
-    for _ in range(200):
-        m, k, n = (rng.randint(1, 5) for _ in range(3))
-        a = [[entry() for _ in range(k)] for _ in range(m)]
-        b = [[entry() for _ in range(n)] for _ in range(k)]
-        got = mat_mul(a, b)
-        assert got == _sum_of_products(a, b, Fraction(0)), (a, b)
-        assert all(type(x) is Fraction for row in got for x in row)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_ratfunc_mat_mul_matches_the_definition(q):
-    field = gf(q)
-    zero = RatFunc.zero(field)
-    rng = random.Random(500 + q)
-    for _ in range(20):
-        m, k, n = (rng.randint(1, 3) for _ in range(3))
-        a = [[_random_ratfunc(rng, field) for _ in range(k)] for _ in range(m)]
-        b = [[_random_ratfunc(rng, field) for _ in range(n)] for _ in range(k)]
-        got = mat_mul(a, b)
-        assert got == _sum_of_products(a, b, zero)
-        assert all(type(x) is RatFunc for row in got for x in row)

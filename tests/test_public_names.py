@@ -6,8 +6,12 @@ module-level function or method of ``src/drinfan``, must be used by code
 in ``src/drinfan`` (another module or its own), in ``scripts/`` or in
 ``perfbench/``.  Uses are names and attributes in the syntax tree, so a
 mention in a docstring or a comment does not count, and neither does the
-body of the name's own definition.  Test-only helpers live in the tests
-that use them.
+body of the name's own definition.  A public name of module M counts as
+used in another file only if that file imports it from M, or reads it as
+an attribute of a name bound to M (``eps_mod.epsilon_closed``,
+``xi.sigma_upper_fan``, ``drinfan.xi.cone_Cd``): an attribute of the
+same name on another object, such as ``DrinfeldModule.rank``, is not a
+use.  Test-only helpers live in the tests that use them.
 """
 
 import ast
@@ -35,6 +39,43 @@ def _used_names(tree, skip=None):
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def _imported_uses(tree, modules):
+    """(module, name) for each name a file imports from a drinfan module,
+    relatively or absolutely, and each attribute it reads off a name bound
+    to one (an import alias, or drinfan.<module>)."""
+    aliases, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module  # None: the package itself
+            elif node.level == 0 and (node.module or "").split(".")[0] \
+                    == "drinfan":
+                source = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if source is not None:
+                    uses.add((source, alias.name))
+                elif alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, stem = alias.name.partition(".")
+                if package == "drinfan" and stem in modules and alias.asname:
+                    aliases[alias.asname] = stem
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in aliases:
+            uses.add((aliases[owner.id], node.attr))
+        elif (isinstance(owner, ast.Attribute)
+              and isinstance(owner.value, ast.Name)
+              and owner.value.id == "drinfan" and owner.attr in modules):
+            uses.add((owner.attr, node.attr))
+    return uses
 
 
 def _public_names(tree):
@@ -78,11 +119,13 @@ def _private_defs(tree):
 
 def test_every_public_name_is_used_outside_the_tests():
     trees = _trees()
-    uses = {path: _used_names(tree) for path, tree in trees.items()}
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    imported = set().union(*(_imported_uses(tree, modules)
+                             for tree in trees.values()))
     unreached = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for name in _public_names(trees[path]):
-            if not any(name in used for p, used in uses.items() if p != path) \
+            if (path.stem, name) not in imported \
                     and name not in _used_names(trees[path], skip=name):
                 unreached.add(f"{path.stem}.{name}")
     assert unreached == ALLOWED, f"test-only public names: {sorted(unreached)}"

@@ -11,8 +11,7 @@ import drinfan.epsilon as eps_mod
 import drinfan.xi as xi_mod
 from drinfan.cones import Cone, Fan
 from drinfan.epsilon import epsilon_closed, epsilon_hat, epsilon_oracle
-from drinfan.linalg import (_over_lcm, frac_vec, mat_inv, mat_mul, mat_vec,
-                            solve)
+from drinfan.linalg import _over_lcm, frac_vec, mat_inv, mat_vec, solve
 from drinfan.points import ClassPoint
 from drinfan.xi import (LinearizationError, cone_Cd, contains_class_point,
                         delta_tilde, interior_samples, linearize_xi, pi_eval,
@@ -109,6 +108,14 @@ def test_sigma_kk_map_pointwise():
                 assert tuple(m.eval(a)) == tuple(b)
 
 
+def test_transition_map_rejects_points_of_wrong_length():
+    m = sigma_kk_map(2, 3, 1, 2)
+    for coords in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError,
+                           match=f"has length {len(coords)}, expected 2"):
+            m.eval(coords)
+
+
 def test_ex_transition_pieces_d3():
     m = sigma_kk_map(2, 3, 1, 2)
     ray_sets = sorted(sorted(c.rays()) for c, _ in m.pieces)
@@ -157,6 +164,16 @@ def test_two_term_sign_uses_the_stored_power():
     above = Cone.from_rays([(0, 1), (1, 2)])  # 2 s_1 <= s_2
     assert contains_class_point(2, 2, below, p)
     assert not contains_class_point(2, 2, above, p)
+
+
+def test_two_term_sign_rejects_indices_outside_the_point():
+    # index 0 would read the last coordinate through values[-1]
+    p = ClassPoint.from_coords([1, 2])
+    for j, i in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="is outside 1..2"):
+            p.sign_two_term(2, 0, j, i)
+    assert p.sign_two_term(2, 0, 1, 2) == -1
+    assert p.sign_two_term(2, 1, 1, 2) == 0
 
 
 # -- Sigma^(k) by refinement against the sign-assignment enumeration ---------
@@ -354,6 +371,15 @@ def _linearize_per_coordinate(q, sigma, base_k, target_k, rng,
     return M
 
 
+def _transition_by_product(Mk, Mkp):
+    """The piece M_k' M_k^(-1) by an inverse and the definitional product
+    (test-only reference)."""
+    inv = mat_inv(Mk)
+    return tuple(tuple(sum((row[j] * inv[j][i] for j in range(len(inv))),
+                           F(0)) for i in range(len(inv[0])))
+                 for row in Mkp)
+
+
 LEVEL_CASES = [(q, d, k) for q in (2, 3) for d in (3, 4) for k in (1, 2, 3)]
 
 
@@ -379,7 +405,7 @@ def test_sigma_kk_map_matches_per_coordinate_oracle():
             for (_, trans), sigma in zip(m.pieces, maximal):
                 mk = _linearize_per_coordinate(q, sigma, K, k, rng)
                 mkp = _linearize_per_coordinate(q, sigma, K, kp, rng)
-                want = tuple(tuple(row) for row in mat_mul(mkp, mat_inv(mk)))
+                want = _transition_by_product(mk, mkp)
                 assert trans == want, (q, d, k, kp, sigma)
 
 
@@ -838,8 +864,7 @@ def test_ray_records_change_no_draw_and_no_matrix(monkeypatch):
         want = []
         for sigma in chambers:
             Mk, Mkp = xi_mod._linearize(2, sigma, 2, (1, 2), rng)
-            want.append(tuple(tuple(row)
-                              for row in mat_mul(Mkp, mat_inv(Mk))))
+            want.append(_transition_by_product(Mk, Mkp))
         assert [mat for _, mat in pieces] == want
         assert got == drawn and len(got) == 2 * len(chambers)
 
@@ -878,6 +903,30 @@ def test_sigma_k_fan_joins_its_images_as_chambers(monkeypatch):
     assert ([m.key() for m in fan.maximal_cones()]
             == [m.key() for m in want.maximal_cones()])
     assert list(fan.cones) == list(want.cones)
+
+
+def test_a_failing_system_is_located_by_one_more_elimination(monkeypatch):
+    # the one solve of [A | B] fails, and one rref of the same rows names
+    # the coordinate: no solve per level or per coordinate
+    solves = _counted(monkeypatch, "solve")
+    rrefs = _counted(monkeypatch, "rref")
+    with pytest.raises(LinearizationError, match="for coordinate 2 on"):
+        linearize_xi(2, cone_Cd(4), 2, 2, random.Random(0))
+    assert (len(solves), len(rrefs)) == (1, 1)
+
+
+def test_sigma_kk_map_rejects_a_singular_matrix(monkeypatch):
+    # M_k is invertible on every chamber; a singular one (here its last
+    # row zeroed) raises instead of giving a wrong piece
+    real = xi_mod._linearize
+
+    def singular(*args):
+        Mk, Mkp = real(*args)
+        return (*Mk[:-1], (F(0),) * len(Mk)), Mkp
+
+    monkeypatch.setattr(xi_mod, "_linearize", singular)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        sigma_kk_map(2, 4, 1, 2)
 
 
 def _linearize_per_level(q, sigma, base_k, levels, rng, failed):
