@@ -122,6 +122,9 @@ def projective_lines(q: int) -> list[tuple[int, ...]]:
 
 
 def incident(q: int, a: tuple[int, ...], line: tuple[int, ...]) -> bool:
+    if len(a) != len(line):
+        raise ValueError(f"point has length {len(a)}, line has length "
+                         f"{len(line)}")
     field = gf(q)
     acc = 0
     for x, y in zip(a, line):
@@ -187,7 +190,17 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _check_vars(self, other: "MPoly") -> None:
+        """Both operands have exponent vectors of one length.  Sums and
+        products of polynomials in one set of variables stay in it, so the
+        first term of each decides."""
+        if self.terms and other.terms:
+            m, n = len(self.terms[0][0]), len(other.terms[0][0])
+            if m != n:
+                raise ValueError(f"exponent vectors of lengths {m} and {n}")
+
     def __add__(self, other: "MPoly") -> "MPoly":
+        self._check_vars(other)
         out = dict(self.terms)
         for e, c in other.terms:
             out[e] = self.field.add(out.get(e, 0), c)
@@ -201,6 +214,7 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        self._check_vars(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

@@ -8,6 +8,12 @@ verify identities|tate|sigk3.  `verify identities` covers q = 2 and 3 and
 evaluates every law through the table epsilon.IDENTITIES; `verify tate`
 checks the torsion of Tate quotients against the comparison fans.
 
+Each call makes one argparse pass: a command's own parser parses the
+arguments after the command name, as the top-level parser would hand them
+on, and the top-level parser serves only its help and the usage errors
+made before a command is named (none given, an unknown one, an option
+before it).
+
 All output is deterministic: JSON is emitted with sorted keys, rays and
 cones in canonical sorted order, and rationals as "a/b" strings.  Random
 sampling is driven by a seed that is split per suite via
@@ -107,8 +113,12 @@ def _json(obj, pad: str = "\n") -> str:
 
     With an indent the standard library falls back to its pure-Python
     encoder, whose closures form a reference cycle on every call; here
-    only the containers are laid out, and each leaf still goes through
-    json.dumps, so escaping and number formatting are unchanged."""
+    only the containers are laid out.  An int, and a list or tuple of ints
+    only (bools excluded), is written by str, which is what json.dumps
+    writes for a plain int; every other leaf goes through json.dumps, so
+    escaping and number formatting are unchanged."""
+    if type(obj) is int:
+        return str(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -119,6 +129,8 @@ def _json(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(x) is int for x in obj):
+            return "[" + inner + ("," + inner).join(map(str, obj)) + pad + "]"
         return "[" + ",".join(inner + _json(x, inner) for x in obj) + pad + "]"
     return json.dumps(obj)
 
@@ -497,14 +509,20 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
-def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["--"]:  # the top level has no options for it to end
-        argv = argv[1:]
-    try:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv; SystemExit after help or a usage error.
+
+    A command's own parser parses the arguments after the command name:
+    that is the call the top-level parser's subparser action makes, so the
+    namespace, help and errors are the same, in one argparse pass instead
+    of two.  Anything else (no argv, help, an option before the command, an
+    unknown command) goes to the top-level parser, which prints the
+    top-level help and usage errors."""
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:
         # the top level takes no option but --help, so a misspelt option
         # before the command is named here; argparse would take its value
         # for the command name
@@ -514,9 +532,21 @@ def main(argv=None) -> int:
             if arg not in ("-h", "--help"):
                 _parser.error("unrecognized arguments: " + arg)
         args, extra = _parser.parse_known_args(argv)
-        if extra:  # name the subcommand, whose usage shows the valid options
-            _parser.commands[args.command].error(
-                "unrecognized arguments: " + " ".join(extra))
+        command = _parser.commands[args.command]
+    if extra:  # name the subcommand, whose usage shows the valid options
+        command.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
+def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--"]:  # the top level has no options for it to end
+        argv = argv[1:]
+    try:
+        args = _parse(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:

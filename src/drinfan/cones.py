@@ -20,7 +20,9 @@ modulo them (``_canonical``).
 
 V and H are each computed on first use and then kept, so a cone pays only
 for what is read: ``rays``, ``lines``, ``key``, equality and hashing read
-V; ``ineqs``, ``eqs``, ``contains`` and ``faces`` read H.  A cone given by
+V; ``ineqs``, ``eqs``, ``contains`` and ``faces`` read H; ``dim`` reads H
+if it is known and otherwise the rank of the generators at hand, so the
+dimension of a face converts nothing.  A cone given by
 inequalities gets V by one conversion and H, if asked, from V.  A cone
 given by generators gets H by one conversion (H is the V-rep of the dual
 cone) and V, if asked, from H, which makes it canonical.  A cone whose
@@ -328,7 +330,15 @@ class Cone:
     # -- queries --------------------------------------------------------------
 
     def dim(self) -> int:
-        return self.n - len(self.eqs())
+        """The dimension of the span: n minus the number of equations if H
+        is known, else the rank of the generators at hand (the given ones,
+        or V), so a face, born with its V only, converts nothing."""
+        if self._H is not None:
+            return self.n - len(self._H[1])
+        rays, lines = (self._v() if self._gen_rays is None
+                       else (self._gen_rays, self._gen_lines))
+        rows = [primitive(v) for v in (*rays, *lines) if any(v)]
+        return len(_gauss_jordan(rows, _combine)) if rows else 0
 
     def is_pointed(self) -> bool:
         return not self.lines()
@@ -345,6 +355,9 @@ class Cone:
         """other <= self, tested on other's integer rays and lines: every
         generator satisfies the equations, every ray the inequalities,
         and every line the inequalities with equality."""
+        if other.n != self.n:
+            raise ValueError(f"cone in dimension {other.n}, expected "
+                             f"{self.n}")
         eqs, ineqs = self.eqs(), self.ineqs()
         rays, lines = other.rays(), other.lines()
         return (all(_idot(a, r) >= 0 for r in rays for a in ineqs)

@@ -59,6 +59,9 @@ def frac_vec(v: Sequence) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError(f"dot product of vectors of lengths {len(a)} "
+                         f"and {len(b)}")
     return sum(((x if type(x) is Fraction else Fraction(x))
                 * (y if type(y) is Fraction else Fraction(y))
                 for x, y in zip(a, b)), Fraction(0))
@@ -192,6 +195,9 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     would, and the result is None if any column is inconsistent.  The
     first pivot in the B columns marks the first inconsistent column.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"right-hand side has length {len(rhs)}, "
+                         f"expected {len(rows)}, one entry per equation")
     matrix = bool(rhs) and isinstance(rhs[0], (list, tuple))
     aug = [list(r) + (list(b) if matrix else [b]) for r, b in zip(rows, rhs)]
     if not aug:

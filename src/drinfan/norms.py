@@ -53,6 +53,9 @@ class WeightedNorm:
         return len(self.weights)
 
     def norm(self, x: Sequence[Poly]) -> Fraction:
+        if len(x) != len(self.weights):
+            raise ValueError(f"vector has length {len(x)}, expected "
+                             f"{len(self.weights)}")
         return max((w * p.absolute_value() for w, p in zip(self.weights, x)),
                    default=Fraction(0))
 
@@ -77,6 +80,9 @@ def successive_minima(norm: WeightedNorm, generators: Sequence[Vector]
     basis = [tuple(g) for g in generators]
     if len(basis) != n:
         raise ValueError("need n generators for a full lattice")
+    for g in basis:
+        if len(g) != n:
+            raise ValueError(f"generator has length {len(g)}, expected {n}")
     if det([[g[i] for g in basis] for i in range(n)]).is_zero():
         raise ValueError("generators are not a lattice basis")
     while True:

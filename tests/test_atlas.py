@@ -25,6 +25,15 @@ def test_projective_counts():
             assert sum(incident(q, a, l) for a in pts) == q + 1
 
 
+def test_incident_rejects_a_point_and_line_of_different_lengths():
+    # zip would test (1, 0, 0) against the line (0, 1) on two coordinates
+    for a, line in (((1, 0, 0), (0, 1)), ((0, 1), (1, 0, 0))):
+        with pytest.raises(ValueError, match=f"point has length {len(a)}, "
+                                             f"line has length {len(line)}"):
+            incident(2, a, line)
+    assert incident(2, (1, 0, 0), (0, 1, 0))
+
+
 def test_component_counts_m0():
     comps, edges = component_graph(2, 0)
     assert len(comps) == 14
@@ -93,6 +102,18 @@ def test_mpoly_arithmetic():
     y = MPoly.variable(K, 1, 2)
     assert ((x + y) * (x + y)).terms == ((x * x) + (y * y)).terms  # char 2
     assert (x - x).is_zero()
+
+
+def test_mpoly_arithmetic_rejects_exponents_of_different_lengths():
+    # zip would add (1, 0) to the first two exponents of (0, 0, 1) only,
+    # and a sum would hold terms of both lengths
+    F = gf(2)
+    x, z = MPoly.variable(F, 0, 2), MPoly.variable(F, 2, 3)
+    for op in (lambda: x * z, lambda: z * x, lambda: x + z, lambda: z - x):
+        with pytest.raises(ValueError, match="exponent vectors of lengths"):
+            op()
+    assert (x * x).terms == (((2, 0), 1),)
+    assert (x * MPoly.zero(F)).is_zero()
 
 
 def test_symmetric_identity():

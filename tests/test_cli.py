@@ -1,5 +1,6 @@
 """CLI output formats, determinism, and exit codes."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from drinfan import cli
+from drinfan import cli, cones
 from drinfan.xi import sigma_upper_fan
 
 CLI = [sys.executable, "-m", "drinfan.cli"]
@@ -414,21 +415,62 @@ def test_json_text_matches_json_dumps():
     rng = random.Random(5)
     leaves = ["", "a/b", 'quo"te\\', "tab\tnew\nline", "é→\U0001d538",
               "\x00\x1f", 0, -7, 2 ** 80, 1.5, -0.0, 1e300, True, False, None]
+    ints = [0, 1, -1, 7, -7, 2 ** 80, -(2 ** 64)]
 
     def draw(depth):
-        kind = rng.randrange(4 if depth < 4 else 1)
+        kind = rng.randrange(6 if depth < 4 else 3)
         if kind == 0:
             return rng.choice(leaves)
-        if kind == 1:
+        if kind == 1:  # an int, as a leaf or on its own
+            return rng.choice(ints)
+        if kind == 2:  # ints only, or ints mixed with bools (not ints here)
+            pool = ints + [True, False] * rng.randrange(2)
+            seq = [rng.choice(pool) for _ in range(rng.randrange(5))]
+            return seq if rng.randrange(2) else tuple(seq)
+        if kind == 3:
             return [draw(depth + 1) for _ in range(rng.randrange(4))]
-        if kind == 2:
+        if kind == 4:
             return tuple(draw(depth + 1) for _ in range(rng.randrange(3)))
         return {rng.choice(["a", "b", "Z", "é", "k\n", ""]) + str(i):
                 draw(depth + 1) for i in range(rng.randrange(4))}
 
-    for _ in range(300):
-        obj = draw(0)
+    drawn = [draw(0) for _ in range(400)]
+    for obj in drawn:
         assert cli._json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    # the draws reach a top-level int, int-only lists and tuples, and
+    # lists that mix ints with bools
+    assert any(type(obj) is int for obj in drawn)
+    seqs = [x for obj in drawn for x in _walk(obj)
+            if isinstance(x, (list, tuple)) and x]
+    assert any(all(type(v) is int for v in x) for x in seqs)
+    assert any(all(type(v) is int for v in x) and type(x) is tuple
+               for x in seqs)
+    assert any({type(v) for v in x} == {int, bool} for x in seqs)
+
+
+def _walk(obj):
+    """obj and every container or leaf inside it."""
+    yield obj
+    if isinstance(obj, (dict, list, tuple)):
+        for x in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _walk(x)
+
+
+def test_fan_json_converts_nothing(monkeypatch):
+    # every face of the fan is born with its V, and its dim is read from it
+    fan = sigma_upper_fan(2, 3, 3)
+    calls = []
+    convert = cones._dd_convert
+
+    def counted(*args):
+        calls.append(1)
+        return convert(*args)
+
+    monkeypatch.setattr(cones, "_dd_convert", counted)
+    obj = cli._fan_json(fan)
+    assert calls == []
+    assert obj["size"] == len(fan) == 8
+    assert sorted(c["dim"] for c in obj["cones"]) == [0, 1, 1, 1, 1, 2, 2, 2]
 
 
 def test_json_output_leaves_no_garbage():
@@ -451,6 +493,115 @@ def test_json_output_leaves_no_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def _top_level_parse(argv):
+    """The parse through the top-level parser: its subparser action hands
+    the arguments after the command name to the command's parser."""
+    parser = cli._parser
+    for arg in argv:
+        if arg == "--" or not arg.startswith("-"):
+            break
+        if arg not in ("-h", "--help"):
+            parser.error("unrecognized arguments: " + arg)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.commands[args.command].error(
+            "unrecognized arguments: " + " ".join(extra))
+    return args
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_PARSE_CASES = [
+    # every command
+    ["eps", "delta", "--q", "2", "--weights", "1"],
+    ["eps", "eval", "--q", "2", "--weights", "1,3", "--x", "7/2",
+     "--method", "closed"],
+    ["xi", "eval", "--q", "2", "--coords", "1,2,4"],
+    ["fan", "sigma-upper", "--q", "2", "--d", "3", "--k", "1"],
+    ["hilbert", "--cone", "1,0;1,2"],
+    ["bt", "simplex", "--q", "2"],
+    ["tate", "quotient", "--q", "2", "--ms", "1"],
+    ["atlas", "charts", "--alphas", "3/2,2"],
+    ["satake-check"],
+    ["verify", "sigk3"],
+    ["verify", "identities", "--count", "1"],
+    ["eps", "delta", "--q=2", "--weights=1,2"],
+    # help before and after the command
+    ["-h"], ["--help"], ["-h", "eps"], ["--help", "fan", "sigma-upper"],
+    ["eps", "-h"], ["fan", "sigma-upper", "--help"], ["satake-check", "-h"],
+    ["eps", "delta", "--q", "2", "-h"],
+    # -- and -- --
+    ["--"], ["--", "--"], ["--", "eps", "delta", "--q", "2"],
+    ["--", "--", "eps", "delta", "--q", "2"],
+    ["eps", "--", "delta", "--q", "2"],
+    ["eps", "delta", "--q", "2", "--"],
+    ["eps", "delta", "--q", "2", "--", "--weights", "1"],
+    ["eps", "delta", "--", "--", "--q", "2"],
+    # a misspelt option, an option prefix, a stray argument
+    ["xi", "eval", "--q", "2", "--coo", "1,2,4"],
+    ["eps", "eval", "--q", "2", "--meth", "oracle"],
+    ["satake-check", "extra"],
+    ["eps", "delta", "--q", "2", "-x"],
+    # a missing required option or action, a bad value or choice
+    ["eps", "delta"], ["tate", "quotient", "--q", "2"], ["eps"], ["verify"],
+    ["eps", "delta", "--q", "two"], ["eps", "bogus", "--q", "2"],
+    ["eps", "eval", "--q", "2", "--method", "fast"],
+    # an unknown command
+    ["no-such-command"], ["ep", "delta", "--q", "2"], ["EPS"],
+    # an option before the command
+    ["--coo", "1", "xi", "eval", "--q", "2", "--coords", "1,2"],
+    ["--q", "2", "eps", "delta"], ["-q", "eps"],
+    # no argv
+    [],
+]
+
+
+def test_one_parse_pass_matches_the_top_level_parser(monkeypatch):
+    codes = set()
+    for argv in _PARSE_CASES:
+        got = _main_output(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", _top_level_parse)
+            want = _main_output(argv)
+        assert got == want, argv
+        codes.add(got[0])
+        if got[0] == 0 and not got[1].startswith("usage:"):
+            args = argv[1:] if argv[:1] == ["--"] else argv
+            assert vars(cli._parse(args)) == vars(_top_level_parse(args)), argv
+    assert codes == {0, 2}
+
+
+def test_a_command_is_parsed_once_by_its_own_parser(monkeypatch):
+    _main_output(["-h"])  # builds the parser
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv, code in ((["eps", "delta", "--q", "2", "--weights", "1"], 0),
+                       (["xi", "eval", "--q", "2", "--coords", "1,2,4"], 0),
+                       (["satake-check"], 0),
+                       (["eps", "delta", "--q", "2", "--bogus"], 2),
+                       (["eps", "delta"], 2),
+                       (["fan", "-h"], 0)):
+        parsers.clear()
+        assert _main_output(argv)[0] == code, argv
+        assert parsers == [cli._parser.commands[argv[0]]], argv
+    # anything else is the top-level parser's, once
+    for argv in (["-h"], ["no-such-command"], []):
+        parsers.clear()
+        _main_output(argv)
+        assert parsers == [cli._parser], argv
 
 
 def test_misspelt_option_reports_the_subcommand_usage():

@@ -204,6 +204,19 @@ def test_contains_rejects_points_of_wrong_length():
     assert c.contains((1, 0)) and not c.contains((0, 1))
 
 
+def test_contains_cone_rejects_a_cone_of_another_dimension():
+    # the rays of the other cone would be paired with the first
+    # coordinates only: (1, 0, 7) passes every test of the plane cone
+    c = Cone.from_rays([(1, 0), (1, 1)])
+    for other in (Cone.from_rays([(1, 0, 7)]), Cone.from_rays([(1,)])):
+        with pytest.raises(ValueError,
+                           match=f"cone in dimension {other.n}, expected 2"):
+            c.contains_cone(other)
+    with pytest.raises(ValueError, match="cone in dimension 3, expected 2"):
+        Fan([c, Cone.from_rays([(1, 0, 7)])])
+    assert c.contains_cone(Cone.from_rays([(2, 1)]))
+
+
 # -- the integer double description ------------------------------------------
 
 def _random_vectors(rng, n, count, lo=-3, hi=3):
@@ -655,6 +668,44 @@ def test_ineqs_of_a_cone_from_rays_converts_once(monkeypatch):
     assert c.contains((1, 1)) and not c.contains((0, 1))
     assert len(calls) == 1
     assert c.rays() == ((1, 0), (1, 2)) and len(calls) == 2
+
+
+def test_dim_is_the_rank_of_the_generators_at_hand(monkeypatch):
+    # dim must be n - len(eqs()), read with no conversion on a cone given
+    # by generators or on a face, and with at most the one conversion to
+    # V on a cone given by inequalities
+    rng = random.Random(31)
+    calls = _counting_dd(monkeypatch)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        rays = _random_vectors(rng, n, rng.randint(0, 5))
+        if rng.random() < 0.3:
+            rays = [_scaled(rng, r) for r in rays]
+        lines = _random_vectors(rng, n, rng.randint(0, 2))
+        c = Cone.from_rays(rays, n=n, lines=lines)
+        calls.clear()
+        d = c.dim()
+        assert calls == []
+        assert d == n - len(c.eqs())
+        seen.add(("rays", d < n, bool(c.lines())))
+        for f in c.faces()[1:]:
+            calls.clear()
+            d = f.dim()
+            assert calls == []
+            assert d == n - len(f.eqs())
+            seen.add(("face", d))
+        h = Cone.from_ineqs(_random_vectors(rng, n, rng.randint(0, 5)), n=n,
+                            eqs=_random_vectors(rng, n, rng.randint(0, 1)))
+        calls.clear()
+        d = h.dim()
+        assert len(calls) <= 1
+        assert d == n - len(h.eqs())
+        seen.add(("ineqs", d < n))
+    # the draws reach lower-dimensional cones, lines and faces of dim 0..5
+    assert {("rays", True, True), ("rays", False, True), ("rays", True, False),
+            ("ineqs", True), ("ineqs", False)} <= seen
+    assert {("face", d) for d in range(5)} <= seen
 
 
 def test_faces_are_born_without_the_vector_check(monkeypatch):

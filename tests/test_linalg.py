@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import drinfan.linalg as linalg_mod
 from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import (_combine, _int_rows, det, mat_inv, mat_vec,
+from drinfan.linalg import (_combine, _int_rows, det, dot, mat_inv, mat_vec,
                             nullspace, primitive, rref, smith_normal_form,
                             solve)
 
@@ -55,6 +55,36 @@ def test_nullspace_is_kernel(a):
         assert all(sum(Fraction(r[j]) * v[j] for j in range(len(v))) == 0
                    for r in a)
     assert len(ns) == len(a[0]) - _rank([list(map(Fraction, r)) for r in a])
+
+
+def test_solve_rejects_a_right_hand_side_of_another_length():
+    # zip would drop the third equation, or the 3, and both return (1, 2)
+    for rows, rhs in (([[1, 0], [0, 1], [1, 1]], [1, 2]),
+                      ([[1, 0], [0, 1]], [1, 2, 3]),
+                      ([[1, 0], [0, 1]], [[1], [2], [3]])):
+        with pytest.raises(ValueError, match=f"right-hand side has length "
+                                             f"{len(rhs)}, expected {len(rows)}"):
+            solve(rows, rhs)
+    assert solve([[1, 0], [0, 1], [1, 1]], [1, 2, 3]) == (1, 2)
+    assert solve([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) is None
+
+
+def test_dot_rejects_vectors_of_different_lengths():
+    # zip would pair (1, 2, 3) with (1, 2) and drop the 3
+    for a, b in (((1, 2, 3), (1, 2)), ((1,), (1, 2)), ((), (5,))):
+        with pytest.raises(ValueError,
+                           match=f"lengths {len(a)} and {len(b)}"):
+            dot(a, b)
+    assert dot((1, 2, 3), (1, 2, Fraction(1, 3))) == 6
+
+
+def test_mat_vec_rejects_a_vector_of_another_length():
+    # zip would drop the 9 and return (1, 2)
+    with pytest.raises(ValueError, match="lengths 2 and 3"):
+        mat_vec([[1, 0], [0, 1]], (1, 2, 9))
+    with pytest.raises(ValueError, match="lengths 2 and 1"):
+        mat_vec([[1, 0], [0, 1]], (1,))
+    assert mat_vec([[1, 0], [1, 1]], (1, 2)) == (1, 3)
 
 
 def test_nullspace_of_no_rows_is_rejected():

@@ -253,6 +253,27 @@ def test_change_predicate_matches_brute_force():
     assert agree == len(sample)
 
 
+def test_norm_rejects_a_vector_of_another_length():
+    # zip would pair the weights with the first coordinates only
+    K = gf(2)
+    T = Poly.T(K)
+    nm = WeightedNorm(K, (F(1), F(2)))
+    for x in ((T,), (T, T, T), ()):
+        with pytest.raises(ValueError,
+                           match=f"vector has length {len(x)}, expected 2"):
+            nm.norm(x)
+    assert nm.norm((T, T)) == 4
+
+
+def test_rejects_generators_of_another_length():
+    K = gf(2)
+    zero, one = Poly.zero(K), Poly.one(K)
+    nm = WeightedNorm(K, (F(1), F(1)))
+    for gens in ([(one, zero, one), (zero, one)], [(one,), (zero, one)]):
+        with pytest.raises(ValueError, match="generator has length"):
+            successive_minima(nm, gens)
+
+
 def test_rejects_non_basis():
     K = gf(2)
     zero = Poly.zero(K)
