@@ -5,9 +5,9 @@ Exact elimination lives here, and only here: one Gauss-Jordan loop,
 The integer step ``_combine`` (a combination of two rows divided by its
 gcd) also runs the cone engine's canonical form and double description.
 
-* Gauss-Jordan over an exact field: ``rref`` and the ``nullspace``,
-  ``solve`` and ``mat_inv`` built on it work on ``fractions.Fraction``
-  entries (ints are promoted) or on ``RatFunc`` entries of F_q(T).  The
+* Gauss-Jordan over an exact field: ``rref`` and the ``solve`` and
+  ``mat_inv`` built on it work on ``fractions.Fraction`` entries (ints
+  are promoted) or on ``RatFunc`` entries of F_q(T).  The
   field is the one the entries live in.  A rational matrix is eliminated
   fraction-free, on ints, and only the reduced rows are made
   ``Fraction``s (an all-int row, such as a linearization sample's, goes
@@ -16,13 +16,18 @@ gcd) also runs the cone engine's canonical form and double description.
   matrix of them (one row per equation, as ``numpy.linalg.solve`` does)
   and eliminates ``[A | B]`` once for all of its columns.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
-  with exact ``//``; drinfan uses it over Z and over F_q[T] (``Poly``).
+  with exact ``//``: over Z in the library, and over F_q[T] (``Poly``) in
+  the tests.  There is no kernel routine; ``norms`` needs none.
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
   with no ``Fraction``), Smith normal form with transformation matrices
   and quotient coordinates for Z^n modulo a saturated sublattice
   (``quotient_lattice_maps``).  The cone engine uses the Smith form for
   parallelepiped points and the quotient coordinates for Hilbert bases.
   ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
+
+Public matrix functions check on entry that their rows share one length
+(``det`` and ``mat_inv`` that the matrix is square) and raise a
+``ValueError`` naming the lengths; the elimination loops check nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
 __all__ = [
-    "frac_vec", "dot", "rref", "nullspace", "solve", "mat_inv", "mat_vec",
+    "frac_vec", "dot", "rref", "solve", "mat_inv", "mat_vec",
     "det", "primitive", "smith_normal_form", "quotient_lattice_maps",
 ]
 
@@ -45,6 +50,18 @@ __all__ = [
 def _entry(x):
     """x as a field element: a RatFunc stays, anything else is a Fraction."""
     return x if type(x) is RatFunc else Fraction(x)
+
+
+def _row_length(rows, what: str = "row", square: bool = False) -> int:
+    """The length that all rows share (0 for no rows); ValueError naming
+    the first row of another length, or the shape if square is asked."""
+    n = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"{what} {i} has length {len(row)}, expected {n}")
+    if square and n != len(rows):
+        raise ValueError(f"{len(rows)} x {n} matrix is not square")
+    return n
 
 
 def _zero_one(x) -> tuple:
@@ -153,6 +170,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
     """
     if not rows:
         return [], []
+    _row_length(rows)
     m = _int_rows(rows)
     if m is None:
         m = [[_entry(x) for x in row] for row in rows]
@@ -165,24 +183,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
            for row, c in zip(m, pivots)]
     red += [[zero] * len(m[0]) for _ in range(len(pivots), len(m))]
     return red, pivots
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[Vec]:
-    """Basis of {x : A x = 0} (column vectors as tuples); A has a row."""
-    if not rows:
-        raise ValueError("nullspace needs a matrix with at least one row")
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    zero, one = _zero_one(red[0][0])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence):
@@ -198,11 +198,13 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     if len(rhs) != len(rows):
         raise ValueError(f"right-hand side has length {len(rhs)}, "
                          f"expected {len(rows)}, one entry per equation")
+    n = _row_length(rows)
     matrix = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    if matrix:
+        _row_length(rhs, "right-hand side row")
     aug = [list(r) + (list(b) if matrix else [b]) for r, b in zip(rows, rhs)]
     if not aug:
         return ()
-    n = len(rows[0])
     red, pivots = rref(aug)
     if pivots and pivots[-1] >= n:
         return None
@@ -220,7 +222,7 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vec:
 
 
 def mat_inv(a: Sequence[Sequence]) -> Mat:
-    n = len(a)
+    n = _row_length(a, square=True)
     zero, one = _zero_one(a[0][0])
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(a)]
@@ -237,8 +239,8 @@ def det(m: Sequence[Sequence]):
     int or Poly; every intermediate stays in the ring.  The empty matrix
     has determinant 1.
     """
+    n = _row_length(m, square=True)
     a = [list(row) for row in m]
-    n = len(a)
     if n == 0:
         return 1
     negate = False
@@ -278,9 +280,9 @@ def _identity_int(n: int) -> list[list[int]]:
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (U, S, V) with U @ A @ V = S diagonal, U and V unimodular."""
+    n = _row_length(a)
     s = [list(map(int, row)) for row in a]
     m = len(s)
-    n = len(s[0]) if m else 0
     U = _identity_int(m)
     V = _identity_int(n)
 
@@ -381,6 +383,8 @@ def quotient_lattice_maps(lines: Sequence[Sequence[int]], n: int):
     coordinates, lift(c) maps quotient coordinates back to a representative
     in Z^n, and sat_basis is a Z-basis of the saturation of span(lines).
     """
+    if _row_length(lines, "line") not in (0, n):
+        raise ValueError(f"line has length {len(lines[0])}, expected {n}")
     if not lines:
         def project0(x):
             return tuple(int(v) for v in x)

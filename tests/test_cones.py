@@ -1003,3 +1003,86 @@ def test_hilbert_certificates_raise_without_assert(monkeypatch):
     assert out.returncode == 1
     assert out.stderr.rstrip().endswith(
         "AssertionError: Hilbert basis element generated by the others")
+
+
+def test_constructors_need_one_representation_and_a_dimension():
+    for kwargs in ({}, {"rays": [], "ineqs": []}):
+        with pytest.raises(ValueError,
+                           match="construct from exactly one of rays / ineqs"):
+            Cone(2, **kwargs)
+    with pytest.raises(ValueError, match="dimension required for trivial"):
+        Cone.from_rays([])
+    with pytest.raises(ValueError, match="dimension required for full space"):
+        Cone.from_ineqs([])
+    assert Cone.from_rays([], n=2).rays() == ()
+    assert Cone.from_ineqs([], n=2).lines() == ((0, 1), (1, 0))
+
+
+def test_smooth_index_of_a_non_simplicial_and_of_the_zero_cone():
+    square = Cone.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    half_plane = Cone.from_rays([(0, 1)], lines=[(1, 0)])
+    assert square.smooth_index() is None and not square.is_regular()
+    assert half_plane.smooth_index() is None
+    zero = Cone.from_rays([], n=2)
+    assert zero.smooth_index() == 1 and zero.is_regular()
+
+
+def test_half_planes_take_the_lineality_fallback():
+    # a cone with lines gets no incidence masks, so each of its pairs is
+    # decided by intersection and is_face_of
+    up = Cone.from_rays([(0, 1)], lines=[(1, 0)])
+    down = Cone.from_rays([(0, -1)], lines=[(1, 0)])
+    tilt = Cone.from_rays([(1, 1)], lines=[(1, -1)])
+    assert list(cones._unseparated_pairs([up, down])) == [(up, down)]
+    assert Fan([up, down]).validate() == []
+    assert Fan([up, tilt]).validate() == [
+        f"intersection of {up!r} and {tilt!r} is not a common face"]
+
+
+def test_two_subdivisions_of_the_quadrant_are_disconnected():
+    # each wall, (1, 2) or (2, 1), is shared by the two chambers of its own
+    # subdivision only, so the dual graph has two components
+    quadrant = Cone.from_rays([(1, 0), (0, 1)])
+    chambers = [Cone.from_rays([(1, 0), w]) for w in ((1, 2), (2, 1))] \
+        + [Cone.from_rays([w, (0, 1)]) for w in ((1, 2), (2, 1))]
+    problems = Fan._from_chambers(chambers).validate(quadrant)
+    assert problems[-1] == "dual graph of maximal cones is disconnected"
+    assert all("not a common face" in p for p in problems[:-1])
+
+
+def test_refinement_rejects_high_dimensional_and_non_pointed_cones():
+    unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    with pytest.raises(ValueError, match="supported up to dim 4"):
+        Fan([Cone.from_rays(unit)]).regular_refinement()
+    with pytest.raises(ValueError, match="requires pointed cones"):
+        Fan([Cone.from_rays([(0, 1)], lines=[(1, 0)])]).regular_refinement()
+
+
+def test_hilbert_basis_rejects_a_high_ambient_dimension():
+    unit = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    with pytest.raises(ValueError, match="up to ambient dim 6"):
+        dual_monoid_hilbert_basis(Cone.from_rays(unit))
+
+
+def test_internal_certificates_raise_when_forced(monkeypatch):
+    # each check, forced to fail, raises instead of returning
+    c = Cone.from_rays([(1, 0), (1, 2)])  # index 2
+    with monkeypatch.context() as m:
+        m.setattr(cones, "_dd_convert", lambda *args: ([(1, 1)], [(1, 1)]))
+        with pytest.raises(ValueError, match="ray lies in the lineality"):
+            Cone.from_ineqs([(1, 0)]).rays()
+    with monkeypatch.context() as m:
+        m.setattr(Fan, "stellar_subdivide", lambda self, w: self)
+        m.setattr(cones, "_descent_point", lambda cone: (1, 1))
+        with pytest.raises(cones.RefinementError, match="did not terminate"):
+            Fan([c]).regular_refinement()
+    with monkeypatch.context() as m:
+        m.setattr(cones, "_parallelepiped_points", lambda rays: [(0, 0)])
+        with pytest.raises(AssertionError,
+                           match="non-regular cone without interior"):
+            Fan([c]).regular_refinement()
+    with monkeypatch.context() as m:
+        m.setattr(Cone, "is_pointed", lambda self: False)
+        with pytest.raises(AssertionError,
+                           match="projected dual cone is not pointed"):
+            dual_monoid_hilbert_basis(c)

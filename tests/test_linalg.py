@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import drinfan.linalg as linalg_mod
 from drinfan.gf import Poly, RatFunc, gf
 from drinfan.linalg import (_combine, _int_rows, det, dot, mat_inv, mat_vec,
-                            nullspace, primitive, rref, smith_normal_form,
-                            solve)
+                            primitive, quotient_lattice_maps, rref,
+                            smith_normal_form, solve)
 
 small_int = st.integers(-6, 6)
 
@@ -47,16 +47,6 @@ def test_solve_consistency(a):
         == list(b)
 
 
-@given(int_matrix())
-@settings(max_examples=100, deadline=None)
-def test_nullspace_is_kernel(a):
-    ns = nullspace([list(map(Fraction, row)) for row in a])
-    for v in ns:
-        assert all(sum(Fraction(r[j]) * v[j] for j in range(len(v))) == 0
-                   for r in a)
-    assert len(ns) == len(a[0]) - _rank([list(map(Fraction, r)) for r in a])
-
-
 def test_solve_rejects_a_right_hand_side_of_another_length():
     # zip would drop the third equation, or the 3, and both return (1, 2)
     for rows, rhs in (([[1, 0], [0, 1], [1, 1]], [1, 2]),
@@ -87,9 +77,58 @@ def test_mat_vec_rejects_a_vector_of_another_length():
     assert mat_vec([[1, 0], [1, 1]], (1, 2)) == (1, 3)
 
 
-def test_nullspace_of_no_rows_is_rejected():
-    with pytest.raises(ValueError, match="at least one row"):
-        nullspace([])
+def test_det_rejects_ragged_and_non_square_matrices():
+    # Bareiss alone would read the leading 2 x 2 block of [[1, 2, 3],
+    # [4, 5, 6]] and return -3, and stop with an IndexError on ragged rows
+    with pytest.raises(ValueError, match="2 x 3 matrix is not square"):
+        det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
+        det([[1, 2], [3]])
+    assert det([[1, 2], [3, 4]]) == -2 and det([]) == 1
+
+
+def test_mat_inv_rejects_ragged_and_non_square_matrices():
+    # elimination alone would give the 2 x 3 matrix a 2 x 3 "inverse",
+    # and the ragged one an answer
+    with pytest.raises(ValueError, match="2 x 3 matrix is not square"):
+        mat_inv([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="row 1 has length 3, expected 2"):
+        mat_inv([[1, 2], [3, 4, 5]])
+    assert mat_inv([[1, 2], [3, 4]]) == [[-2, 1], [Fraction(3, 2),
+                                                   Fraction(-1, 2)]]
+
+
+def test_rref_rejects_ragged_rows():
+    for rows, got in (([[1, 2], [3]], 1), ([[1], [3, 4], [5]], 2)):
+        with pytest.raises(ValueError,
+                           match=f"row 1 has length {got}, expected "
+                                 f"{len(rows[0])}"):
+            rref(rows)
+
+
+def test_solve_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
+        solve([[1, 2], [3]], [1, 2])
+    with pytest.raises(ValueError, match="right-hand side row 1 has length "
+                                         "1, expected 2"):
+        solve([[1, 0], [0, 1]], [[1, 2], [3]])
+    assert solve([[1, 0], [0, 1]], [[1, 2], [3, 4]]) == ((1, 2), (3, 4))
+
+
+def test_smith_normal_form_rejects_ragged_rows():
+    # the Smith steps alone would return S = [[1], [0]], dropping the 4
+    with pytest.raises(ValueError, match="row 1 has length 2, expected 1"):
+        smith_normal_form([[1], [3, 4]])
+
+
+def test_quotient_lattice_maps_rejects_lines_of_another_length():
+    # the Smith form alone would give [[1, 2, 3]] in Z^2 the saturation
+    # basis [(1, 2)], dropping the 3
+    with pytest.raises(ValueError, match="line has length 3, expected 2"):
+        quotient_lattice_maps([[1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="line 1 has length 1, expected 2"):
+        quotient_lattice_maps([[1, 2], [3]], 2)
+    assert quotient_lattice_maps([[1, 2]], 2)[3] == [(1, 2)]
 
 
 @given(int_matrix())
@@ -252,11 +291,6 @@ def test_solve_over_rational_functions_detects_inconsistency(q):
         assert x.count(zero) >= 1
         b[-1] = b[-1] + RatFunc.one(field)
         assert solve(a, b) is None
-        kernel = nullspace(a)
-        assert len(kernel) == 1
-        assert all(not row[0]
-                   for row in _sum_of_products(a, [[c] for c in kernel[0]],
-                                               zero))
         with pytest.raises(ValueError):
             mat_inv(a)
 

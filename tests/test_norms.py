@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from drinfan import norms
 from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import det, nullspace, solve
+from drinfan.linalg import det, solve
 from drinfan.norms import WeightedNorm, successive_minima
 
 F = Fraction
@@ -320,19 +319,9 @@ def test_reduction_matches_exhaustive_oracle(q, n, cases, least):
     assert checked >= least
 
 
-def test_relation_across_q_classes(monkeypatch):
-    # the elimination returns kernel vectors inside one q-class; the
-    # reduction must not rely on it, so hand it the sum of all of them
-    steps = []
-
-    def summed_kernel(rows):
-        steps.append(rows)
-        assert len(steps) <= 20, "the reduction does not terminate"
-        kernel = nullspace(rows)
-        return [tuple(sum(col[1:], col[0]) for col in zip(*kernel))] \
-            if kernel else []
-
-    monkeypatch.setattr(norms, "nullspace", summed_kernel)
+def test_relation_across_q_classes():
+    # the norms fall into the q-classes 2^Z, 3 * 2^Z and 7 * 2^Z, and
+    # each collision cancels one entry, so no multiplier crosses a class
     K = gf(2)
     T, one, zero = Poly.T(K), Poly.one(K), Poly.zero(K)
     # two dependent pairs, of norms (1, 2) and (3, 6); T^3 times the first
@@ -345,3 +334,36 @@ def test_relation_across_q_classes(monkeypatch):
     basis, vals = successive_minima(nm, gens)
     assert vals == [F(7, 8), 1, 1, 3, 3]
     _assert_same_lattice(gens, basis)
+
+
+def _pivot(norm, b):
+    """The last position i with s_i |b_i| = mu(b)."""
+    mu = norm.norm(b)
+    return max(i for i, (s, p) in enumerate(zip(norm.weights, b))
+               if p and s * p.absolute_value() == mu)
+
+
+@pytest.mark.parametrize("q,n,cases", [(2, 2, 30), (3, 2, 30), (2, 3, 20),
+                                       (3, 3, 40)])
+def test_reduced_basis_has_distinct_pivots(q, n, cases):
+    # the cases of test_reduction_matches_exhaustive_oracle: distinct
+    # pivots put the leading vectors in echelon form
+    rng = random.Random(f"minima:{q}:{n}")
+    for _ in range(cases):
+        nm, gens = _random_case(rng, q, n)
+        basis, _ = successive_minima(nm, gens)
+        assert sorted(_pivot(nm, b) for b in basis) == list(range(n))
+
+
+def test_rejects_dependent_nonzero_generators():
+    # the reduction reaches a zero vector: (T, T^2) - T (1, T), and
+    # (T, T) - T (1, 1)
+    K = gf(2)
+    T, one = Poly.T(K), Poly.one(K)
+    for weights in ((F(1), F(1)), (F(1), F(3)), (F(5), F(1, 2))):
+        nm = WeightedNorm(K, weights)
+        for gens in ([(one, T), (T, T * T)], [(one, one), (T, T)],
+                     [(T, T * T), (one, T)]):
+            with pytest.raises(ValueError,
+                               match="generators are not a lattice basis"):
+                successive_minima(nm, gens)
