@@ -14,7 +14,11 @@ exponential-map bookkeeping requires.
 Two independent evaluators are provided:
 
 * epsilon_oracle: direct summation over degree profiles of y (the defining
-  formula, used as the trusted reference);
+  formula, used as the trusted reference), on integers: x and the weights
+  are scaled by the lcm L of their denominators and the integer total is
+  divided by L, which is exact because the defining sum is itself
+  homogeneous of degree 1 in (x, weights).  It shares no code with the
+  closed form;
 * epsilon_closed: closed form, built from the one-weight formula
   epsilon_hat(x) = q^h x - q^{h(r+1)} (q-1)/(q^{r+1}-1) s on the band
   q^{(h-1)r} s <= x <= q^{hr} s, chained across weights (valid for weakly
@@ -76,7 +80,7 @@ The CLI and the acceptance tests sample their own points.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .gf import check_q
@@ -105,40 +109,47 @@ def is_monotone(weights: Sequence[Fraction]) -> bool:
 
 def epsilon_oracle(q: int, r: int, weights: Sequence[Fraction],
                    x: Fraction) -> Fraction:
-    """Defining sum over y in A^n, grouped by degree profiles."""
+    """Defining sum over y in A^n, grouped by degree profiles, on ints.
+
+    Coordinate j contributes 0 for y_j = 0 (one y_j) and q^{mr} s_j for
+    deg y_j = m ((q-1) q^m of them), and only values below x matter.  The
+    sum is homogeneous of degree 1 in (x, weights): scaling x and every
+    weight by L > 0 scales every term max(x - max_j |y_j|^r s_j, 0) by L.
+    So it runs on X = L x and S_j = L s_j, for L the lcm of their
+    denominators, and the integer total is divided by L once.  That is a
+    property of the sum itself, so the oracle stays independent of the
+    closed form it checks."""
     w = _check_args(q, r, weights)
     x = Fraction(x)
     if x <= 0:
         return x
-    # per-coordinate options: (count of y_j, contributed value |y_j|^r s_j)
-    options: list[list[tuple[int, Fraction]]] = []
+    L = lcm(x.denominator, *(s.denominator for s in w))
+    X = x.numerator * (L // x.denominator)
+    Q = q ** r
+    # per-coordinate options (count of y_j, value |y_j|^r S_j), every value
+    # below X, so each profile of options contributes X - its max
+    options: list[list[tuple[int, int]]] = []
     for s in w:
-        opts = [(1, Fraction(0))]  # y_j = 0
-        m = 0
-        val = s  # q^{m r} s at m = 0
-        step = Fraction(q) ** r
-        count = q - 1  # number of y of degree exactly m: (q-1) q^m
-        while val < x:
+        opts = [(1, 0)]
+        count, val = q - 1, s.numerator * (L // s.denominator)
+        while val < X:
             opts.append((count, val))
-            m += 1
-            val *= step
             count *= q
+            val *= Q
         options.append(opts)
+    if not options:
+        return x
+    *inner, last = options
 
-    total = Fraction(0)
+    def below(j: int, top: int) -> int:
+        """Sum over the options of coordinates j.. of their count
+        product times X - max(top, their values)."""
+        if j == len(inner):
+            return sum(c * (X - (v if v > top else top)) for c, v in last)
+        return sum(c * below(j + 1, v if v > top else top)
+                   for c, v in inner[j])
 
-    def recurse(j: int, count: int, cur_max: Fraction) -> None:
-        nonlocal total
-        if cur_max >= x:
-            return
-        if j == len(options):
-            total += count * (x - cur_max)
-            return
-        for c, v in options[j]:
-            recurse(j + 1, count * c, max(cur_max, v))
-
-    recurse(0, 1, Fraction(0))
-    return total
+    return Fraction(below(0, 0), L)
 
 
 def _hat1(q: int, r: int, u: int, v: int, a: int, b: int) -> tuple[int, int]:

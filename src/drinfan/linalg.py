@@ -223,6 +223,8 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> Vec:
 
 def mat_inv(a: Sequence[Sequence]) -> Mat:
     n = _row_length(a, square=True)
+    if n == 0:
+        return []
     zero, one = _zero_one(a[0][0])
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(a)]

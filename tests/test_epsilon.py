@@ -1,5 +1,6 @@
 """The scalar kernel: oracle vs closed form, identities, inverses."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -55,8 +56,13 @@ def test_anchor_values():
     # two-weight normalization constant
     assert delta(2, 1, (Fraction(1), Fraction(2))) == Fraction(5, 7)
     assert delta_oracle(2, 1, (Fraction(1), Fraction(2))) == Fraction(5, 7)
-    # negative arguments pass through
+    # an int argument
+    assert epsilon_closed(2, 1, (Fraction(1),), 2) == Fraction(3)
+    # negative arguments pass through, as Fractions
     assert epsilon(2, 1, (Fraction(1),), Fraction(-3)) == Fraction(-3)
+    for x in (0, -3, Fraction(-7, 2)):
+        got = epsilon_oracle(2, 1, (Fraction(1),), x)
+        assert got == x and type(got) is Fraction
 
 
 @given(kernel_args())
@@ -132,6 +138,64 @@ def test_rejects_bad_args():
         epsilon_oracle(2, 0, (Fraction(1),), Fraction(1))
     with pytest.raises(ValueError):
         epsilon_oracle(2, 1, (Fraction(-1),), Fraction(1))
+
+
+def _polys_below(q, r, s, x):
+    """|y|^r s for every y in A = F_q[T] with |y|^r s < x, 0 included:
+    y listed by its coefficients, lowest first, with a nonzero top one."""
+    out = [0]
+    m = 0
+    while q ** (m * r) * s < x:
+        for low in itertools.product(range(q), repeat=m):
+            for top in range(1, q):
+                y = low + (top,)
+                out.append(q ** ((len(y) - 1) * r) * s)
+        m += 1
+    return out
+
+
+def _defining_sum(q, r, w, x):
+    """epsilon from its definition: max(x - max_j |y_j|^r s_j, 0) summed
+    over every y in A^n with each |y_j|^r s_j < x (the others add 0); x
+    itself for x <= 0."""
+    if x <= 0:
+        return x
+    values = [_polys_below(q, r, s, x) for s in w]
+    return sum((max(x - max(ys, default=0), 0)
+                for ys in itertools.product(*values)), Fraction(0))
+
+
+def test_oracle_equals_definition_listed_over_a_n():
+    rng = random.Random(5150)
+    seen = {"non-monotone": 0, "x <= 0": 0, "no weights": 0}
+    for _ in range(100):
+        q, r = rng.choice((2, 3)), rng.choice((1, 2))
+        n = rng.randint(0, 2)
+        w = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(n)]
+        x = Fraction(rng.randint(-8, 40), rng.randint(1, 4))
+        seen["non-monotone"] += w != sorted(w)
+        seen["x <= 0"] += x <= 0
+        seen["no weights"] += n == 0
+        assert epsilon_oracle(q, r, w, x) == _defining_sum(q, r, w, x), (
+            q, r, w, x)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_oracle_is_exact_on_ints_and_homogeneous():
+    rng = random.Random(5151)
+    for _ in range(100):
+        q, r = rng.choice((2, 3)), rng.randint(1, 3)
+        ints = [rng.randint(1, 30) for _ in range(rng.randint(0, 3))]
+        x = rng.randint(-5, 400)
+        got = epsilon_oracle(q, r, ints, x)
+        assert type(got) is Fraction
+        assert got == epsilon_oracle(q, r, [Fraction(s) for s in ints],
+                                     Fraction(x))
+        w = [Fraction(rng.randint(1, 30), rng.randint(1, 9)) for _ in ints]
+        y = Fraction(rng.randint(-5, 400), rng.randint(1, 9))
+        lam = rng.randint(2, 12)
+        assert (epsilon_oracle(q, r, [lam * s for s in w], lam * y)
+                == lam * epsilon_oracle(q, r, w, y)), (q, r, w, y, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +334,9 @@ def test_empty_weights_check_q_and_r():
     assert epsilon(2, 1, [], Fraction(3)) == 3
     assert epsilon_inv(2, 1, [], Fraction(3)) == 3
     assert delta(2, 1, []) == 0
+    # the oracles: only y = () contributes, x - 0
+    assert epsilon_oracle(3, 2, (), Fraction(5, 3)) == Fraction(5, 3)
+    assert delta_oracle(2, 1, []) == 0
 
 
 def test_integer_chain_matches_composed_fraction_formula():

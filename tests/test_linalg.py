@@ -98,6 +98,13 @@ def test_mat_inv_rejects_ragged_and_non_square_matrices():
                                                    Fraction(-1, 2)]]
 
 
+def test_empty_matrix():
+    assert mat_inv([]) == []
+    assert det([]) == 1
+    assert rref([]) == ([], [])
+    assert solve([], []) == ()
+
+
 def test_rref_rejects_ragged_rows():
     for rows, got in (([[1, 2], [3]], 1), ([[1], [3, 4], [5]], 2)):
         with pytest.raises(ValueError,
