@@ -19,7 +19,11 @@ degree-one symmetric identity.
   expression t1 t2 + t2 t3 + t3 t1 vanishes identically over F_2; and the
   normalized T-division polynomial built from the full F_2-span of
   (u0, u1, u2) has z-degree q^3, only q-power exponents, and is invariant
-  under the GL_3(F_2)-action on the variables.
+  under the GL_3(F_2)-action on the variables.  The division polynomial
+  is the literal product over the span, built once per check: both rows
+  of ``satake-check`` read the one coefficient list.  A substitution
+  forms each power of each image once and sums the terms of the result
+  in one dict; sums and products read the field's tables directly.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cones import Cone, Fan, dual_monoid_hilbert_basis
 from .gf import GF, gf
@@ -104,16 +108,11 @@ def chart_monomials(cone: Cone) -> list[str]:
 
 
 def projective_points(q: int) -> list[tuple[int, ...]]:
-    """Points of P^2(F_q), normalized so the first nonzero entry is 1."""
-    field = gf(q)
-    pts = set()
-    for v in itertools.product(field.elements(), repeat=3):
-        if all(x == 0 for x in v):
-            continue
-        lead = next(x for x in v if x != 0)
-        inv = field.inv(lead)
-        pts.add(tuple(field.mul(inv, x) for x in v))
-    return sorted(pts)
+    """Points of P^2(F_q), normalized so the first nonzero entry is 1, in
+    sorted order: (0, 0, 1), then (0, 1, b), then (1, a, b)."""
+    elems = gf(q).elements()
+    return ([(0, 0, 1)] + [(0, 1, b) for b in elems]
+            + [(1, a, b) for a in elems for b in elems])
 
 
 def projective_lines(q: int) -> list[tuple[int, ...]]:
@@ -126,9 +125,10 @@ def incident(q: int, a: tuple[int, ...], line: tuple[int, ...]) -> bool:
         raise ValueError(f"point has length {len(a)}, line has length "
                          f"{len(line)}")
     field = gf(q)
+    add, mul = field.add_table, field.mul_table
     acc = 0
     for x, y in zip(a, line):
-        acc = field.add(acc, field.mul(x, y))
+        acc = add[acc][mul[x][y]]
     return acc == 0
 
 
@@ -146,8 +146,8 @@ def component_graph(q: int, m: int
     """
     if m < 0:
         raise ValueError("flag level count m must be >= 0")
-    pts = projective_points(q)
-    lines = projective_lines(q)
+    # P^2(F_q) is self-dual: the points and the lines are one list
+    pts = lines = projective_lines(q)
     comps: list[Component] = [("point", a) for a in pts]
     comps += [("line", l) for l in lines]
     edges = []
@@ -201,40 +201,81 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check_vars(other)
+        add = self.field.add_table
         out = dict(self.terms)
         for e, c in other.terms:
-            out[e] = self.field.add(out.get(e, 0), c)
+            out[e] = add[out.get(e, 0)][c]
         return MPoly.make(self.field, out)
 
     def __neg__(self) -> "MPoly":
-        return MPoly.make(self.field,
-                          {e: self.field.neg(c) for e, c in self.terms})
+        neg = self.field.neg_table
+        return MPoly.make(self.field, {e: neg[c] for e, c in self.terms})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_vars(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = self.field.add(out.get(e, 0),
-                                        self.field.mul(c1, c2))
-        return MPoly.make(self.field, out)
+        return MPoly.make(self.field,
+                          _mul_terms(self.field, self.terms, other.terms))
 
     def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Replace variable i by images[i]."""
+        """Replace variable i by images[i].
+
+        There is one image per variable of self.  The images share one
+        number of variables, read off the first nonzero image (self's own
+        when every image is zero), which the result has.  Each power of an
+        image is formed once per call, and the terms of the result are
+        summed in one dict.
+        """
+        if not self.terms:
+            return self
+        n = len(self.terms[0][0])
+        if len(images) != n:
+            raise ValueError(f"{len(images)} images for exponent vectors of "
+                             f"length {n}")
+        nvars = next((len(p.terms[0][0]) for p in images if p.terms), n)
+        for p in images:
+            if p.terms and len(p.terms[0][0]) != nvars:
+                raise ValueError(f"exponent vectors of lengths {nvars} and "
+                                 f"{len(p.terms[0][0])}")
         field = self.field
-        nvars = len(images[0].terms[0][0]) if images and images[0].terms else 0
-        total = MPoly.zero(field)
+        add = field.add_table
+        origin = (0,) * nvars
+        one = ((origin, 1),)
+        # powers[i][k] = images[i]^k as (exponent, coefficient) pairs, up
+        # to the largest exponent of variable i in self
+        powers = []
+        for i, p in enumerate(images):
+            row = [one]
+            for _ in range(max(e[i] for e, _ in self.terms)):
+                row.append(tuple((e, c) for e, c in _mul_terms(
+                    field, row[-1], p.terms).items() if c))
+            powers.append(row)
+        out: dict[tuple[int, ...], int] = {}
         for e, c in self.terms:
-            acc = MPoly.make(field, {(0,) * nvars: c})
+            acc = {origin: c}
             for i, ei in enumerate(e):
-                for _ in range(ei):
-                    acc = acc * images[i]
-            total = total + acc
-        return total
+                if ei:
+                    acc = _mul_terms(field, acc.items(), powers[i][ei])
+            for m, v in acc.items():
+                out[m] = add[out.get(m, 0)][v]
+        return MPoly.make(field, out)
+
+
+def _mul_terms(field: GF, a: Iterable[tuple[tuple[int, ...], int]],
+               b: Iterable[tuple[tuple[int, ...], int]]
+               ) -> dict[tuple[int, ...], int]:
+    """Product of two term sequences over field, as exponent -> coefficient
+    with zero coefficients left in."""
+    add, mul = field.add_table, field.mul_table
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a:
+        row = mul[c1]
+        for e2, c2 in b:
+            e = tuple([x + y for x, y in zip(e1, e2)])
+            out[e] = add[out.get(e, 0)][row[c2]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +310,12 @@ def symmetric_identity_holds(q: int = 2) -> bool:
 
 
 def _division_polynomial(q: int = 2) -> list[tuple[int, MPoly]]:
-    """Coefficient list [(z-exponent, numerator)] of the normalized
-    T-division polynomial prod over the F_q-span V of (u0,u1,u2) of
-    (z - f), divided by z's coefficient; numerators share the denominator
-    prod of nonzero f, which is returned implicitly via exponent 1 having
-    numerator equal to that product."""
+    """Coefficient list [(z-exponent, coefficient)] of the T-division
+    polynomial of the F_q-span V of (u0, u1, u2): the literal product
+    prod over f in V of (z - f), expanded one factor at a time, monic of
+    z-degree q^3.  Its z^1 coefficient is the product of -f over the
+    nonzero f; the normalized polynomial divides by it, which changes
+    neither the exponents nor the invariance checked here."""
     field = gf(q)
     span = _span_combinations(field, 3, 3)
     # expand prod_{f in V} (z - f) as a polynomial in z with MPoly coeffs
@@ -288,10 +330,18 @@ def _division_polynomial(q: int = 2) -> list[tuple[int, MPoly]]:
     return sorted(coeffs.items())
 
 
-def division_polynomial_exponents(q: int = 2) -> list[int]:
+def division_polynomial_exponents(q: int = 2, *,
+                                  coeffs: Sequence[tuple[int, MPoly]]
+                                  | None = None) -> list[int]:
     """z-exponents with nonzero coefficient; must be the q-powers up to
-    q^3 for an additive polynomial of a rank-3 level structure."""
-    return [k for k, _ in _division_polynomial(q)]
+    q^3 for an additive polynomial of a rank-3 level structure.
+
+    ``coeffs`` is the coefficient list of ``_division_polynomial(q)``, for
+    a caller that has built it already; it is built here otherwise.
+    """
+    if coeffs is None:
+        coeffs = _division_polynomial(q)
+    return [k for k, _ in coeffs]
 
 
 # generators of GL_3(F_2) acting on (u0, u1, u2)
@@ -302,22 +352,23 @@ _GL3_GENERATORS = (
 )
 
 
-def division_polynomial_is_symmetric(q: int = 2) -> bool:
+def division_polynomial_is_symmetric(q: int = 2, *,
+                                     coeffs: Sequence[tuple[int, MPoly]]
+                                     | None = None) -> bool:
     """Invariance of the division polynomial under the substitutions
-    _GL3_GENERATORS on (u0, u1, u2)."""
+    _GL3_GENERATORS on (u0, u1, u2).
+
+    ``coeffs`` is as in ``division_polynomial_exponents``.
+    """
     field = gf(q)
-    coeffs = _division_polynomial(q)
+    if coeffs is None:
+        coeffs = _division_polynomial(q)
     for mat in _GL3_GENERATORS:
-        images = []
-        for row in mat:
-            p = MPoly.zero(field)
-            for j, c in enumerate(row):
-                if c:
-                    p = p + MPoly.make(
-                        field, {tuple(1 if jj == j else 0
-                                      for jj in range(3)): c})
-            images.append(p)
+        images = [MPoly.make(field, {tuple(1 if jj == j else 0
+                                           for jj in range(3)): c
+                                     for j, c in enumerate(row) if c})
+                  for row in mat]
         for _, c in coeffs:
-            if not (c.substitute(images) - c).is_zero():
+            if c.substitute(images).terms != c.terms:
                 return False
     return True

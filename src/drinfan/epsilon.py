@@ -321,8 +321,9 @@ def epsilon_inv(q: int, r: int, weights: Sequence[Fraction],
 def delta_oracle(q: int, r: int, weights: Sequence[Fraction]) -> Fraction:
     """Normalization constant straight from its defining sum,
     (q-1)/(q^{r+n}-1) * sum_i q^{n-i} epsilon^{r,i-1}(s_i), independent of
-    the closed-form machinery (weights need not be monotone)."""
-    w = tuple(Fraction(x) for x in weights)
+    the closed-form machinery (weights need not be monotone).  q, r and
+    the weights are checked as ``delta`` checks them."""
+    w = _check_args(q, r, weights)
     n = len(w)
     if n == 0:
         return Fraction(0)

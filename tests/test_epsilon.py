@@ -339,6 +339,26 @@ def test_empty_weights_check_q_and_r():
     assert delta_oracle(2, 1, []) == 0
 
 
+def test_delta_oracle_checks_its_arguments_as_delta_does():
+    # the last weight only enters as the oracle's argument x, where x <= 0
+    # passes through, so it must be checked on entry; with no weights the
+    # sum is empty, so q and r must be too
+    for q, r, w, message in ((2, 1, (1, -1), "weights must be positive"),
+                             (2, 1, (-1,), "weights must be positive"),
+                             (2, 1, (0, 1), "weights must be positive"),
+                             (6, 1, (), "not a prime power"),
+                             (1, 1, (), "at least 2"),
+                             (2, 0, (), "r must be >= 1")):
+        for f in (delta, delta_oracle):
+            with pytest.raises(ValueError, match=message):
+                f(q, r, w)
+    # non-monotone weights stay allowed: the defining sum, term by term
+    w = (Fraction(3), Fraction(1, 2))
+    assert delta_oracle(2, 1, w) == Fraction(1, 7) * (
+        2 * epsilon_oracle(2, 1, (), w[0])
+        + epsilon_oracle(2, 1, w[:1], w[1]))
+
+
 def test_integer_chain_matches_composed_fraction_formula():
     rng = random.Random(4711)
     for _ in range(1500):
