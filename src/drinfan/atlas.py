@@ -61,12 +61,16 @@ def slope_rays(alphas: Sequence[Fraction]) -> list[tuple[int, int]]:
 
 
 def slope_fan(alphas: Sequence[Fraction]) -> Fan:
-    """Fan of the slope datum inside {0 <= s_1 <= s_2}."""
+    """Fan of the slope datum inside {0 <= s_1 <= s_2}.
+
+    Its maximal cones are the cones on consecutive rays, in slope order.
+    The slopes strictly increase, so each such cone is two-dimensional and
+    two of them share at most a ray: their interiors are disjoint, none
+    contains another, and they join as chambers (``Fan._from_chambers``).
+    """
     rays = slope_rays(alphas)
-    fan = Fan()
-    for a, b in zip(rays, rays[1:]):
-        fan.add(Cone.from_rays([a, b], n=2))
-    return fan
+    return Fan._from_chambers(Cone.from_rays([a, b], n=2)
+                              for a, b in zip(rays, rays[1:]))
 
 
 def slope_determinants(alphas: Sequence[Fraction]) -> list[int]:

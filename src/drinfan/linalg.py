@@ -21,9 +21,12 @@ gcd) also runs the cone engine's canonical form and double description.
 * Over Z: primitive vectors (an all-int vector is divided by its gcd,
   with no ``Fraction``), Smith normal form with transformation matrices
   and quotient coordinates for Z^n modulo a saturated sublattice
-  (``quotient_lattice_maps``).  The cone engine uses the Smith form for
-  parallelepiped points and the quotient coordinates for Hilbert bases.
-  ``dot``, ``mat_vec`` and ``frac_vec`` are rational only.
+  (``quotient_lattice_maps``).  The Smith form is one loop of exact and
+  extended-gcd steps on one augmented matrix [[A, I], [I, 0]]; each
+  extended-gcd step shrinks the pivot to a proper divisor, so it always
+  terminates.  The cone engine uses the Smith form for parallelepiped
+  points and the quotient coordinates for Hilbert bases.  ``dot``,
+  ``mat_vec`` and ``frac_vec`` are rational only.
 
 Public matrix functions check on entry that their rows share one length
 (``det`` and ``mat_inv`` that the matrix is square) and raise a
@@ -276,105 +279,95 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
-def _identity_int(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with U @ A @ V = S diagonal, U and V unimodular."""
+    """Return (U, S, V) with U @ A @ V = S diagonal, U and V unimodular.
+
+    The nonzero diagonal entries of S come first, are positive, and each
+    divides the next.  One loop works on the augmented matrix
+    M = [[A, I_m], [I_n, 0]]: a row step on its first m rows acts on A and
+    U at once, a column step on its first n columns on A and V, and at the
+    end M = [[S, U], [V, 0]].
+
+    Step t moves the smallest nonzero entry of the block of rows and
+    columns t and beyond, the first in row-major order, to the pivot
+    p = M[t][t], and clears column t, then row t.  An entry e that p
+    divides goes by the exact step: e/p times the pivot's row (column) is
+    subtracted from e's.  Any other e goes by the extended-gcd step
+    (Cohen, Alg. 2.4.14; Kannan and Bachem, 1979): with
+    x p + y e = g = gcd(p, e), the pivot's and e's rows (columns) u, v
+    become x u + y v and (p/g) v - (e/g) u, a unimodular step that puts g
+    on the pivot and 0 at e.  When row and column are clear but p fails
+    to divide an entry of the remaining block, that entry's row is added
+    to the pivot row and the clearing goes on; so p divides the whole
+    remaining block, and each diagonal entry divides the next.
+
+    Termination: only an extended-gcd step changes p, and it replaces |p|
+    by a proper divisor g, so it happens at most log2|p| times in step t.
+    A pass of the loop without one ends step t, or adds a row: the row
+    pass leaves column t zero below p, exact column steps keep it so, and
+    the added row puts into row t an entry that p does not divide, which
+    the next pass meets with an extended-gcd step.  So of two passes in a
+    row one shrinks |p| or ends step t, step t takes at most
+    2 log2|p| + 2 passes, and no remainder is left to chase.
+    """
     n = _row_length(a)
-    s = [list(map(int, row)) for row in a]
-    m = len(s)
-    U = _identity_int(m)
-    V = _identity_int(n)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):  # row i += c * row j
-        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
-        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, c):  # col i += c * col j
-        for row in s:
-            row[i] += c * row[j]
-        for row in V:
-            row[i] += c * row[j]
-
-    def neg_row(i):
-        s[i] = [-x for x in s[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0:
-                    if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
+    m = len(a)
+    M = [[int(x) for x in row] + [int(i == k) for k in range(m)]
+         for i, row in enumerate(a)]
+    M += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    for t in range(min(m, n)):
+        block = [(abs(M[i][j]), i, j) for i in range(t, m)
+                 for j in range(t, n) if M[i][j]]
+        if not block:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        _, i, j = min(block)
+        M[t], M[i] = M[i], M[t]
+        for row in M:
+            row[t], row[j] = row[j], row[t]
         while True:
-            # clear column t
-            done = True
             for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
+                p, e = M[t][t], M[i][t]
+                if e % p:
+                    g, x, y = _egcd(p, e)
+                    pg, eg, u, v = p // g, e // g, M[t], M[i]
+                    M[t] = [x * c + y * d for c, d in zip(u, v)]
+                    M[i] = [pg * d - eg * c for c, d in zip(u, v)]
+                elif e:
+                    q = e // p
+                    M[i] = [c - q * d for c, d in zip(M[i], M[t])]
             for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
+                p, e = M[t][t], M[t][j]
+                if e % p:
+                    g, x, y = _egcd(p, e)
+                    pg, eg = p // g, e // g
+                    for row in M:
+                        u, v = row[t], row[j]
+                        row[t], row[j] = x * u + y * v, pg * v - eg * u
+                elif e:
+                    q = e // p
+                    for row in M:
+                        row[j] -= q * row[t]
+            if any(M[i][t] for i in range(t + 1, m)):
+                continue  # an extended-gcd column step refilled column t
+            p = M[t][t]
+            i = next((i for i in range(t + 1, m)
+                      if any(M[i][j] % p for j in range(t + 1, n))), None)
+            if i is None:
                 break
-        if s[t][t] < 0:
-            neg_row(t)
-        t += 1
-    # enforce divisibility d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a_, b_ = s[i][i], s[i + 1][i + 1]
-            if a_ and b_ and b_ % a_ != 0:
-                add_col(i, i + 1, 1)
-                # re-clear the 2x2 block
-                while s[i + 1][i] != 0 or s[i][i + 1] != 0:
-                    if s[i + 1][i] != 0:
-                        q = s[i + 1][i] // s[i][i] if s[i][i] else 0
-                        if s[i][i] == 0 or (q == 0 and abs(s[i + 1][i]) < abs(s[i][i])):
-                            swap_rows(i, i + 1)
-                            continue
-                        add_row(i + 1, i, -q)
-                    if s[i][i + 1] != 0:
-                        q = s[i][i + 1] // s[i][i] if s[i][i] else 0
-                        if s[i][i] == 0 or (q == 0 and abs(s[i][i + 1]) < abs(s[i][i])):
-                            swap_cols(i, i + 1)
-                            continue
-                        add_col(i + 1, i, -q)
-                if s[i][i] < 0:
-                    neg_row(i)
-                if s[i + 1][i + 1] < 0:
-                    neg_row(i + 1)
-                changed = True
-    return U, s, V
+            M[t] = [c + d for c, d in zip(M[t], M[i])]
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+    return ([row[n:] for row in M[:m]], [row[:n] for row in M[:m]],
+            [row[:n] for row in M[m:]])
 
 
 def quotient_lattice_maps(lines: Sequence[Sequence[int]], n: int):

@@ -371,6 +371,28 @@ def test_parallelepiped_over_the_cap_exits_2():
         assert "lattice points" in out.stderr, args
 
 
+def test_hilbert_smith_form_terminates():
+    # each ran for minutes while the Smith form chased floor-quotient
+    # remainders through matrices whose entries grew to millions of bits
+    for cone in ("3,6,8,7,5,6;9,7,2,1,6,5;2,9,5,1,5,8",
+                 "29,28,25,4,26,29;0,15,20,18,27,12"):
+        code, out, err = _main_output(["hilbert", "--cone", cone])
+        assert code == 0, (cone, err)
+        rays = [list(map(int, r.split(","))) for r in cone.split(";")]
+        data = json.loads(out)
+        assert data["generators"] and data["lineality"], cone
+        for g in data["generators"]:
+            assert all(sum(a * b for a, b in zip(g, r)) >= 0 for r in rays)
+        for g in data["lineality"]:
+            assert all(sum(a * b for a, b in zip(g, r)) == 0 for r in rays)
+    # a 5 x 5 simplex whose parallelepiped is far over the cap
+    code, out, err = _main_output([
+        "hilbert", "--cone",
+        "0,3,-1,2,-1;-4,6,-6,-5,6;-6,1,-1,-3,-5;6,3,-3,3,-4;-1,4,-3,3,6"])
+    assert (code, out) == (2, "")
+    assert "parallelepiped has 91339918924864 lattice points" in err
+
+
 def test_fan_output_bytes_pinned(capsys):
     # sha256 of stdout recorded before face lattices came from incidence
     # and maximal cones from Fan.add (the first three), and before the cone

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import drinfan.linalg as linalg_mod
 from drinfan.gf import Poly, RatFunc, gf
@@ -140,6 +140,27 @@ def test_quotient_lattice_maps_rejects_lines_of_another_length():
 
 @given(int_matrix())
 @settings(max_examples=80, deadline=None)
+# matrices on which a floor-quotient remainder chase grew entries to
+# millions of bits
+@example([[-6, 0, 7, 0, -29], [-7, 28, 26, -11, 4], [17, 12, -26, -20, -5],
+          [-29, -18, 2, 29, 23], [-29, 26, 24, 25, 8]])
+@example([[-5, 14, 1, 15, 9, -6], [12, -8, -9, -5, -26, 0],
+          [26, 24, 22, 0, -20, -21], [0, -13, 0, -28, 0, 0],
+          [8, 9, 26, -9, 0, 21]])
+@example([[8, -24, 26, -3, 21, 0], [0, 8, 8, 10, -7, 0],
+          [24, 0, 30, -4, 27, -22], [-22, -3, 25, 22, 0, 20]])
+@example([[0, -8, -3, 0, -7, 0], [-4, -4, -6, 6, 2, 6],
+          [8, 7, -1, -6, -6, -6], [9, 5, -9, -7, 3, 0], [-8, 7, 5, 6, 0, 0],
+          [-8, 0, 9, 0, 0, 5]])
+# one input per kind of step: an extended-gcd row step (3 is not a
+# multiple of the pivot 2), an extended-gcd column step that refills
+# column 0, the row add (2 does not divide 3), a negative pivot, and a
+# block with no nonzero entry left
+@example([[2], [3]])
+@example([[2, 3], [4, 5]])
+@example([[2, 0], [0, 3]])
+@example([[-2, 4]])
+@example([[1, 2], [2, 4]])
 def test_smith_normal_form(a):
     U, S, V = smith_normal_form(a)
     assert _sum_of_products(_sum_of_products(U, a, 0), V, 0) == S
