@@ -194,14 +194,14 @@ def _canonical(rays: Sequence[Sequence[int]], lines: Sequence[Sequence[int]]
     span (its pivot coordinates zeroed) and stays primitive.  Rays are
     sorted and distinct.
 
-    The echelon form is ``linalg._gauss_jordan`` with the ``_combine`` step,
+    The echelon form is ``linalg._gauss_jordan``, whose step is ``_combine``,
     so every row is a primitive nonzero multiple of the rational one; its
     pivot made positive, it is the vector exact elimination would give.  A
     ray reduced by ``_combine`` against a positive pivot stays a positive
     multiple of its rational reduction.
     """
     rows = list(lines)
-    pivots = _gauss_jordan(rows, _combine) if rows else []
+    pivots = _gauss_jordan(rows) if rows else []
     rows = [row if row[pc] > 0 else _neg(row)
             for row, pc in zip(rows, pivots)]
     crays = set()
@@ -338,7 +338,7 @@ class Cone:
         rays, lines = (self._v() if self._gen_rays is None
                        else (self._gen_rays, self._gen_lines))
         rows = [primitive(v) for v in (*rays, *lines) if any(v)]
-        return len(_gauss_jordan(rows, _combine)) if rows else 0
+        return len(_gauss_jordan(rows)) if rows else 0
 
     def is_pointed(self) -> bool:
         return not self.lines()

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
-__all__ = ["GF", "Poly", "RatFunc", "check_q"]
+__all__ = ["GF", "Poly", "check_q"]
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -204,7 +203,13 @@ class Poly:
 
     @staticmethod
     def make(field: GF, coeffs: Sequence[int]) -> "Poly":
+        """The polynomial with these coefficients, trailing zeros trimmed;
+        ValueError if one lies outside range(q).  ``Poly(field, coeffs)``
+        checks nothing: it takes coefficients already normalized."""
         cs = list(coeffs)
+        if cs and not (0 <= min(cs) and max(cs) < field.q):
+            raise ValueError(f"coefficients must lie in range({field.q}), "
+                             f"got {sorted(set(cs))}")
         while cs and cs[-1] == 0:
             cs.pop()
         return Poly(field, tuple(cs))
@@ -297,17 +302,6 @@ class Poly:
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
@@ -321,86 +315,3 @@ class Poly:
                 else:
                     terms.append(f"{c}*T^{i}" if c != 1 else f"T^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-@dataclass(frozen=True)
-class RatFunc:
-    """Rational function in F_q(T), normalized with monic denominator."""
-
-    num: Poly
-    den: Poly
-
-    @staticmethod
-    def make(num: Poly, den: Poly) -> "RatFunc":
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return RatFunc(num, Poly.one(num.field))
-        g = num.gcd(den)
-        num, den = num // g, den // g
-        lead_inv = num.field.inv(den.coeffs[-1])
-        return RatFunc(num.scale(lead_inv), den.scale(lead_inv))
-
-    @staticmethod
-    def of(p: Poly) -> "RatFunc":
-        return RatFunc.make(p, Poly.one(p.field))
-
-    @staticmethod
-    def zero(field: GF) -> "RatFunc":
-        return RatFunc.of(Poly.zero(field))
-
-    @staticmethod
-    def one(field: GF) -> "RatFunc":
-        return RatFunc.of(Poly.one(field))
-
-    @property
-    def field(self) -> GF:
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num.coeffs)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
-
-    def valuation_at_poly(self, pi: Poly) -> int | None:
-        """pi-adic valuation for an irreducible pi; None for the zero function."""
-        if self.is_zero():
-            return None
-        v = 0
-        n = self.num
-        while (n % pi).is_zero():
-            n = n // pi
-            v += 1
-        d = self.den
-        while (d % pi).is_zero():
-            d = d // pi
-            v -= 1
-        return v
-
-    def absolute_value(self) -> Fraction:
-        """|f| = q^(deg num - deg den), with |0| = 0."""
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.field.q) ** (self.num.degree - self.den.degree)
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r} / {self.den!r})"

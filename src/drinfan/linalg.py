@@ -1,20 +1,19 @@
-"""Exact linear algebra over a field, over an integral domain, and over Z.
+"""Exact linear algebra over Q, over an integral domain, and over Z.
 
 Exact elimination lives here, and only here: one Gauss-Jordan loop,
-``_gauss_jordan``, for Z, Q and F_q(T), with the row step a parameter.
-The integer step ``_combine`` (a combination of two rows divided by its
-gcd) also runs the cone engine's canonical form and double description.
+``_gauss_jordan``, on primitive integer rows.  Its row step ``_combine``
+(a combination of two rows divided by its gcd) also runs the cone
+engine's canonical form and double description.
 
-* Gauss-Jordan over an exact field: ``rref`` and the ``solve`` and
-  ``mat_inv`` built on it work on ``fractions.Fraction`` entries (ints
-  are promoted) or on ``RatFunc`` entries of F_q(T).  The
-  field is the one the entries live in.  A rational matrix is eliminated
-  fraction-free, on ints, and only the reduced rows are made
-  ``Fraction``s (an all-int row, such as a linearization sample's, goes
-  in divided by its gcd, with no lcm pass); a ``RatFunc`` matrix is
-  eliminated over its field.  ``solve`` takes one right-hand side or a
-  matrix of them (one row per equation, as ``numpy.linalg.solve`` does)
-  and eliminates ``[A | B]`` once for all of its columns.
+* Gauss-Jordan over Q: ``rref`` and the ``solve`` and ``mat_inv`` built
+  on it take ``int`` and ``fractions.Fraction`` entries, and raise a
+  ``TypeError`` naming any other entry type (a float is not converted).
+  A rational matrix is eliminated fraction-free, on ints, and only the
+  reduced rows are made ``Fraction``s (an all-int row, such as a
+  linearization sample's, goes in divided by its gcd, with no lcm pass).
+  ``solve`` takes one right-hand side or a matrix of them (one row per
+  equation, as ``numpy.linalg.solve`` does) and eliminates ``[A | B]``
+  once for all of its columns.
 * ``det``: the fraction-free Bareiss determinant over any integral domain
   with exact ``//``: over Z in the library, and over F_q[T] (``Poly``) in
   the tests.  There is no kernel routine; ``norms`` needs none.
@@ -39,8 +38,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .gf import RatFunc
-
 Vec = tuple[Fraction, ...]
 Mat = list[list[Fraction]]
 
@@ -48,11 +45,6 @@ __all__ = [
     "frac_vec", "dot", "rref", "solve", "mat_inv", "mat_vec",
     "det", "primitive", "smith_normal_form", "quotient_lattice_maps",
 ]
-
-
-def _entry(x):
-    """x as a field element: a RatFunc stays, anything else is a Fraction."""
-    return x if type(x) is RatFunc else Fraction(x)
 
 
 def _row_length(rows, what: str = "row", square: bool = False) -> int:
@@ -65,13 +57,6 @@ def _row_length(rows, what: str = "row", square: bool = False) -> int:
     if square and n != len(rows):
         raise ValueError(f"{len(rows)} x {n} matrix is not square")
     return n
-
-
-def _zero_one(x) -> tuple:
-    """The 0 and 1 of the field of the entry x."""
-    if type(x) is RatFunc:
-        return RatFunc.zero(x.field), RatFunc.one(x.field)
-    return Fraction(0), Fraction(1)
 
 
 def frac_vec(v: Sequence) -> Vec:
@@ -120,20 +105,14 @@ def _int_rows(rows: Sequence[Sequence]) -> list[tuple[int, ...]] | None:
     return out
 
 
-def _field_combine(c1, v1, c2, v2) -> list:
-    """(c1 v1 + c2 v2) / c1 over a field: the row step of a RatFunc
-    elimination.  Dividing by c1 keeps the entries from growing in degree."""
-    t = c2 / c1
-    return [x + t * y for x, y in zip(v1, v2)]
+def _gauss_jordan(m: list) -> list[int]:
+    """Gauss-Jordan on the integer rows of m, in place; returns the pivot
+    columns.
 
-
-def _gauss_jordan(m: list, step) -> list[int]:
-    """Gauss-Jordan on the rows of m, in place; returns the pivot columns.
-
-    Pivots are chosen as over the field.  The pivot row is never scaled;
-    every other row with an entry f in the pivot column becomes
-    ``step(p, row, -f, pivot_row)``, p the pivot, a nonzero multiple of
-    ``p*row - f*pivot_row``.  So the first ``len(pivots)`` rows are the
+    Pivots are chosen as over Q.  The pivot row is never scaled; every
+    other row with an entry f in the pivot column becomes
+    ``_combine(p, row, -f, pivot_row)``, p the pivot, a nonzero multiple
+    of ``p*row - f*pivot_row``.  So the first ``len(pivots)`` rows are the
     reduced row echelon form up to one nonzero scalar each, and the rest
     are zero.
     """
@@ -152,7 +131,7 @@ def _gauss_jordan(m: list, step) -> list[int]:
         for i in range(nrows):
             f = m[i][c]
             if f and i != r:
-                m[i] = step(p, m[i], -f, row)
+                m[i] = _combine(p, m[i], -f, row)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -161,26 +140,26 @@ def _gauss_jordan(m: list, step) -> list[int]:
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
+    """Reduced row echelon form over Q; returns (matrix, pivot column
+    indices).
 
-    The entries are Fractions (ints are promoted) or RatFuncs, and the
-    result is over their field.  A rational matrix is reduced fraction-free:
-    its rows are scaled once to primitive integer rows and run through
-    ``_gauss_jordan`` with the ``_combine`` step.  A RatFunc matrix runs
-    through it with ``_field_combine``.  The reduced row echelon form is
-    unique, so dividing each row by its pivot at the end gives exactly the
-    field result (every entry a Fraction for a rational matrix).
+    The entries are ints or Fractions; any other entry type raises a
+    ``TypeError`` that names it.  The matrix is reduced fraction-free: its
+    rows are scaled once to primitive integer rows and run through
+    ``_gauss_jordan``.  The reduced row echelon form is unique, so dividing
+    each row by its pivot at the end gives exactly the rational result,
+    every entry a Fraction.
     """
     if not rows:
         return [], []
     _row_length(rows)
     m = _int_rows(rows)
     if m is None:
-        m = [[_entry(x) for x in row] for row in rows]
-        pivots = _gauss_jordan(m, _field_combine)
-        red = [[x / row[c] for x in row] for row, c in zip(m, pivots)]
-        return red + m[len(pivots):], pivots
-    pivots = _gauss_jordan(m, _combine)
+        bad = next(x for row in rows for x in row
+                   if type(x) is not int and type(x) is not Fraction)
+        raise TypeError("rref works over Q: entries must be int or "
+                        f"Fraction, not {type(bad).__name__}")
+    pivots = _gauss_jordan(m)
     zero = Fraction(0)
     red = [[Fraction(x, row[c]) if x else zero for x in row]
            for row, c in zip(m, pivots)]
@@ -211,8 +190,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     red, pivots = rref(aug)
     if pivots and pivots[-1] >= n:
         return None
-    zero = _zero_one(red[0][0])[0]
-    x = [[zero] * (len(aug[0]) - n)] * n
+    x = [[Fraction(0)] * (len(aug[0]) - n)] * n
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n:]
     if matrix:
@@ -228,8 +206,7 @@ def mat_inv(a: Sequence[Sequence]) -> Mat:
     n = _row_length(a, square=True)
     if n == 0:
         return []
-    zero, one = _zero_one(a[0][0])
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):

@@ -1,17 +1,20 @@
 """Lattice classes, chains, and apartment cones."""
 
 import itertools
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import pytest
 
+from drinfan import bruhat_tits
 from drinfan.bruhat_tits import (canonical_exponents, simplex_cone,
                                  standard_simplex_cone)
 from drinfan.cones import Cone
-from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import mat_inv
+from drinfan.gf import Poly, gf
+from fqt import RatFunc, field_mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +65,7 @@ def _diagonal_class(exponents: Sequence[int], q: int = 2) -> _LatticeClass:
 def _relative_matrix(inner: _LatticeClass, outer: _LatticeClass
                      ) -> list[list[RatFunc]]:
     """Coordinates of inner's basis in outer's basis (outer^-1 inner)."""
-    inv, b = mat_inv(outer.matrix), inner.matrix
+    inv, b = field_mat_inv(outer.matrix), inner.matrix
     zero = RatFunc.zero(inner.pi.field)
     return [[sum((row[k] * b[k][j] for k in range(len(b))), zero)
              for j in range(len(b[0]))] for row in inv]
@@ -260,3 +263,35 @@ def test_simplex_cone_input_checks():
             standard_simplex_cone(q, 2)
     for q in (2, 3, 4, 5, 8, 9, 17):
         assert standard_simplex_cone(q, 2).dim() == 2
+
+
+def test_simplex_cone_rejects_bad_rank_and_empty_set():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            simplex_cone([(0, 1)], 2, r)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            standard_simplex_cone(2, 2, r)
+    with pytest.raises(ValueError, match="at least one lattice class"):
+        simplex_cone([], 2)
+
+
+def test_disagreeing_descriptions_raise_without_assert(monkeypatch):
+    # an injected fault: the inequalities read q + 1 where the generators
+    # read q, so the two descriptions of sigma(S) differ and the
+    # certificate fails; it raises AssertionError itself, so python -O,
+    # which strips assert statements, keeps it
+    monkeypatch.setattr(bruhat_tits, "Fraction", lambda x: Fraction(x + 1))
+    with pytest.raises(AssertionError, match="descriptions of sigma"):
+        simplex_cone([(0, 0), (0, 1)], 2)
+    monkeypatch.undo()
+    assert set(simplex_cone([(0, 0), (0, 1)], 2).rays()) == {(1, 1), (1, 2)}
+    script = ("from fractions import Fraction\n"
+              "from drinfan import bruhat_tits\n"
+              "bruhat_tits.Fraction = lambda x: Fraction(x + 1)\n"
+              "bruhat_tits.simplex_cone([(0, 0), (0, 1)], 2)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr.rstrip().endswith(
+        "AssertionError: generator and inequality descriptions of sigma(S) "
+        "disagree")

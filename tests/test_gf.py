@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfan.gf import (GF, _MODULI, Poly, RatFunc, _prime_power, check_q,
-                        gf)
+from drinfan.gf import GF, _MODULI, Poly, _prime_power, check_q, gf
+from fqt import RatFunc
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -175,6 +175,47 @@ def test_ratfunc_valuation():
     f = RatFunc.make(T * T, T * T * T + Poly.one(F))
     assert f.valuation_at_poly(T) == 2
     assert f.absolute_value() == Fraction(1, 2)
+
+
+def test_poly_division_by_zero_raises():
+    F = gf(3)
+    a = Poly.make(F, (1, 2, 1))
+    for op in (a.divmod, a.__floordiv__, a.__mod__):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            op(Poly.zero(F))
+
+
+def test_poly_make_rejects_coefficients_outside_the_field():
+    # an out-of-range coefficient would be read by negative indexing
+    # (-1 as the element 3 of GF(4)) or break the normal form (3 in GF(3))
+    for q, coeffs in ((4, (-1, 1)), (3, (3,)), (2, (0, 1, 2)), (9, (9, 0))):
+        with pytest.raises(ValueError, match=rf"must lie in range\({q}\)"):
+            Poly.make(gf(q), coeffs)
+    with pytest.raises(ValueError, match=r"range\(5\), got \[-2, 0, 1\]"):
+        Poly.make(gf(5), (1, -2, 0, 0))
+    with pytest.raises(ValueError):
+        Poly.constant(gf(2), 2)
+    assert Poly.make(gf(4), (3, 1, 0, 0)) + Poly.one(gf(4)) \
+        == Poly.make(gf(4), (2, 1))
+    assert Poly.make(gf(3), (0, 0)) == Poly.zero(gf(3))
+
+
+def test_equal_fields_hash_equal():
+    assert GF(4) == gf(4) and GF(4) is not gf(4)
+    assert hash(GF(4)) == hash(gf(4))
+    assert len({GF(q) for q in (2, 3, 2, 4, 3)}) == 3
+    assert GF(4) != gf(8) and GF(4) != 4
+    assert repr(GF(9)) == "GF(9)"
+
+
+def test_poly_repr():
+    F = gf(3)
+    assert repr(Poly.zero(F)) == "Poly(0)"
+    assert repr(Poly.constant(F, 2)) == "Poly(2)"
+    assert repr(Poly.T(F)) == "Poly(T)"
+    assert repr(Poly.make(F, (0, 2))) == "Poly(2*T)"
+    assert repr(Poly.make(F, (0, 0, 0, 1))) == "Poly(T^3)"
+    assert repr(Poly.make(F, (1, 0, 2, 1))) == "Poly(1 + 2*T^2 + T^3)"
 
 
 def test_check_q_accepts_exactly_the_prime_powers():

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from drinfan.gf import Poly, RatFunc, gf
-from drinfan.linalg import det, solve
+from drinfan.gf import Poly, gf
+from drinfan.linalg import det
 from drinfan.norms import WeightedNorm, successive_minima
+from fqt import RatFunc, field_solve
 
 F = Fraction
 
@@ -31,8 +32,8 @@ def _in_A_span(vectors, x):
     if not vectors:
         return all(p.is_zero() for p in x)
     # solve sum_j c_j vectors[j] = x over F_q(T); need every c_j in A
-    sol = solve([[RatFunc.of(v[i]) for v in vectors] for i in range(len(x))],
-                [RatFunc.of(p) for p in x])
+    sol = field_solve([[RatFunc.of(v[i]) for v in vectors]
+                       for i in range(len(x))], [RatFunc.of(p) for p in x])
     return sol is not None and all(c.den.degree == 0 for c in sol)
 
 
@@ -94,8 +95,8 @@ def _assert_same_lattice(old, new):
     n = len(old)
     # one equation per coordinate; unknown j, column k: coefficient of
     # old_j in new_k
-    m = solve([[RatFunc.of(v[i]) for v in old] for i in range(n)],
-              [[RatFunc.of(v[i]) for v in new] for i in range(n)])
+    m = field_solve([[RatFunc.of(v[i]) for v in old] for i in range(n)],
+                    [[RatFunc.of(v[i]) for v in new] for i in range(n)])
     assert m is not None
     assert all(c.den.degree == 0 for row in m for c in row)
     d = det([[c.num for c in row] for row in m])
